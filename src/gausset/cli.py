@@ -94,10 +94,9 @@ def cmd_classify(args) -> int:
                   + [f"posterior_{n}" for n in model.class_names]
                   + ["action"])
         writer.writerow(header)
-        for i in range(patterns.shape[0]):
-            writer.writerow(_format_row(log_unnorm[i])
-                            + _format_row(posteriors[i])
-                            + [model.class_names[actions[i]]])
+        for scores, probs, action in zip(log_unnorm, posteriors, actions):
+            writer.writerow(_format_row(scores) + _format_row(probs)
+                            + [model.class_names[action]])
     print(f"scored {patterns.shape[0]} rows into {args.out}")
     return EXIT_OK
 

@@ -67,5 +67,10 @@ def load_model(path):
         )
     if b_star.shape != (dim, dim) or c_star.shape != (len(class_names),):
         raise ParseError("scale matrix or c* vector has the wrong shape")
+    # json reads NaN and Infinity; none of them may reach the scorer.
+    for name, value in (("r", r), ("a_star", a_star), ("mu_star", mu_star),
+                        ("c_star", c_star), ("b_star", b_star)):
+        if not np.all(np.isfinite(value)):
+            raise ParseError(f"model field {name} holds a non-finite value")
     model = _assemble_model(class_names, mu_star, c_star, a_star, b_star)
     return model, r

@@ -20,13 +20,13 @@ numpy version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import linalg
-from .dataset import LabeledDataset, SufficientStats, accumulate
+from .dataset import LabeledDataset, SufficientStats, accumulate, merge
 from .errors import DomainError, NotPositiveDefinite, ShapeMismatch
 from .evidence import log_evidence_proper
 from .inference import PosteriorMNW, PriorHyper, column_marginal, posterior
@@ -39,11 +39,8 @@ class SeededGenerator:
     """Deterministic random source. Same seed, same sample stream."""
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise DomainError(f"unknown generator algorithm {self.algorithm!r}")
         self.seed = int(self.seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
@@ -262,10 +259,7 @@ def _chain_rule_probe(gen: SeededGenerator, tol: float = 1e-8):
         model = build_model(posterior(running, prior))
         total += log_predictive(model, x, int(label))
         one = LabeledDataset(x[None, :], np.array([label]), ds.class_names)
-        step = accumulate(one)
-        running = SufficientStats(running.counts + step.counts,
-                                  running.f + step.f,
-                                  running.scatter + step.scatter)
+        running = merge(running, accumulate(one))
     reference = log_evidence_proper(accumulate(ds), prior)
     return _probe("evidence-chain-rule", reference, total, tol / 3.0)
 

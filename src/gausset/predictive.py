@@ -123,27 +123,47 @@ def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
                            post.b_star)
 
 
-def _log_tail(t: float, half_exponent: float) -> float:
-    # log1p near the mode per the numerics contract; plain log elsewhere.
-    if t < 0.5:
-        body = np.log1p(t)
-    else:
-        body = np.log(1.0 + t)
-    return -half_exponent * float(body)
+# Rows per kernel block keep each (rows x K, N) difference block near
+# this many entries, so scoring memory stays flat for any batch size.
+_BLOCK_ENTRIES = 65536
 
 
-def log_predictive(model: PredictiveModel, x, k: int) -> float:
-    """Normalized log predictive density of pattern x under class k."""
+def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
+    """The (T, K) term -((a*+1)/2) log1p(q_tk / (c*_k + 1)) for T rows.
+
+    The one place the predictive formula is evaluated; every scorer adds
+    its class constants to this. Each block's differences x_t - mu*_k
+    go through a single quadform call.
+    """
+    dim, n_classes = model.dim, model.n_classes
+    cp1 = model.c_star + 1.0
+    log1p_terms = np.empty((patterns.shape[0], n_classes))
+    step = max(1, _BLOCK_ENTRIES // (n_classes * dim))
+    for start in range(0, patterns.shape[0], step):
+        diffs = patterns[start:start + step, None, :] - model.mu_star.T
+        q = linalg.quadform(model.chol_b_star, diffs.reshape(-1, dim).T)
+        log1p_terms[start:start + step] = np.log1p(q.reshape(-1, n_classes) / cp1)
+    return -0.5 * (model.a_star + 1.0) * log1p_terms
+
+
+def _log_unnormalized(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
+    return -0.5 * model.dim * np.log(model.c_star + 1.0) + _log_tails(model, patterns)
+
+
+def _one_row(model: PredictiveModel, x, k=None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.dim,):
         raise DimensionMismatch(
             f"pattern has shape {x.shape}, model dimension is {model.dim}"
         )
-    if not 0 <= k < model.n_classes:
+    if k is not None and not 0 <= k < model.n_classes:
         raise IndexError(f"class index {k} out of range for K={model.n_classes}")
-    q = linalg.quadform(model.chol_b_star, x - model.mu_star[:, k])
-    beta = 1.0 / (model.c_star[k] + 1.0)
-    return float(model.log_norm[k]) + _log_tail(beta * q, 0.5 * (model.a_star + 1.0))
+    return x[None, :]
+
+
+def log_predictive(model: PredictiveModel, x, k: int) -> float:
+    """Normalized log predictive density of pattern x under class k."""
+    return float(model.log_norm[k] + _log_tails(model, _one_row(model, x, k))[0, k])
 
 
 def log_predictive_unnormalized(model: PredictiveModel, x, k: int) -> float:
@@ -156,16 +176,14 @@ def log_predictive_unnormalized(model: PredictiveModel, x, k: int) -> float:
     For class posteriors this is all that matters, and it stays finite
     even when the shared normalizer is expensive or irrelevant.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"pattern has shape {x.shape}, model dimension is {model.dim}"
-        )
-    if not 0 <= k < model.n_classes:
-        raise IndexError(f"class index {k} out of range for K={model.n_classes}")
-    q = linalg.quadform(model.chol_b_star, x - model.mu_star[:, k])
-    cp1 = model.c_star[k] + 1.0
-    return float(-0.5 * model.dim * np.log(cp1)) + _log_tail(q / cp1, 0.5 * (model.a_star + 1.0))
+    return float(_log_unnormalized(model, _one_row(model, x, k))[0, k])
+
+
+def _checked_probs(probs) -> np.ndarray:
+    probs = np.asarray(probs, dtype=np.float64)
+    if (probs < 0.0).any() or not np.isfinite(probs).all():
+        raise ValueError("class prior entries must be finite and non-negative")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -178,8 +196,7 @@ class ClassPrior:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ShapeMismatch("class prior must be a vector")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("class prior entries must be finite and non-negative")
+        _checked_probs(probs)
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError(f"class prior sums to {probs.sum()!r}, expected 1")
         probs.flags.writeable = False
@@ -191,12 +208,7 @@ class ClassPrior:
 
 
 def _prior_probs(prior, n_classes: int) -> np.ndarray:
-    if isinstance(prior, ClassPrior):
-        probs = prior.probs
-    else:
-        probs = np.asarray(prior, dtype=np.float64)
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("class prior entries must be finite and non-negative")
+    probs = prior.probs if isinstance(prior, ClassPrior) else _checked_probs(prior)
     if probs.shape != (n_classes,):
         raise ShapeMismatch(
             f"class prior has length {probs.shape}, model has K={n_classes}"
@@ -208,25 +220,23 @@ def _prior_probs(prior, n_classes: int) -> np.ndarray:
 
 
 def posterior_from_scores(log_scores, prior) -> np.ndarray:
-    """Softmax of log score + log prior, stable under large offsets.
+    """Softmax of log score + log prior along the last axis.
 
-    Classes with zero prior get exactly zero posterior. The output sums
-    to one and is invariant under adding any constant to all scores.
+    Takes one (K,) score vector or a (T, K) block. Zero-prior classes get
+    exactly zero posterior; each row sums to one and is invariant under
+    adding any constant to its scores, however large.
     """
     log_scores = np.asarray(log_scores, dtype=np.float64)
-    probs = _prior_probs(prior, log_scores.shape[0])
+    probs = _prior_probs(prior, log_scores.shape[-1])
     active = probs > 0.0
-    combined = np.full(log_scores.shape[0], -np.inf)
-    combined[active] = log_scores[active] + np.log(probs[active])
-    shifted = np.exp(combined - combined[active].max())
-    return shifted / shifted.sum()
+    combined = np.where(active, log_scores + np.log(np.where(active, probs, 1.0)), -np.inf)
+    shifted = np.exp(combined - combined.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def class_posterior(model: PredictiveModel, x, prior) -> np.ndarray:
     """Posterior probability of each class for one pattern."""
-    scores = np.array([log_predictive_unnormalized(model, x, k)
-                       for k in range(model.n_classes)])
-    return posterior_from_scores(scores, prior)
+    return posterior_from_scores(_log_unnormalized(model, _one_row(model, x)), prior)[0]
 
 
 def zero_one_costs(n_classes: int) -> np.ndarray:
@@ -234,22 +244,22 @@ def zero_one_costs(n_classes: int) -> np.ndarray:
     return 1.0 - np.eye(n_classes)
 
 
-def decide(posterior_probs, costs) -> int:
+def decide(posterior_probs, costs):
     """Minimum-expected-cost action index; ties go to the lowest index.
 
     ``costs[k, action]`` is the cost of taking ``action`` when the true
-    class is k.
+    class is k. A (K,) posterior gives an ``int``, a (T, K) block T actions.
     """
     posterior_probs = np.asarray(posterior_probs, dtype=np.float64)
     costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2 or costs.shape[0] != posterior_probs.shape[0]:
+    if costs.ndim != 2 or costs.shape[0] != posterior_probs.shape[-1]:
         raise ShapeMismatch(
-            f"cost matrix shape {costs.shape} does not match K={posterior_probs.shape[0]}"
+            f"cost matrix shape {costs.shape} does not match K={posterior_probs.shape[-1]}"
         )
-    if not np.all(np.isfinite(costs)):
+    if not np.isfinite(costs).all():
         raise ValueError("cost matrix entries must be finite")
-    expected = posterior_probs @ costs
-    return int(np.argmin(expected))
+    actions = np.argmin(posterior_probs @ costs, axis=-1)
+    return int(actions) if actions.ndim == 0 else actions
 
 
 def score_batch(model: PredictiveModel, patterns, prior, costs=None):
@@ -266,13 +276,6 @@ def score_batch(model: PredictiveModel, patterns, prior, costs=None):
         )
     if costs is None:
         costs = zero_one_costs(model.n_classes)
-    n_rows = patterns.shape[0]
-    log_unnorm = np.empty((n_rows, model.n_classes))
-    posteriors = np.empty((n_rows, model.n_classes))
-    actions = np.empty(n_rows, dtype=np.int64)
-    for i in range(n_rows):
-        for k in range(model.n_classes):
-            log_unnorm[i, k] = log_predictive_unnormalized(model, patterns[i], k)
-        posteriors[i] = posterior_from_scores(log_unnorm[i], prior)
-        actions[i] = decide(posteriors[i], costs)
-    return log_unnorm, posteriors, actions
+    log_unnorm = _log_unnormalized(model, patterns)
+    posteriors = posterior_from_scores(log_unnorm, prior)
+    return log_unnorm, posteriors, decide(posteriors, costs)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gausset.cli import main
+from gausset.errors import ParseError
+from gausset.model_io import load_model
 
 
 def write_worked_csv(path):
@@ -241,6 +243,37 @@ class TestVerify:
         se_large = [p["std_error"] for p in large["probes"]
                     if p["probe"].startswith("mc-predictive")]
         assert all(s > l for s, l in zip(se_small, se_large))
+
+
+class TestNonFiniteModel:
+    # json reads NaN and Infinity, so a model file can carry them.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["r", "a_star", "mu_star", "c_star", "b_star"])
+    def test_rejected_by_load_classify_and_verify(self, tmp_path, capsys, field, value):
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--out", model_path]) == 0
+        doc = json.loads(model_path.read_text())
+        if field in ("r", "a_star"):
+            doc[field] = value
+        elif field == "c_star":
+            doc[field][0] = value
+        else:
+            doc[field][0][0] = value
+        model_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field):
+            load_model(model_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n0.5\n")
+        assert run(["classify", "--model", model_path, "--data", queries,
+                    "--out", tmp_path / "scored.csv"]) == 2
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--samples", "500"]) == 1
+        out = capsys.readouterr().out
+        assert "verification aborted" in out
+        report = json.loads(out.strip().splitlines()[-1])
+        assert report["all_pass"] is False and report["probes"] == []
 
 
 class TestGenSynth:

@@ -9,7 +9,6 @@ from gausset.linalg import (
     log_multivariate_gamma,
     logdet,
     quadform,
-    solve,
     symmetrize,
 )
 
@@ -40,6 +39,23 @@ class TestCholesky:
     def test_zero_matrix_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.zeros((3, 3)))
+
+    def test_sub_tolerance_pivot_rejected(self):
+        # The second pivot is about 1e-14: positive, so LAPACK alone
+        # accepts it, but under 1e-12 times the largest diagonal entry.
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+
+    def test_infinite_entry_rejected(self):
+        for a in (np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                  np.array([[1.0, np.inf], [np.inf, 1.0]])):
+            with pytest.raises(NotPositiveDefinite):
+                cholesky(a)
+
+    def test_factor_is_c_contiguous(self):
+        rng = np.random.default_rng(41)
+        factor = cholesky(symmetrize(random_spd(rng, 5)))
+        assert factor.lower.flags.c_contiguous
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -86,35 +102,6 @@ class TestLogdet:
             assert logdet(cholesky(a)) == pytest.approx(np.log(explicit), abs=1e-12)
 
 
-class TestSolve:
-    def test_identity(self):
-        np.testing.assert_allclose(solve(cholesky(np.eye(2)), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            solve(cholesky(np.diag([2.0, 5.0])), [2.0, 5.0]), [1.0, 1.0]
-        )
-
-    def test_worked_2x2(self):
-        # A [1,1] = [6,5] for A = [[4,2],[2,3]].
-        np.testing.assert_allclose(
-            solve(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])), [6.0, 5.0]),
-            [1.0, 1.0], rtol=1e-12,
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve(cholesky(np.eye(2)), [1.0, 2.0, 3.0])
-
-    def test_residual_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = symmetrize(random_spd(rng, 4, jitter=0.1))
-            b = rng.normal(size=4)
-            x = solve(cholesky(a), b)
-            assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) < 1e-8
-
-
 class TestQuadform:
     def test_identity(self):
         assert quadform(cholesky(np.eye(2)), [3.0, 4.0]) == pytest.approx(25.0)
@@ -126,8 +113,14 @@ class TestQuadform:
         assert quadform(cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])), [0.0, 0.0]) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            quadform(cholesky(np.eye(2)), [1.0])
+        for bad in ([1.0], np.zeros((3, 4)), np.zeros((2, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                quadform(cholesky(np.eye(2)), bad)
+
+    def test_nonfinite_vector_rejected(self):
+        for bad in ([np.nan, 0.0], np.array([[1.0], [np.inf]])):
+            with pytest.raises(ValueError):
+                quadform(cholesky(np.eye(2)), bad)
 
     def test_agrees_with_solve(self):
         rng = np.random.default_rng(5)
@@ -136,8 +129,17 @@ class TestQuadform:
             d = rng.normal(size=3)
             factor = cholesky(a)
             direct = quadform(factor, d)
-            via_solve = float(d @ solve(factor, d))
+            via_solve = float(d @ np.linalg.solve(a, d))
             assert abs(direct - via_solve) / abs(via_solve) < 1e-10
+
+    def test_matrix_gives_one_form_per_column(self):
+        rng = np.random.default_rng(7)
+        factor = cholesky(symmetrize(random_spd(rng, 4, jitter=0.1)))
+        d = rng.normal(size=(4, 9))
+        forms = quadform(factor, d)
+        assert forms.shape == (9,)
+        for j in range(9):
+            assert forms[j] == pytest.approx(quadform(factor, d[:, j]), rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)

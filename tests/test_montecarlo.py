@@ -31,10 +31,6 @@ class TestSeededGenerator:
         b = SeededGenerator(123).rng.standard_normal(10)
         np.testing.assert_array_equal(a, b)
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(DomainError):
-            SeededGenerator(1, algorithm="mt19937")
-
 
 class TestSampleWishart:
     def test_mean_matches_analytic(self):

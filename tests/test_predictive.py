@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from gausset import (
@@ -27,6 +29,9 @@ from gausset.errors import (
     ShapeMismatch,
 )
 from gausset.linalg import log_gamma
+from gausset.predictive import _BLOCK_ENTRIES
+
+from conftest import random_spd
 
 
 @pytest.fixture
@@ -171,6 +176,13 @@ class TestClassPosterior:
             probs = class_posterior(worked_model, [x], ClassPrior.uniform(2))
             assert abs(probs.sum() - 1.0) < 1e-12
 
+    def test_zero_prior_class_ignores_nonfinite_score(self):
+        np.testing.assert_array_equal(
+            posterior_from_scores([np.nan, 1.0], [0.0, 1.0]), [0.0, 1.0])
+        np.testing.assert_array_equal(
+            posterior_from_scores([[np.inf, 1.0], [2.0, 3.0]], [0.0, 1.0]),
+            [[0.0, 1.0], [0.0, 1.0]])
+
     def test_all_zero_prior(self, worked_model):
         with pytest.raises(AllZeroPrior):
             class_posterior(worked_model, [1.0], [0.0, 0.0])
@@ -263,3 +275,42 @@ class TestScoreBatch:
     def test_rejects_wrong_width(self, worked_model):
         with pytest.raises(DimensionMismatch):
             score_batch(worked_model, np.zeros((3, 2)), ClassPrior.uniform(2))
+
+
+@st.composite
+def scoring_cases(draw):
+    """A random model and a batch whose rows may span several kernel blocks."""
+    dim = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(1, 6))
+    block = max(1, _BLOCK_ENTRIES // (n_classes * dim))
+    n_rows = block * draw(st.integers(0, 2)) + draw(st.integers(1, block))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    post = PosteriorMNW(offset + rng.normal(0.0, 2.0, size=(dim, n_classes)),
+                        rng.uniform(0.5, 50.0, size=n_classes),
+                        dim - 1.0 + rng.uniform(0.1, 20.0),
+                        random_spd(rng, dim, jitter=0.1), source_r=1.0)
+    patterns = offset + rng.normal(0.0, 3.0, size=(n_rows, dim))
+    rows = {0, n_rows - 1, *rng.integers(0, n_rows, size=5)}
+    rows |= {i for b in (block, 2 * block) for i in (b - 1, b) if i < n_rows}
+    return build_model(post), patterns, sorted(rows)
+
+
+class TestBatchedMatchesSingle:
+    @settings(max_examples=30, deadline=None)
+    @given(scoring_cases())
+    def test_rows_match_single_pattern_calls(self, case):
+        model, patterns, rows = case
+        prior = ClassPrior.uniform(model.n_classes)
+        log_unnorm, posteriors, _ = score_batch(model, patterns, prior)
+        for i in rows:
+            x = patterns[i]
+            single = [log_predictive_unnormalized(model, x, k)
+                      for k in range(model.n_classes)]
+            np.testing.assert_allclose(log_unnorm[i], single, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(posteriors[i], class_posterior(model, x, prior),
+                                       rtol=1e-12, atol=0.0)
+            normalized = [log_predictive(model, x, k) for k in range(model.n_classes)]
+            offsets = np.subtract(normalized, single)
+            scale = max(1.0, np.abs(normalized).max(), np.abs(single).max())
+            assert np.ptp(offsets) <= 1e-12 * scale
