@@ -28,7 +28,7 @@ from gausset.montecarlo import SeededGenerator
 # invert every other check, so this one comes first.
 a, b = 6.0, np.array([[2.0, 0.5], [0.5, 1.0]])
 gen = SeededGenerator(11)
-draws = np.array([sample_wishart(gen, a, b) for _ in range(20000)])
+draws = sample_wishart(gen, a, b, size=20000)
 print("Wishart sample mean:\n", draws.mean(axis=0).round(3))
 print("analytic a B^-1:\n", (a * np.linalg.inv(b)).round(3))
 
@@ -54,7 +54,7 @@ for x in (np.array([0.5, -0.5]), np.array([2.0, 2.0])):
 # The full marginal likelihood must equal the sum of one-point-at-a-time
 # log predictives, in any order. This exercises the posterior update,
 # the predictive and the evidence constant in one identity.
-from gausset import LabeledDataset, SufficientStats
+from gausset import LabeledDataset, SufficientStats, merge
 
 def sequential(ds, prior, order):
     total, running = 0.0, SufficientStats.zeros(ds.dim, ds.n_classes)
@@ -63,9 +63,7 @@ def sequential(ds, prior, order):
                                 ds.patterns[i], int(ds.labels[i]))
         step = accumulate(LabeledDataset(ds.patterns[i][None, :],
                                          [ds.labels[i]], ds.class_names))
-        running = SufficientStats(running.counts + step.counts,
-                                  running.f + step.f,
-                                  running.scatter + step.scatter)
+        running = merge(running, step)
     return total
 
 reference = log_evidence_proper(accumulate(ds), prior)

@@ -61,10 +61,6 @@ def _parse_class_prior(spec: str, n_classes: int):
     return probs
 
 
-def _format_row(values):
-    return [repr(float(v)) for v in values]
-
-
 def cmd_fit(args) -> int:
     ds = load_csv(args.data, label_column=args.label_col,
                   extra_classes=args.declare_class)
@@ -95,8 +91,9 @@ def cmd_classify(args) -> int:
                   + ["action"])
         writer.writerow(header)
         for scores, probs, action in zip(log_unnorm, posteriors, actions):
-            writer.writerow(_format_row(scores) + _format_row(probs)
-                            + [model.class_names[action]])
+            # csv writes a Python float as its shortest repr.
+            writer.writerow([*scores.tolist(), *probs.tolist(),
+                             model.class_names[action]])
     print(f"scored {patterns.shape[0]} rows into {args.out}")
     return EXIT_OK
 
@@ -169,7 +166,7 @@ def cmd_gen_synth(args) -> int:
         writer = csv.writer(handle)
         writer.writerow([f"x{i}" for i in range(args.dim)] + ["label"])
         for row, label in zip(ds.patterns, ds.labels):
-            writer.writerow(_format_row(row) + [ds.class_names[label]])
+            writer.writerow([*row.tolist(), ds.class_names[label]])
     sidecar = {
         "r_true": truth["r_true"],
         "seed": truth["seed"],

@@ -40,9 +40,9 @@ class CholeskyFactor:
 
 
 def symmetrize(a) -> np.ndarray:
-    """Return (A + A^T)/2 as a new float64 array, exactly symmetric."""
+    """Return (A + A^T)/2 over the last two axes, a new exactly symmetric array."""
     a = np.asarray(a, dtype=np.float64)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def cholesky(a) -> CholeskyFactor:

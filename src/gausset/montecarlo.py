@@ -49,22 +49,13 @@ class SeededGenerator:
         return self._rng
 
 
-def _chol_of_inverse(factor: CholeskyFactor) -> CholeskyFactor:
-    """Lower Cholesky factor of A^{-1} given the factor of A."""
-    inv = solve_triangular(factor.lower, np.eye(factor.dim), lower=True)
-    return linalg.cholesky(linalg.symmetrize(inv.T @ inv))
+def _bartlett_factors(gen: SeededGenerator, a: float, dim: int, n: int) -> np.ndarray:
+    """Batch of n lower-triangular (N, N) factors A with A A^T ~ Wishart(a, I).
 
-
-def _bartlett_factors(gen: SeededGenerator, a: float, chol_scale_inv: CholeskyFactor,
-                      n: int) -> np.ndarray:
-    """Batch of n lower factors L with L L^T ~ Wishart(a, B).
-
-    Bartlett construction: A has sqrt(chi-square(a - i)) on diagonal
-    entry i (i = 0..N-1) and standard normals strictly below, and
-    L = C A with C the lower factor of B^{-1}. C and A are both lower
-    triangular, so L already is the Cholesky factor of the sample.
+    Bartlett construction: sqrt(chi-square(a - i)) on diagonal entry i
+    (i = 0..N-1), drawn entry by entry, then standard normals strictly
+    below the diagonal.
     """
-    dim = chol_scale_inv.dim
     rng = gen.rng
     bart = np.zeros((n, dim, dim))
     for i in range(dim):
@@ -73,21 +64,36 @@ def _bartlett_factors(gen: SeededGenerator, a: float, chol_scale_inv: CholeskyFa
         lower_idx = np.tril_indices(dim, k=-1)
         normals = rng.standard_normal((n, len(lower_idx[0])))
         bart[:, lower_idx[0], lower_idx[1]] = normals
-    return np.einsum("ij,njk->nik", chol_scale_inv.lower, bart)
+    return bart
 
 
-def sample_wishart(gen: SeededGenerator, a: float, b) -> np.ndarray:
-    """One positive-definite draw from Wishart(a, B), mean a B^{-1}."""
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    if not float(a) > n - 1:
-        raise DomainError(f"Wishart needs a > N - 1, got a={a}, N={n}")
+def _scale_factor(a: float, b) -> CholeskyFactor:
+    """Lower factor U of a Wishart scale matrix B = U U^T, checked for sampling."""
+    if not float(a) > len(b) - 1:
+        raise DomainError(f"Wishart needs a > N - 1, got a={a}, N={len(b)}")
     try:
-        chol_b = linalg.cholesky(linalg.symmetrize(b))
+        return linalg.cholesky(b)
     except NotPositiveDefinite as exc:
         raise DomainError("Wishart scale matrix is not positive definite") from exc
-    factor = _bartlett_factors(gen, float(a), _chol_of_inverse(chol_b), 1)[0]
-    return linalg.symmetrize(factor @ factor.T)
+
+
+def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
+    """Draws from Wishart(a, B), mean a B^{-1}, of shape ``size + (N, N)``.
+
+    ``size=None`` gives one (N, N) draw. Lambda = G G^T with G = U^{-T} A
+    for B = U U^T and A a Bartlett factor, so no inverse of B is formed.
+    """
+    chol_b = _scale_factor(a, linalg.symmetrize(b))
+    dim = chol_b.dim
+    batch = () if size is None else tuple(int(s) for s in np.atleast_1d(size))
+    n = int(np.prod(batch))
+    bart = _bartlett_factors(gen, float(a), dim, n)
+    # One triangular solve U^T G = A for all n factors side by side.
+    stacked = bart.transpose(1, 0, 2).reshape(dim, n * dim)
+    g = solve_triangular(chol_b.lower, stacked, lower=True, trans="T")
+    g = g.reshape(dim, n, dim).transpose(1, 0, 2)
+    draws = linalg.symmetrize(g @ g.transpose(0, 2, 1))
+    return draws.reshape(batch + (dim, dim))
 
 
 def sample_matrix_normal(gen: SeededGenerator, m, r_diag,
@@ -134,22 +140,18 @@ def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
         raise IndexError(f"class index {k} out of range for K={post.n_classes}")
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    if not post.a_star > dim - 1:
-        raise DomainError(
-            f"posterior Wishart needs a* > N - 1, got a*={post.a_star}, N={dim}"
-        )
-    try:
-        chol_bstar = linalg.cholesky(post.b_star)
-    except NotPositiveDefinite as exc:
-        raise DomainError("posterior scale matrix is not positive definite") from exc
+    chol_bstar = _scale_factor(post.a_star, post.b_star)
 
     mu_k, c_k = column_marginal(post, k)
-    factors = _bartlett_factors(gen, post.a_star, _chol_of_inverse(chol_bstar),
-                                n_samples)
-    logdets = 2.0 * np.sum(np.log(np.einsum("nii->ni", factors)), axis=1)
-    # With mu = mu_k + sqrt(c) L^{-T} z, the Gaussian exponent collapses to
-    # ||L^T (x - mu_k) - sqrt(c) z||^2, so no per-sample solve is needed.
-    u = np.einsum("nij,i->nj", factors, x - mu_k)
+    bart = _bartlett_factors(gen, post.a_star, dim, n_samples)
+    # Lambda = G G^T with G = U^{-T} A and B* = U U^T, so log|Lambda| is
+    # 2 sum log A_ii - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
+    # Gaussian exponent is ||A^T U^{-1} (x - mu_k) - sqrt(c) z||^2: one
+    # shared triangular solve, then N^2 work per sample.
+    logdets = (2.0 * np.sum(np.log(np.einsum("nii->ni", bart)), axis=1)
+               - linalg.logdet(chol_bstar))
+    d = solve_triangular(chol_bstar.lower, x - mu_k, lower=True)
+    u = np.einsum("nij,i->nj", bart, d)
     z = gen.rng.standard_normal((n_samples, dim))
     v = u - np.sqrt(c_k) * z
     log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v * v, axis=1)
@@ -239,10 +241,8 @@ def _failed_probe(name, reason):
 def _wishart_mean_probe(gen: SeededGenerator, n_samples: int):
     a = 5.0
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
-    chol_inv = _chol_of_inverse(linalg.cholesky(b))
-    factors = _bartlett_factors(gen, a, chol_inv, n_samples)
-    samples = np.einsum("nij,nkj->nik", factors, factors)
-    expected = a * (chol_inv.lower @ chol_inv.lower.T)
+    samples = sample_wishart(gen, a, b, size=n_samples)
+    expected = a * np.linalg.inv(b)
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
     worst = np.unravel_index(np.argmax(np.abs(mean - expected) / se), mean.shape)

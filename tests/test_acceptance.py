@@ -161,9 +161,7 @@ def test_07_wishart_convention():
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
     gen = SeededGenerator(77)
     n = 100000
-    samples = np.empty((n, 2, 2))
-    for i in range(n):
-        samples[i] = sample_wishart(gen, a, b)
+    samples = sample_wishart(gen, a, b, size=n)
     expected = a * np.linalg.inv(b)
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / np.sqrt(n)

@@ -40,7 +40,7 @@ class TestSampleWishart:
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
         gen = SeededGenerator(7)
         n = 20000
-        samples = np.array([sample_wishart(gen, a, b) for _ in range(n)])
+        samples = sample_wishart(gen, a, b, size=n)
         expected = a * np.linalg.inv(b)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(samples.mean(axis=0) - expected) <= 3.0 * se)
@@ -51,15 +51,34 @@ class TestSampleWishart:
         a = 6.5
         gen = SeededGenerator(8)
         n = 40000
-        draws = np.array([sample_wishart(gen, a, [[1.0]])[0, 0] for _ in range(n)])
+        draws = sample_wishart(gen, a, [[1.0]], size=n)[:, 0, 0]
         assert draws.mean() == pytest.approx(a, abs=3.0 * draws.std() / np.sqrt(n))
         assert draws.var(ddof=1) == pytest.approx(2.0 * a, rel=0.05)
 
     def test_every_sample_is_positive_definite(self):
         gen = SeededGenerator(9)
         b = np.array([[2.0, -0.4, 0.1], [-0.4, 1.5, 0.3], [0.1, 0.3, 0.9]])
-        for _ in range(200):
-            cholesky(sample_wishart(gen, 4.2, b))
+        for draw in sample_wishart(gen, 4.2, b, size=200):
+            cholesky(draw)
+
+    def test_second_moment_matches_analytic(self):
+        # Var(Lambda_ij) = a (Sigma_ij^2 + Sigma_ii Sigma_jj) with
+        # Sigma = B^{-1}. The mean alone does not pin the sampler: a
+        # Bartlett factor with chi-square(a) on every diagonal entry and no
+        # normals below it keeps the mean a B^{-1} but not these variances.
+        a = 7.0
+        b = np.array([[2.0, -0.4, 0.1], [-0.4, 1.5, 0.3], [0.1, 0.3, 0.9]])
+        samples = sample_wishart(SeededGenerator(14), a, b, size=200000)
+        sigma = np.linalg.inv(b)
+        expected = a * (sigma ** 2 + np.outer(np.diag(sigma), np.diag(sigma)))
+        np.testing.assert_allclose(samples.var(axis=0, ddof=1), expected, rtol=0.05)
+
+    def test_size_none_is_first_of_size_one(self):
+        b = np.array([[2.0, 0.5], [0.5, 1.0]])
+        single = sample_wishart(SeededGenerator(15), 5.0, b)
+        batch = sample_wishart(SeededGenerator(15), 5.0, b, size=1)
+        assert single.shape == (2, 2) and batch.shape == (1, 2, 2)
+        np.testing.assert_array_equal(single, batch[0])
 
     def test_domain_errors(self):
         gen = SeededGenerator(10)
