@@ -33,7 +33,8 @@ ds = LabeledDataset(patterns, labels, ("top", "left", "right"))
 # One pass over the data produces everything the model will ever need.
 stats = accumulate(ds)
 print("counts per class:", stats.counts)
-print("pooled second moment:\n", stats.scatter.round(2))
+print("class means (columns are classes):\n", stats.means.round(3))
+print("pooled within-class scatter:\n", stats.within.round(2))
 
 # Non-informative prior over the shared covariance, shrinkage r = 1 on the
 # class means. The posterior is exact, no iterations involved.

@@ -24,7 +24,6 @@ from .errors import (
     GaussetError,
     ImproperPrior,
     InsufficientDof,
-    NoFiniteValue,
     NotPositiveDefinite,
     ParseError,
     ShapeMismatch,
@@ -37,8 +36,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
-_DEGENERATE_ERRORS = (DegenerateScatter, NotPositiveDefinite, InsufficientDof,
-                      NoFiniteValue)
+_DEGENERATE_ERRORS = (DegenerateScatter, NotPositiveDefinite, InsufficientDof)
 _INPUT_ERRORS = (ParseError, DimensionMismatch, ShapeMismatch, EmptyDimension,
                  DomainError, ImproperPrior, OSError, ValueError)
 

@@ -1,15 +1,18 @@
 """Labeled datasets and their reduction to sufficient statistics.
 
 The model never sees raw patterns after ingestion: a dataset is reduced
-once to per-class counts, per-class feature sums and one pooled raw
-second-moment matrix. Those sums are additive, so statistics from
-shards of a dataset can be merged in any order.
+once to per-class counts, per-class means and the pooled within-class
+scatter, each pattern centred on its own class mean. Centring keeps the
+scatter free of the cancellation that raw second moments suffer under a
+large common offset. Statistics from shards of a dataset combine with
+the pairwise rule in :func:`merge`, in any order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,37 +74,38 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SufficientStats:
-    """Per-class counts, per-class sums, and the pooled second moment.
+    """Per-class counts and means, and the pooled within-class scatter.
 
     ``counts[k]`` is the number of patterns of class k, column k of
-    ``f`` is the sum of those patterns, and ``scatter`` is the sum of
-    x x^T over every pattern regardless of class.
+    ``means`` is their mean (zero for a class with no patterns), and
+    ``within`` is the sum of (x - m_k)(x - m_k)^T over every pattern x,
+    each centred on the mean m_k of its own class.
     """
 
     counts: np.ndarray   # (K,) int64
-    f: np.ndarray        # (N, K)
-    scatter: np.ndarray  # (N, N), symmetric
+    means: np.ndarray    # (N, K)
+    within: np.ndarray   # (N, N), symmetric positive semi-definite
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        f = np.asarray(self.f, dtype=np.float64)
-        scatter = np.asarray(self.scatter, dtype=np.float64)
-        if counts.ndim != 1 or f.ndim != 2 or f.shape[1] != counts.shape[0]:
-            raise ShapeMismatch("counts and per-class sums disagree in class count")
-        if scatter.shape != (f.shape[0], f.shape[0]):
-            raise ShapeMismatch("scatter shape does not match the feature dimension")
+        means = np.asarray(self.means, dtype=np.float64)
+        within = np.asarray(self.within, dtype=np.float64)
+        if counts.ndim != 1 or means.ndim != 2 or means.shape[1] != counts.shape[0]:
+            raise ShapeMismatch("counts and per-class means disagree in class count")
+        if within.shape != (means.shape[0], means.shape[0]):
+            raise ShapeMismatch("within-class scatter shape does not match the feature dimension")
         if np.any(counts < 0):
             raise ValueError("negative class count")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "scatter", scatter)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "within", within)
         counts.flags.writeable = False
-        f.flags.writeable = False
-        scatter.flags.writeable = False
+        means.flags.writeable = False
+        within.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self.f.shape[0]
+        return self.means.shape[0]
 
     @property
     def n_classes(self) -> int:
@@ -119,30 +123,44 @@ class SufficientStats:
 
 
 def accumulate(ds: LabeledDataset) -> SufficientStats:
-    """Reduce a dataset to its sufficient statistics in one pass.
+    """Reduce a dataset to its sufficient statistics.
 
-    Sums run in input row order, so the result is deterministic for a
-    given dataset. Raises :class:`EmptyDimension` for zero feature
-    columns.
+    Each pattern is centred on its class mean before the scatter is
+    summed, so a large offset common to all patterns does not cancel
+    away the within-class spread. Sums run in input row order, so the
+    result is deterministic for a given dataset. Raises
+    :class:`EmptyDimension` for zero feature columns.
     """
     if ds.dim == 0:
         raise EmptyDimension("dataset has no feature columns")
-    counts = np.bincount(ds.labels, minlength=ds.n_classes).astype(np.int64)
-    f = np.zeros((ds.n_classes, ds.dim))
-    np.add.at(f, ds.labels, ds.patterns)
-    scatter = symmetrize(ds.patterns.T @ ds.patterns)
-    return SufficientStats(counts, f.T, scatter)
+    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    sums = np.zeros((ds.n_classes, ds.dim))
+    np.add.at(sums, ds.labels, ds.patterns)
+    means = sums / np.maximum(counts, 1)[:, None]
+    centred = ds.patterns - means[ds.labels]
+    return SufficientStats(counts, means.T, symmetrize(centred.T @ centred))
 
 
 def merge(a: SufficientStats, b: SufficientStats) -> SufficientStats:
-    """Elementwise sum of two statistics over the same classes."""
+    """Statistics of the union of two datasets over the same classes.
+
+    Chan, Golub & LeVeque's pairwise rule, per class with n = T_a + T_b
+    and delta = m_b - m_a: m = (T_a m_a + T_b m_b) / n and
+    W = W_a + W_b + sum_k (T_a T_b / n) delta_k delta_k^T. Each term is
+    symmetric in a and b, so ``merge(a, b)`` equals ``merge(b, a)`` bit
+    for bit, and merging with zero statistics returns the other side.
+    """
     if a.dim != b.dim or a.n_classes != b.n_classes:
         raise ShapeMismatch(
             f"cannot merge stats of shape (N={a.dim}, K={a.n_classes}) "
             f"with (N={b.dim}, K={b.n_classes})"
         )
-    return SufficientStats(a.counts + b.counts, a.f + b.f,
-                           symmetrize(a.scatter + b.scatter))
+    counts = a.counts + b.counts
+    n = np.maximum(counts, 1).astype(np.float64)
+    means = a.means * (a.counts / n) + b.means * (b.counts / n)
+    delta = b.means - a.means
+    spread = (delta * (a.counts * b.counts / n)) @ delta.T
+    return SufficientStats(counts, means, symmetrize(a.within + b.within + spread))
 
 
 def _parse_cell(text, line, column):
@@ -155,6 +173,43 @@ def _parse_cell(text, line, column):
     return value
 
 
+def _read_table(path, label_column=None):
+    """Read a headed CSV into (header, labels, patterns), skipping blank rows.
+
+    ``labels`` holds the stripped ``label_column`` cells, if one is named;
+    every other cell must parse to a finite float of ``patterns`` (T, F).
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError("file is empty, expected a header row", line=1) from None
+        label_idx = None
+        if label_column is not None:
+            if label_column not in header:
+                raise ParseError(f"no column named {label_column!r} in header", line=1)
+            label_idx = header.index(label_column)
+        features = [i for i in range(len(header)) if i != label_idx]
+        labels = []
+        rows = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row has {len(row)} cells, header has {len(header)}", line_no
+                )
+            if label_idx is not None:
+                # Interned: one string per distinct label, not one per row.
+                labels.append(sys.intern(row[label_idx].strip()))
+            rows.append([_parse_cell(row[i], line_no, header[i]) for i in features])
+    patterns = np.asarray(rows, dtype=np.float64)
+    if patterns.size == 0:
+        patterns = np.zeros((0, len(features)))
+    return header, labels, patterns
+
+
 def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledDataset:
     """Load a labeled dataset from a headed CSV file.
 
@@ -163,72 +218,15 @@ def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledData
     of first appearance, with any ``extra_classes`` not present in the
     file appended after (their counts are zero).
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("file is empty, expected a header row", line=1) from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ParseError(f"no column named {label_column!r} in header", line=1)
-        label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
-
-        class_names: list = []
-        class_index: dict = {}
-        rows = []
-        labels = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row has {len(row)} cells, header has {len(header)}", line_no
-                )
-            label = row[label_idx].strip()
-            if label not in class_index:
-                class_index[label] = len(class_names)
-                class_names.append(label)
-            labels.append(class_index[label])
-            rows.append([
-                _parse_cell(cell, line_no, header[i])
-                for i, cell in enumerate(row) if i != label_idx
-            ])
-
-    for name in extra_classes:
-        name = str(name)
-        if name not in class_index:
-            class_index[name] = len(class_names)
-            class_names.append(name)
-    if not class_names:
-        class_names = [str(n) for n in extra_classes] or ["unlabeled"]
-    patterns = np.asarray(rows, dtype=np.float64)
-    if patterns.size == 0:
-        patterns = np.zeros((0, len(feature_names)))
-    return LabeledDataset(patterns, np.asarray(labels, dtype=np.int64),
-                          tuple(class_names))
+    _, labels, patterns = _read_table(path, label_column)
+    names = list(dict.fromkeys([*labels, *map(str, extra_classes)])) or ["unlabeled"]
+    index = {name: k for k, name in enumerate(names)}
+    return LabeledDataset(patterns,
+                          np.asarray([index[label] for label in labels], dtype=np.int64),
+                          tuple(names))
 
 
 def load_features(path):
     """Load an unlabeled feature CSV. Returns (feature_names, patterns)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("file is empty, expected a header row", line=1) from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row has {len(row)} cells, header has {len(header)}", line_no
-                )
-            rows.append([_parse_cell(cell, line_no, header[i])
-                         for i, cell in enumerate(row)])
-    patterns = np.asarray(rows, dtype=np.float64)
-    if patterns.size == 0:
-        patterns = np.zeros((0, len(header)))
+    header, _, patterns = _read_table(path)
     return header, patterns

@@ -67,4 +67,4 @@ class ImproperPrior(GaussetError, ValueError):
 
 
 class NoFiniteValue(GaussetError):
-    """No probe of the objective produced a finite value."""
+    """No probe of an objective produced a finite value (no longer raised)."""

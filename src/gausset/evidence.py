@@ -9,13 +9,17 @@ update, the predictive density and the evidence constant together.
 
 ``log_evidence_noninformative`` is the a = 0, B = 0 form
 
-    (N/2) [K log r - sum_k log(r + T_k)]
-      - (T/2) log det(S - sum_k f_k f_k^T / (r + T_k)),
+    (N/2) [K log r - sum_k log(r + T_k)] - (T/2) log det B*(r),
 
-which drops additive terms that do not depend on r. Because the prior
-is improper there, the value is meaningful only as a relative score for
-choosing r, never as an absolute likelihood comparable across datasets
-or models.
+    B*(r) = S - sum_k f_k f_k^T / (r + T_k)
+          = W + sum_k (r T_k / (r + T_k)) m_k m_k^T,
+
+the posterior scale matrix at a = 0, B = 0. It comes from the same
+conjugate update as the posterior, in the second, centred form, so no
+raw moments cancel. The value drops additive terms that do not depend
+on r. Because the prior is improper there, the value is meaningful only
+as a relative score for choosing r, never as an absolute likelihood
+comparable across datasets or models.
 """
 
 from __future__ import annotations
@@ -32,18 +36,11 @@ from .errors import (
     DegenerateScatter,
     DomainError,
     ImproperPrior,
-    NoFiniteValue,
     NotPositiveDefinite,
 )
-from .inference import PriorHyper, posterior
+from .inference import PriorHyper, _posterior_general, posterior
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _within_scale_matrix(stats: SufficientStats, r: float) -> np.ndarray:
-    counts = stats.counts.astype(np.float64)
-    g = stats.f / (r + counts)[None, :]
-    return linalg.symmetrize(stats.scatter - g @ stats.f.T)
 
 
 def log_evidence_noninformative(stats: SufficientStats, r: float) -> float:
@@ -56,8 +53,8 @@ def log_evidence_noninformative(stats: SufficientStats, r: float) -> float:
     Raises
     ------
     DegenerateScatter
-        If ``S - sum_k f_k f_k^T / (r + T_k)`` is not positive definite
-        (for example when T <= N).
+        If the scale matrix B*(r) is not positive definite (for example
+        when T <= N).
     """
     r = float(r)
     if not r > 0.0:
@@ -65,8 +62,9 @@ def log_evidence_noninformative(stats: SufficientStats, r: float) -> float:
     if stats.total == 0:
         return 0.0
     counts = stats.counts.astype(np.float64)
+    _, _, _, b_star = _posterior_general(stats, 0.0, np.full(stats.n_classes, r), 0.0, None)
     try:
-        factor = linalg.cholesky(_within_scale_matrix(stats, r))
+        factor = linalg.cholesky(b_star)
     except NotPositiveDefinite as exc:
         raise DegenerateScatter(
             f"evidence scale matrix is singular at r={r} "
@@ -129,18 +127,15 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
     why tests cross-check against a dense grid. The returned point never
     scores below either bracket endpoint.
 
-    The scale matrix inside the evidence grows with r, so it is most
-    likely to be positive definite at ``r_max``; if the evidence is
-    degenerate even there, the whole range is degenerate and
-    :class:`DegenerateScatter` propagates. Degenerate probes in the
-    interior simply lose every comparison. :class:`NoFiniteValue` is
-    raised if no probe at all produced a finite value.
+    A probe whose scale matrix is degenerate loses every comparison.
+    Degeneracy can come and go along r (the Cholesky pivot tolerance
+    scales with B*'s largest diagonal entry, which grows with r), so no
+    single probe stands for the whole range. :class:`DegenerateScatter`
+    is raised only if every probe was degenerate.
     """
     r_min, r_max = float(r_min), float(r_max)
     if not 0.0 < r_min < r_max:
         raise DomainError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
-    # Deliberately unguarded: degeneracy at r_max means degeneracy everywhere.
-    log_evidence_noninformative(stats, r_max)
 
     probes = {}
 
@@ -169,8 +164,11 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
             f2 = objective(x2)
     objective(0.5 * (lo + hi))
     best_log_r = max(probes, key=probes.get)
-    if not math.isfinite(probes[best_log_r]):
-        raise NoFiniteValue("no finite evidence value anywhere in the range")
+    if probes[best_log_r] == -math.inf:
+        raise DegenerateScatter(
+            f"evidence scale matrix is singular at every probed r in "
+            f"[{r_min}, {r_max}] (T={stats.total}, N={stats.dim})"
+        )
     return math.exp(best_log_r)
 
 

@@ -10,15 +10,19 @@ normal with diagonal column precision ``r I`` and zero location), and
 Lambda)/2)``, mean ``a B^{-1}``).
 
 That prior is conjugate: the posterior has the same matrix-normal-Wishart
-form with parameters
+form. With per-class counts T_k, sums f_k (the columns of F), means
+m_k = f_k / T_k, raw second moment S and within-class scatter W,
 
     R*      = r I + diag(T_1 .. T_K)
     M*      = F (R*)^{-1}              (column k: f_k / (r + T_k))
     a*      = a + T
     B*      = B + S - F (R*)^{-1} F^T
+            = B + W + sum_k (r T_k / (r + T_k)) m_k m_k^T
 
-in terms of the sufficient statistics (T_k, F, S). The non-informative
-limit is the literal input ``a = 0, B = 0``.
+The code uses the second, centred form of B*: a sum of positive
+semi-definite terms, so a large common offset in the data cannot cancel
+the within-class spread away. The non-informative limit is the literal
+input ``a = 0, B = 0``.
 """
 
 from __future__ import annotations
@@ -138,46 +142,37 @@ def _resolve_b(b: np.ndarray | None, dim: int) -> np.ndarray:
 
 
 def _posterior_general(stats: SufficientStats, theta, r_diag, a: float, b):
-    """Conjugate update for a general diagonal-precision, located prior.
+    """Conjugate update for a located prior; the one place B* is formed.
 
-    Supports a nonzero location ``theta`` and per-class precisions
-    ``r_diag`` so that a posterior can be re-used as the prior for more
-    data (the public API only ever passes theta = 0 and r_diag = r * 1).
-    Update:
+    Mean column k has prior Normal(theta_k, Lambda^{-1} / r_k), so a
+    posterior can be re-used as the prior for more data. ``theta`` is
+    (N, K) or a scalar; ``posterior`` and the evidence pass 0. With
+    dev_k = m_k - theta_k:
 
-        R*  = r_diag + counts
-        G   = theta diag(r_diag) + F
-        M*  = G (R*)^{-1}
+        R*  = r_diag + T_k
+        M*  = (r_k theta_k + T_k m_k) / R*_k
         a*  = a + T
-        B*  = B + S + theta diag(r_diag) theta^T - G (R*)^{-1} G^T
+        B*  = B + W + sum_k (r_k T_k / R*_k) dev_k dev_k^T
     """
     counts = stats.counts.astype(np.float64)
     r_diag = np.asarray(r_diag, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
     b = _resolve_b(b, stats.dim)
     if r_diag.shape != (stats.n_classes,):
         raise ShapeMismatch("per-class precision vector does not match K")
+    if theta.shape not in ((), stats.means.shape):
+        raise ShapeMismatch("prior location shape does not match (N, K)")
     r_star = r_diag + counts
-    if theta is None:
-        g = stats.f
-        theta_term = 0.0
-    else:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != stats.f.shape:
-            raise ShapeMismatch("prior location shape does not match (N, K)")
-        g = theta * r_diag[None, :] + stats.f
-        theta_term = (theta * r_diag[None, :]) @ theta.T
-    m_star = g / r_star[None, :]
-    a_star = a + stats.total
-    # Subtraction can break exact symmetry in floating point; restore it.
-    b_star = linalg.symmetrize(b + stats.scatter + theta_term - (g / r_star[None, :]) @ g.T)
-    return m_star, r_star, a_star, b_star
+    dev = stats.means - theta
+    m_star = (r_diag * theta + counts * stats.means) / r_star
+    b_star = linalg.symmetrize(b + stats.within + (dev * (r_diag * counts / r_star)) @ dev.T)
+    return m_star, r_star, a + stats.total, b_star
 
 
 def posterior(stats: SufficientStats, prior: PriorHyper) -> PosteriorMNW:
     """Closed-form posterior from sufficient statistics and a prior."""
-    r_diag = np.full(stats.n_classes, prior.r)
     m_star, r_star, a_star, b_star = _posterior_general(
-        stats, None, r_diag, prior.a, prior.b
+        stats, 0.0, np.full(stats.n_classes, prior.r), prior.a, prior.b
     )
     return PosteriorMNW(m_star, r_star, a_star, b_star, source_r=prior.r)
 

@@ -23,6 +23,7 @@ from gausset import (
     log_evidence_noninformative,
     log_evidence_proper,
     log_predictive,
+    log_predictive_unnormalized,
     mc_predictive,
     posterior,
     sample_dataset,
@@ -110,13 +111,18 @@ def test_03_student_t_reduction():
 
 def test_04_predictive_normalizes_to_one(worked_posterior):
     model = build_model(worked_posterior, class_names=("a", "b"))
+    # Each grid is scored as one batch; the normaliser shared by all
+    # classes comes from one scalar normalized/unnormalized pair.
+    log_norm = (log_predictive(model, [0.0], 0)
+                - log_predictive_unnormalized(model, [0.0], 0))
     worst = 0.0
     for k in range(2):
         mu = model.mu_star[0, k]
         scale = np.sqrt((model.c_star[k] + 1.0) * model.b_star[0, 0]
                         / model.a_star)
         grid = np.linspace(mu - 40 * scale, mu + 40 * scale, 100001)
-        density = np.exp([log_predictive(model, [x], k) for x in grid])
+        log_unnorm, _, _ = score_batch(model, grid[:, None], ClassPrior.uniform(2))
+        density = np.exp(log_norm + log_unnorm[:, k])
         mass = simpson(density, x=grid)
         worst = max(worst, abs(mass - 1.0))
         assert abs(mass - 1.0) <= 1e-4

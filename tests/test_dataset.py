@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausset import LabeledDataset, SufficientStats, accumulate, load_csv, merge
 from gausset.dataset import load_features
@@ -12,26 +14,36 @@ from gausset.errors import (
 from gausset.linalg import cholesky
 
 
+def raw_moment_within(patterns, labels, n_classes):
+    """S - sum_k f_k f_k^T / T_k from raw sums: the paper's uncentred route."""
+    within = patterns.T @ patterns
+    for k in range(n_classes):
+        f = patterns[labels == k].sum(axis=0)
+        if (labels == k).any():
+            within -= np.outer(f, f) / (labels == k).sum()
+    return within
+
+
 class TestAccumulate:
     def test_worked_example(self, worked_stats):
         np.testing.assert_array_equal(worked_stats.counts, [2, 1])
-        np.testing.assert_array_equal(worked_stats.f, [[4.0, 2.0]])
-        np.testing.assert_array_equal(worked_stats.scatter, [[14.0]])
+        np.testing.assert_array_equal(worked_stats.means, [[2.0, 2.0]])
+        np.testing.assert_array_equal(worked_stats.within, [[2.0]])
         assert worked_stats.total == 3
 
     def test_empty_dataset(self):
         ds = LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int), ("a", "b"))
         stats = accumulate(ds)
         np.testing.assert_array_equal(stats.counts, [0, 0])
-        assert not stats.f.any()
-        assert not stats.scatter.any()
+        assert not stats.means.any()
+        assert not stats.within.any()
         assert stats.total == 0
 
     def test_single_pattern(self):
         x = np.array([1.5, -2.0])
         stats = accumulate(LabeledDataset(x[None, :], [0], ("only",)))
-        np.testing.assert_array_equal(stats.f[:, 0], x)
-        np.testing.assert_allclose(stats.scatter, np.outer(x, x))
+        np.testing.assert_array_equal(stats.means[:, 0], x)
+        np.testing.assert_array_equal(stats.within, np.zeros((2, 2)))
         np.testing.assert_array_equal(stats.counts, [1])
 
     def test_zero_feature_columns_rejected(self):
@@ -46,23 +58,24 @@ class TestAccumulate:
         stats = accumulate(LabeledDataset(patterns, labels, ("a", "b", "c", "d")))
         for k in range(4):
             np.testing.assert_allclose(
-                stats.f[:, k], patterns[labels == k].sum(axis=0), atol=1e-12
+                stats.counts[k] * stats.means[:, k],
+                patterns[labels == k].sum(axis=0), atol=1e-12
             )
 
     def test_within_class_scatter_is_psd(self):
-        # S - sum_k f_k f_k^T / T_k is the pooled within-class scatter;
-        # probe with a trace-relative diagonal shift and Cholesky.
+        # W equals the raw-moment form S - sum_k f_k f_k^T / T_k, and is
+        # PSD: probe with a trace-relative diagonal shift and Cholesky.
         rng = np.random.default_rng(1)
         for trial in range(5):
             patterns = rng.normal(size=(25, 3))
             labels = rng.integers(0, 3, size=25)
             stats = accumulate(LabeledDataset(patterns, labels, ("a", "b", "c")))
-            within = stats.scatter.copy()
-            for k in range(3):
-                if stats.counts[k] > 0:
-                    within -= np.outer(stats.f[:, k], stats.f[:, k]) / stats.counts[k]
-            shift = 1e-8 * np.trace(within)
-            cholesky(0.5 * (within + within.T) + shift * np.eye(3))
+            np.testing.assert_allclose(stats.within,
+                                       raw_moment_within(patterns, labels, 3),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(stats.within, stats.within.T)
+            shift = 1e-8 * np.trace(stats.within)
+            cholesky(stats.within + shift * np.eye(3))
 
 
 class TestMerge:
@@ -70,8 +83,8 @@ class TestMerge:
         zero = SufficientStats.zeros(worked_stats.dim, worked_stats.n_classes)
         merged = merge(worked_stats, zero)
         np.testing.assert_array_equal(merged.counts, worked_stats.counts)
-        np.testing.assert_array_equal(merged.f, worked_stats.f)
-        np.testing.assert_array_equal(merged.scatter, worked_stats.scatter)
+        np.testing.assert_array_equal(merged.means, worked_stats.means)
+        np.testing.assert_array_equal(merged.within, worked_stats.within)
 
     def test_commutative(self):
         rng = np.random.default_rng(2)
@@ -81,8 +94,8 @@ class TestMerge:
                                       rng.integers(0, 2, 7), ("a", "b")))
         ab, ba = merge(a, b), merge(b, a)
         np.testing.assert_array_equal(ab.counts, ba.counts)
-        np.testing.assert_array_equal(ab.f, ba.f)
-        np.testing.assert_array_equal(ab.scatter, ba.scatter)
+        np.testing.assert_array_equal(ab.means, ba.means)
+        np.testing.assert_array_equal(ab.within, ba.within)
 
     def test_merge_of_split_equals_whole(self):
         rng = np.random.default_rng(3)
@@ -94,8 +107,8 @@ class TestMerge:
         part2 = accumulate(LabeledDataset(patterns[4:], labels[4:], names))
         merged = merge(part1, part2)
         np.testing.assert_array_equal(merged.counts, whole.counts)
-        np.testing.assert_allclose(merged.f, whole.f, rtol=1e-12)
-        np.testing.assert_allclose(merged.scatter, whole.scatter, rtol=1e-12)
+        np.testing.assert_allclose(merged.means, whole.means, rtol=1e-12)
+        np.testing.assert_allclose(merged.within, whole.within, rtol=1e-12)
 
     def test_sharded_reduction_matches_whole(self):
         # Any reduction tree over shards must agree up to float reordering.
@@ -108,14 +121,92 @@ class TestMerge:
                   for i in range(4)]
         merged = merge(merge(shards[0], shards[1]), merge(shards[2], shards[3]))
         np.testing.assert_array_equal(merged.counts, whole.counts)
-        np.testing.assert_allclose(merged.f, whole.f, rtol=1e-10)
-        np.testing.assert_allclose(merged.scatter, whole.scatter, rtol=1e-10)
+        np.testing.assert_allclose(merged.means, whole.means, rtol=1e-10)
+        np.testing.assert_allclose(merged.within, whole.within, rtol=1e-10)
+
+    def test_empty_class_on_both_sides_keeps_zero_mean(self):
+        a = accumulate(LabeledDataset([[1.0], [3.0]], [0, 0], ("a", "ghost")))
+        b = accumulate(LabeledDataset([[5.0]], [0], ("a", "ghost")))
+        merged = merge(a, b)
+        np.testing.assert_array_equal(merged.counts, [3, 0])
+        np.testing.assert_array_equal(merged.means, [[3.0, 0.0]])
+        np.testing.assert_array_equal(merged.within, [[8.0]])
 
     def test_shape_mismatch(self, worked_stats):
         with pytest.raises(ShapeMismatch):
             merge(worked_stats, SufficientStats.zeros(2, 2))
         with pytest.raises(ShapeMismatch):
             merge(worked_stats, SufficientStats.zeros(1, 3))
+
+
+@st.composite
+def sharded_datasets(draw):
+    """A labelled dataset and its rows cut into three shards, any of them empty.
+
+    Classes sit at separate means with unit noise and no large common
+    offset: at an offset c, shard means agree only to about eps * c,
+    which limits any merge rule, so the 1e-12 bounds below assume c ~ 1.
+    """
+    dim = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, n_classes, size=n_rows)
+    patterns = (rng.normal(0.0, 3.0, size=(n_classes, dim))[labels]
+                + rng.normal(size=(n_rows, dim)))
+    names = tuple(f"c{k}" for k in range(n_classes))
+    cuts = np.sort(rng.integers(0, n_rows + 1, size=2))
+    return LabeledDataset(patterns, labels, names), np.split(rng.permutation(n_rows), cuts)
+
+
+def _accumulate_rows(ds, rows):
+    return accumulate(LabeledDataset(ds.patterns[rows], ds.labels[rows], ds.class_names))
+
+
+def assert_stats_close(got, want, rtol=1e-12):
+    """Counts equal; means and W within rtol of each array's largest entry."""
+    np.testing.assert_array_equal(got.counts, want.counts)
+    for g, w in ((got.means, want.means), (got.within, want.within)):
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+
+class TestMergeProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(sharded_datasets())
+    def test_commutative_bit_for_bit_and_zero_is_identity(self, case):
+        ds, shards = case
+        a, b, _ = (_accumulate_rows(ds, rows) for rows in shards)
+        ab, ba = merge(a, b), merge(b, a)
+        zero = SufficientStats.zeros(ds.dim, ds.n_classes)
+        for got, want in ((ab, ba), (merge(a, zero), a), (merge(zero, b), b)):
+            np.testing.assert_array_equal(got.counts, want.counts)
+            np.testing.assert_array_equal(got.means, want.means)
+            np.testing.assert_array_equal(got.within, want.within)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sharded_datasets())
+    def test_associative(self, case):
+        ds, shards = case
+        a, b, c = (_accumulate_rows(ds, rows) for rows in shards)
+        assert_stats_close(merge(merge(a, b), c), merge(a, merge(b, c)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(sharded_datasets())
+    def test_row_order_invariant(self, case):
+        ds, shards = case
+        rows = np.concatenate(shards)
+        assert_stats_close(_accumulate_rows(ds, rows), accumulate(ds))
+
+    @settings(max_examples=50, deadline=None)
+    @given(sharded_datasets())
+    def test_sharded_merge_equals_whole(self, case):
+        ds, shards = case
+        a, b, c = (_accumulate_rows(ds, rows) for rows in shards)
+        whole = accumulate(ds)
+        assert_stats_close(merge(merge(a, b), c), whole)
+        np.testing.assert_allclose(
+            whole.within, raw_moment_within(ds.patterns, ds.labels, ds.n_classes),
+            rtol=1e-10, atol=1e-10 * np.abs(ds.patterns).max(initial=1.0) ** 2)
 
 
 class TestLabeledDataset:

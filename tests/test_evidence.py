@@ -11,6 +11,7 @@ from gausset import (
     log_evidence_noninformative,
     log_evidence_proper,
     log_predictive,
+    merge,
     posterior,
     tune_r,
     write_curve_csv,
@@ -28,9 +29,7 @@ def sequential_log_predictive(ds, prior, order):
         total += log_predictive(model, ds.patterns[i], int(ds.labels[i]))
         step = accumulate(LabeledDataset(ds.patterns[i][None, :],
                                          [ds.labels[i]], ds.class_names))
-        running = SufficientStats(running.counts + step.counts,
-                                  running.f + step.f,
-                                  running.scatter + step.scatter)
+        running = merge(running, step)
     return total
 
 
@@ -132,17 +131,20 @@ class TestProperEvidence:
                         - log_evidence_noninformative(stats_, r2))
             return d_proper - d_noninf
 
-        def dlogdet_w(stats_):
+        def dlogdet_w(ds_):
+            # S - F (R*)^{-1} F^T from the raw patterns, independent of the stats.
+            x = ds_.patterns
+            onehot = np.eye(ds_.n_classes)[ds_.labels]
+            f, counts = x.T @ onehot, onehot.sum(axis=0)
             out = []
             for r in (r1, r2):
-                counts = stats_.counts.astype(float)
-                w = stats_.scatter - (stats_.f / (r + counts)) @ stats_.f.T
+                w = x.T @ x - (f / (r + counts)) @ f.T
                 out.append(np.linalg.slogdet(w)[1])
             return out[0] - out[1]
 
         a = float(stats.dim)
         assert residual(stats, a, 1e-6) == pytest.approx(
-            -0.5 * a * dlogdet_w(stats), abs=1e-3
+            -0.5 * a * dlogdet_w(ds), abs=1e-3
         )
 
         gen1 = SeededGenerator(6)
@@ -240,3 +242,74 @@ class TestEvidenceCurve:
         assert lines[0] == "r,log_evidence"
         assert lines[1] == "0.5,"
         assert lines[2] == "1.0,"
+
+
+def offset_dataset(offset):
+    """400 rows, N = 3, K = 4, unit within-class noise, a common offset."""
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 4, 400)
+    means = rng.normal(0, 3, (4, 3))
+    x = means[labels] + rng.normal(size=(400, 3)) + offset
+    return LabeledDataset(x, labels, ("a", "b", "c", "d"))
+
+
+def centred_log_evidence(ds, r):
+    """Per-class-centred reference for the non-informative log evidence.
+
+    B*(r) = W + sum_k w_k m_k m_k^T with w_k = r T_k / (r + T_k). Its log
+    det is taken through the weighted-mean split B* = C + s mbar mbar^T,
+    with s = sum_k w_k, mbar = sum_k w_k m_k / s and
+    C = W + sum_k w_k (m_k - mbar)(m_k - mbar)^T, so that the reference
+    never rounds B*'s offset-sized entries.
+    """
+    within = np.zeros((ds.dim, ds.dim))
+    means, counts = [], []
+    for k in range(ds.n_classes):
+        rows = ds.patterns[ds.labels == k]
+        centred = rows - rows.mean(axis=0)
+        within += centred.T @ centred
+        means.append(rows.mean(axis=0))
+        counts.append(len(rows))
+    means, counts = np.array(means), np.array(counts, dtype=float)
+    w = r * counts / (r + counts)
+    mbar = w @ means / w.sum()
+    spread = means - mbar
+    c = within + (spread.T * w) @ spread
+    logdet = np.linalg.slogdet(c)[1] + np.log1p(w.sum() * mbar @ np.linalg.solve(c, mbar))
+    bracket = ds.n_classes * np.log(r) - np.sum(np.log(r + counts))
+    return 0.5 * ds.dim * bracket - 0.5 * counts.sum() * logdet, within
+
+
+class TestLargeCommonOffset:
+    """A common offset must not cancel the within-class spread away."""
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_evidence_matches_centred_reference(self, offset):
+        ds, r = offset_dataset(offset), 1e-3
+        stats = accumulate(ds)
+        want, within = centred_log_evidence(ds, r)
+        got = log_evidence_noninformative(stats, r)
+        # Any N x N B* is rounded to eps * max|B*| per entry, which moves
+        # the within-class eigenvalues by that much and the evidence by
+        # up to (T/2) N eps max|B*| / lambda_min(W). That floor is 2e-10
+        # relative at 1e6 and 2e-6 at 1e8; raw moments missed by 2.8e-5
+        # and 5%.
+        b_max = np.abs(posterior(stats, PriorHyper.noninformative(r)).b_star).max()
+        floor = (0.5 * ds.n_patterns * ds.dim * np.finfo(float).eps * b_max
+                 / np.linalg.eigvalsh(within)[0])
+        assert abs(got - want) <= max(1e-9 * abs(want), floor)
+
+    def test_tiny_r_posterior_builds_at_offset_1e10(self):
+        stats = accumulate(offset_dataset(1e10))
+        model = build_model(posterior(stats, PriorHyper.noninformative(1e-6)))
+        assert np.isfinite(model.log_norm).all()
+
+    def test_tune_r_finds_a_finite_evidence_at_offset_1e8(self):
+        # B* is positive definite here only for r up to about 1e-2, so
+        # the bracket's upper end is degenerate.
+        stats = accumulate(offset_dataset(1e8))
+        tuned = tune_r(stats, 1e-3, 1e3)
+        assert 1e-3 <= tuned <= 1e-2
+        assert np.isfinite(log_evidence_noninformative(stats, tuned))
+        with pytest.raises(DegenerateScatter):
+            log_evidence_noninformative(stats, 1e3)

@@ -71,9 +71,10 @@ class TestPosterior:
                             np.repeat([0, 1], 10), ("a", "b"))
         stats = accumulate(ds)
         post = posterior(stats, PriorHyper.noninformative(1e-9))
-        limit = stats.scatter.copy()
+        limit = ds.patterns.T @ ds.patterns
         for k in range(2):
-            limit -= np.outer(stats.f[:, k], stats.f[:, k]) / stats.counts[k]
+            rows = ds.patterns[ds.labels == k]
+            limit -= np.outer(rows.sum(axis=0), rows.sum(axis=0)) / len(rows)
         err = np.linalg.norm(post.b_star - limit) / np.linalg.norm(limit)
         assert err < 1e-6
 
