@@ -12,14 +12,33 @@ update, the predictive density and the evidence constant together.
     (N/2) [K log r - sum_k log(r + T_k)] - (T/2) log det B*(r),
 
     B*(r) = S - sum_k f_k f_k^T / (r + T_k)
-          = W + sum_k (r T_k / (r + T_k)) m_k m_k^T,
+          = W + sum_k w_k m_k m_k^T,   w_k = r T_k / (r + T_k),
 
-the posterior scale matrix at a = 0, B = 0. It comes from the same
-conjugate update as the posterior, in the second, centred form, so no
-raw moments cancel. The value drops additive terms that do not depend
-on r. Because the prior is improper there, the value is meaningful only
-as a relative score for choosing r, never as an absolute likelihood
-comparable across datasets or models.
+the posterior scale matrix at a = 0, B = 0. The value drops additive
+terms that do not depend on r. Because the prior is improper there, the
+value is meaningful only as a relative score for choosing r, never as
+an absolute likelihood comparable across datasets or models.
+
+Only the weights w_k depend on r, so one private kernel factors the
+within-class scatter W once per dataset and scores every r with K' x K'
+work, K' the number of non-empty classes. With s = sum_k w_k, the
+weighted mean mbar = sum_k w_k m_k / s and
+
+    C = W + sum_k w_k (m_k - mbar)(m_k - mbar)^T,
+
+B*(r) = C + s mbar mbar^T, so
+
+    log det B* = log det C + log1p(s mbar^T C^-1 mbar).
+
+log det C comes from the determinant lemma on the offset-free means
+m_k - xbar (xbar the count-weighted mean, whitened by W once), and
+mbar^T C^-1 mbar from Woodbury on the same K' x K' factor. No N x N
+matrix with offset-sized entries is formed, so a large common offset in
+the data is never rounded into B* and cannot make B* look singular.
+``evidence_curve`` scores its whole grid in one batch, and ``tune_r``
+scans a coarse grid in one batch before refining. When W itself fails
+the pivot check (for example T < N + K'), each r factors the N x N
+B*(r) from the shared posterior update instead.
 """
 
 from __future__ import annotations
@@ -29,6 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import linalg
 from .dataset import SufficientStats
@@ -41,6 +61,76 @@ from .errors import (
 from .inference import PriorHyper, _posterior_general, posterior
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of tune_r's first, batched scan over [r_min, r_max].
+_TUNE_GRID = 64
+
+
+def _dense_log_det(stats: SufficientStats, r: float) -> float:
+    """log det B*(r) from the N x N matrix itself, NaN if it is degenerate."""
+    _, _, _, b_star = _posterior_general(stats, 0.0, np.full(stats.n_classes, r), 0.0, None)
+    try:
+        return linalg.logdet(linalg.cholesky(b_star))
+    except NotPositiveDefinite:
+        return math.nan
+
+
+def _evidence_kernel(stats: SufficientStats):
+    """Set up once per dataset; return ``values(r)`` for a 1-D array of r > 0.
+
+    ``values`` gives the non-informative log evidence at every r, NaN
+    where B*(r) is degenerate. The N x N work is done here once: factor
+    W and whiten the offset-free means M - xbar 1^T and the
+    count-weighted mean xbar. Each r then costs K' x K' work through the
+    weighted-mean split of the module docstring. If W fails the pivot
+    rule (for example T < N + K'), each r factors B*(r) itself instead.
+    """
+    counts = stats.counts.astype(np.float64)
+    dim, total = stats.dim, stats.total
+
+    def bracket(r):
+        return 0.5 * dim * (stats.n_classes * np.log(r)
+                            - np.sum(np.log(r[:, None] + counts), axis=1))
+
+    if total == 0:
+        return lambda r: np.zeros(r.shape)
+    try:
+        chol_w = linalg.cholesky(linalg.symmetrize(stats.within))
+    except NotPositiveDefinite:
+        return lambda r: bracket(r) - 0.5 * total * np.array(
+            [_dense_log_det(stats, x) for x in r])
+
+    sizes = counts[counts > 0]
+    means = stats.means[:, counts > 0]
+    xbar = means @ (sizes / total)
+    white = solve_triangular(chol_w.lower, np.column_stack([means - xbar[:, None], xbar]),
+                             lower=True)
+    gram = white.T @ white
+    g_hat, h, alpha = gram[:-1, :-1], gram[:-1, -1], gram[-1, -1]
+    logdet_w = linalg.logdet(chol_w)
+    eye = np.eye(sizes.size)
+
+    def values(r):
+        # With v = w / s, F = sqrt(s) E and E = diag(sqrt v)(I - sqrt v sqrt v^T):
+        # log det C = log det W + log det A with A = I + s E^T G E, and by
+        # Woodbury s mbar^T C^-1 mbar = s mbar^T W^-1 mbar - b^T A^-1 b with
+        # g = (M - xbar 1^T)^T W^-1 mbar = h + G v and b = s E^T g.
+        w = r[:, None] * sizes / (r[:, None] + sizes)
+        s = np.sum(w, axis=1)
+        v = w / s[:, None]
+        root = np.sqrt(v)
+        e_mat = root[:, :, None] * (eye - root[:, :, None] * root[:, None, :])
+        a = eye + s[:, None, None] * (e_mat.transpose(0, 2, 1) @ g_hat @ e_mat)
+        # Products stay per r (stacks of rows), so one r scores bit for bit
+        # as it does inside a batch.
+        g = h + (v[:, None, :] @ g_hat)[:, 0, :]
+        b = s[:, None] * (g[:, None, :] @ e_mat)[:, 0, :]
+        quad = np.sum(b * np.linalg.solve(a, b[:, :, None])[:, :, 0], axis=1)
+        pivots = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
+        log_det = (logdet_w + 2.0 * np.sum(np.log(pivots), axis=1)
+                   + np.log1p(s * (alpha + np.sum(v * (h + g), axis=1)) - quad))
+        return bracket(r) - 0.5 * total * log_det
+
+    return values
 
 
 def log_evidence_noninformative(stats: SufficientStats, r: float) -> float:
@@ -59,19 +149,13 @@ def log_evidence_noninformative(stats: SufficientStats, r: float) -> float:
     r = float(r)
     if not r > 0.0:
         raise DomainError(f"r must be positive, got {r}")
-    if stats.total == 0:
-        return 0.0
-    counts = stats.counts.astype(np.float64)
-    _, _, _, b_star = _posterior_general(stats, 0.0, np.full(stats.n_classes, r), 0.0, None)
-    try:
-        factor = linalg.cholesky(b_star)
-    except NotPositiveDefinite as exc:
+    value = _evidence_kernel(stats)(np.array([r]))[0]
+    if np.isnan(value):
         raise DegenerateScatter(
             f"evidence scale matrix is singular at r={r} "
             f"(T={stats.total}, N={stats.dim})"
-        ) from exc
-    bracket = stats.n_classes * np.log(r) - np.sum(np.log(r + counts))
-    return float(0.5 * stats.dim * bracket - 0.5 * stats.total * linalg.logdet(factor))
+        )
+    return float(value)
 
 
 def log_evidence_proper(stats: SufficientStats, prior: PriorHyper) -> float:
@@ -120,36 +204,41 @@ def log_evidence_proper(stats: SufficientStats, prior: PriorHyper) -> float:
 
 def tune_r(stats: SufficientStats, r_min: float, r_max: float,
            tol: float = 1e-6) -> float:
-    """Maximize the non-informative log evidence over r by golden section.
+    """Maximize the non-informative log evidence over r.
 
-    The search runs on log r because useful r values span decades. The
-    curve is near-log-concave in practice but not provably so, which is
-    why tests cross-check against a dense grid. The returned point never
-    scores below either bracket endpoint.
+    The search runs on log r because useful r values span decades. It
+    scores a fixed grid of ``_TUNE_GRID`` log-spaced points over
+    [r_min, r_max], endpoints included, in one batch, then refines by
+    golden section inside the two grid cells around the best point. The
+    curve is near-log-concave in practice but not provably so; the grid
+    guards against a local peak, and the returned r never scores below
+    any grid point.
 
     A probe whose scale matrix is degenerate loses every comparison.
-    Degeneracy can come and go along r (the Cholesky pivot tolerance
-    scales with B*'s largest diagonal entry, which grows with r), so no
-    single probe stands for the whole range. :class:`DegenerateScatter`
-    is raised only if every probe was degenerate.
+    Degeneracy can come and go along r, so no single probe stands for
+    the whole range. :class:`DegenerateScatter` is raised only if every
+    probe was degenerate.
     """
     r_min, r_max = float(r_min), float(r_max)
     if not 0.0 < r_min < r_max:
         raise DomainError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
 
-    probes = {}
+    values = _evidence_kernel(stats)
+    grid = np.geomspace(r_min, r_max, _TUNE_GRID)
+    scanned = values(grid)
+    scanned[np.isnan(scanned)] = -np.inf
+    probes = dict(zip(grid.tolist(), scanned.tolist()))
 
     def objective(log_r: float) -> float:
-        if log_r not in probes:
-            try:
-                probes[log_r] = log_evidence_noninformative(stats, math.exp(log_r))
-            except DegenerateScatter:
-                probes[log_r] = -math.inf
-        return probes[log_r]
+        r = math.exp(log_r)
+        if r not in probes:
+            value = values(np.array([r]))[0]
+            probes[r] = -math.inf if np.isnan(value) else float(value)
+        return probes[r]
 
-    lo, hi = math.log(r_min), math.log(r_max)
-    objective(lo)
-    objective(hi)
+    best = int(np.argmax(scanned))
+    lo = math.log(grid[max(best - 1, 0)])
+    hi = math.log(grid[min(best + 1, grid.size - 1)])
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
@@ -163,13 +252,13 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
             x2 = lo + _INV_PHI * (hi - lo)
             f2 = objective(x2)
     objective(0.5 * (lo + hi))
-    best_log_r = max(probes, key=probes.get)
-    if probes[best_log_r] == -math.inf:
+    best_r = max(probes, key=probes.get)
+    if probes[best_r] == -math.inf:
         raise DegenerateScatter(
             f"evidence scale matrix is singular at every probed r in "
             f"[{r_min}, {r_max}] (T={stats.total}, N={stats.dim})"
         )
-    return math.exp(best_log_r)
+    return best_r
 
 
 @dataclass(frozen=True)
@@ -200,12 +289,7 @@ def evidence_curve(stats: SufficientStats, r_grid) -> EvidenceCurve:
         raise DomainError("grid must be a non-empty vector")
     if np.any(r_grid <= 0.0) or np.any(np.diff(r_grid) <= 0.0):
         raise DomainError("grid must be positive and strictly increasing")
-    values = np.empty(r_grid.shape)
-    for i, r in enumerate(r_grid):
-        try:
-            values[i] = log_evidence_noninformative(stats, float(r))
-        except DegenerateScatter:
-            values[i] = np.nan
+    values = _evidence_kernel(stats)(r_grid)
     if np.all(np.isnan(values)):
         mode = None
     else:

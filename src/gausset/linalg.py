@@ -9,12 +9,12 @@ factors are immutable :class:`CholeskyFactor` values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
@@ -117,7 +117,7 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return float(gammaln(x))
+    return math.lgamma(x)
 
 
 def log_multivariate_gamma(n: int, x: float) -> float:

@@ -49,22 +49,20 @@ class SeededGenerator:
         return self._rng
 
 
-def _bartlett_factors(gen: SeededGenerator, a: float, dim: int, n: int) -> np.ndarray:
-    """Batch of n lower-triangular (N, N) factors A with A A^T ~ Wishart(a, I).
+def _bartlett_factors(gen: SeededGenerator, a: float, dim: int, n: int):
+    """Raw draws of n lower-triangular (N, N) factors A with A A^T ~ Wishart(a, I).
 
     Bartlett construction: sqrt(chi-square(a - i)) on diagonal entry i
     (i = 0..N-1), drawn entry by entry, then standard normals strictly
-    below the diagonal.
+    below the diagonal. Returns the diagonal as (n, N) and the lower
+    entries as (n, N(N-1)/2) in ``np.tril_indices(N, -1)`` order, so
+    row i of A holds lower entries i(i-1)/2 .. i(i+1)/2 - 1.
     """
     rng = gen.rng
-    bart = np.zeros((n, dim, dim))
+    diag = np.empty((n, dim))
     for i in range(dim):
-        bart[:, i, i] = np.sqrt(rng.chisquare(a - i, size=n))
-    if dim > 1:
-        lower_idx = np.tril_indices(dim, k=-1)
-        normals = rng.standard_normal((n, len(lower_idx[0])))
-        bart[:, lower_idx[0], lower_idx[1]] = normals
-    return bart
+        diag[:, i] = np.sqrt(rng.chisquare(a - i, size=n))
+    return diag, rng.standard_normal((n, dim * (dim - 1) // 2))
 
 
 def _scale_factor(a: float, b) -> CholeskyFactor:
@@ -87,7 +85,10 @@ def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
     dim = chol_b.dim
     batch = () if size is None else tuple(int(s) for s in np.atleast_1d(size))
     n = int(np.prod(batch))
-    bart = _bartlett_factors(gen, float(a), dim, n)
+    diag, lower = _bartlett_factors(gen, float(a), dim, n)
+    bart = np.zeros((n, dim, dim))
+    bart[:, np.arange(dim), np.arange(dim)] = diag
+    bart[(slice(None),) + np.tril_indices(dim, k=-1)] = lower
     # One triangular solve U^T G = A for all n factors side by side.
     stacked = bart.transpose(1, 0, 2).reshape(dim, n * dim)
     g = solve_triangular(chol_b.lower, stacked, lower=True, trans="T")
@@ -143,15 +144,17 @@ def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
     chol_bstar = _scale_factor(post.a_star, post.b_star)
 
     mu_k, c_k = column_marginal(post, k)
-    bart = _bartlett_factors(gen, post.a_star, dim, n_samples)
+    diag, lower = _bartlett_factors(gen, post.a_star, dim, n_samples)
     # Lambda = G G^T with G = U^{-T} A and B* = U U^T, so log|Lambda| is
     # 2 sum log A_ii - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
     # Gaussian exponent is ||A^T U^{-1} (x - mu_k) - sqrt(c) z||^2: one
-    # shared triangular solve, then N^2 work per sample.
-    logdets = (2.0 * np.sum(np.log(np.einsum("nii->ni", bart)), axis=1)
-               - linalg.logdet(chol_bstar))
+    # shared triangular solve, then N^2 work per sample. A^T d is taken
+    # row by row of A from the raw draws, so A itself is never built.
+    logdets = 2.0 * np.sum(np.log(diag), axis=1) - linalg.logdet(chol_bstar)
     d = solve_triangular(chol_bstar.lower, x - mu_k, lower=True)
-    u = np.einsum("nij,i->nj", bart, d)
+    u = diag * d
+    for i in range(1, dim):
+        u[:, :i] += d[i] * lower[:, i * (i - 1) // 2:i * (i + 1) // 2]
     z = gen.rng.standard_normal((n_samples, dim))
     v = u - np.sqrt(c_k) * z
     log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v * v, axis=1)

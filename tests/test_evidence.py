@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausset import (
     LabeledDataset,
@@ -192,6 +194,18 @@ class TestTuneR:
                 assert tuned_value >= log_evidence_noninformative(
                     worked_stats, endpoint) - 1e-12
 
+    def test_never_below_any_grid_point_on_a_two_peak_curve(self):
+        # Two large classes near the origin favour strong shrinkage, one
+        # small far-off class favours weak shrinkage: the curve has local
+        # peaks near r = 1.7 and r = 72, and the lower one is the global
+        # maximum. Golden section alone settles on the other one.
+        stats = SufficientStats([1044, 595, 3], [[-0.2, -0.35, -5.2]], [[11400.0]])
+        grid = np.geomspace(1e-3, 1e3, 1000)
+        values = evidence_curve(stats, grid).log_evidence
+        tuned = tune_r(stats, 1e-3, 1e3, tol=1e-8)
+        best = values.max()
+        assert log_evidence_noninformative(stats, tuned) >= best - 1e-9 * abs(best)
+
     def test_degenerate_everywhere_propagates(self):
         ds = LabeledDataset(np.array([[1.0, 2.0]]), [0], ("a",))
         with pytest.raises(DegenerateScatter):
@@ -277,27 +291,18 @@ def centred_log_evidence(ds, r):
     c = within + (spread.T * w) @ spread
     logdet = np.linalg.slogdet(c)[1] + np.log1p(w.sum() * mbar @ np.linalg.solve(c, mbar))
     bracket = ds.n_classes * np.log(r) - np.sum(np.log(r + counts))
-    return 0.5 * ds.dim * bracket - 0.5 * counts.sum() * logdet, within
+    return 0.5 * ds.dim * bracket - 0.5 * counts.sum() * logdet
 
 
 class TestLargeCommonOffset:
     """A common offset must not cancel the within-class spread away."""
 
-    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    @pytest.mark.parametrize("offset", [1e6, 1e8, 1e10])
     def test_evidence_matches_centred_reference(self, offset):
         ds, r = offset_dataset(offset), 1e-3
-        stats = accumulate(ds)
-        want, within = centred_log_evidence(ds, r)
-        got = log_evidence_noninformative(stats, r)
-        # Any N x N B* is rounded to eps * max|B*| per entry, which moves
-        # the within-class eigenvalues by that much and the evidence by
-        # up to (T/2) N eps max|B*| / lambda_min(W). That floor is 2e-10
-        # relative at 1e6 and 2e-6 at 1e8; raw moments missed by 2.8e-5
-        # and 5%.
-        b_max = np.abs(posterior(stats, PriorHyper.noninformative(r)).b_star).max()
-        floor = (0.5 * ds.n_patterns * ds.dim * np.finfo(float).eps * b_max
-                 / np.linalg.eigvalsh(within)[0])
-        assert abs(got - want) <= max(1e-9 * abs(want), floor)
+        want = centred_log_evidence(ds, r)
+        got = log_evidence_noninformative(accumulate(ds), r)
+        assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_tiny_r_posterior_builds_at_offset_1e10(self):
         stats = accumulate(offset_dataset(1e10))
@@ -305,11 +310,72 @@ class TestLargeCommonOffset:
         assert np.isfinite(model.log_norm).all()
 
     def test_tune_r_finds_a_finite_evidence_at_offset_1e8(self):
-        # B* is positive definite here only for r up to about 1e-2, so
-        # the bracket's upper end is degenerate.
-        stats = accumulate(offset_dataset(1e8))
+        # B* is positive definite over the whole bracket, although an
+        # N x N factor of it passes the pivot check only up to r ~ 1e-2.
+        ds = offset_dataset(1e8)
+        stats = accumulate(ds)
         tuned = tune_r(stats, 1e-3, 1e3)
         assert 1e-3 <= tuned <= 1e-2
         assert np.isfinite(log_evidence_noninformative(stats, tuned))
-        with pytest.raises(DegenerateScatter):
-            log_evidence_noninformative(stats, 1e3)
+        want = centred_log_evidence(ds, 1e3)
+        assert want == pytest.approx(-11699.875, abs=1e-3)
+        assert log_evidence_noninformative(stats, 1e3) == pytest.approx(want, rel=1e-9)
+
+
+@st.composite
+def evidence_datasets(draw):
+    """Small random datasets on both sides of the W switch.
+
+    N 1-6, K 1-5 with some classes empty, and T from N up to N + K' + 3
+    rows for the K' non-empty classes (at least one row each), so the
+    within-class scatter is singular for some draws and not for others.
+    """
+    dim = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 5))
+    filled = draw(st.integers(1, n_classes))
+    n_rows = draw(st.integers(max(dim, filled), dim + filled + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.arange(filled), rng.integers(0, filled, n_rows - filled)])
+    labels = rng.permutation(rng.permutation(n_classes)[:filled][labels])
+    means = rng.normal(0.0, 3.0, (n_classes, dim))
+    patterns = means[labels] + rng.normal(size=(n_rows, dim))
+    return LabeledDataset(patterns, labels, tuple(f"c{k}" for k in range(n_classes)))
+
+
+def dense_log_evidence(stats, r):
+    """N x N reference: B*(r) = W + sum_k w_k m_k m_k^T from the statistics,
+    factored directly. Returns the value, NaN where the factor fails the
+    1e-12 pivot rule, and the rounding floor (T/2) N eps cond(B*) that
+    any route to an N x N log det carries."""
+    counts = stats.counts.astype(float)
+    b_star = stats.within + (stats.means * (r * counts / (r + counts))) @ stats.means.T
+    floor = 0.5 * stats.total * stats.dim * np.finfo(float).eps * np.linalg.cond(b_star)
+    try:
+        lower = np.linalg.cholesky(b_star)
+    except np.linalg.LinAlgError:
+        return np.nan, floor
+    if np.any(np.diag(lower) ** 2 <= 1e-12 * b_star.diagonal().max()):
+        return np.nan, floor
+    bracket = stats.n_classes * np.log(r) - np.sum(np.log(r + counts))
+    return 0.5 * stats.dim * bracket - counts.sum() * np.sum(np.log(np.diag(lower))), floor
+
+
+class TestBatchedEvidence:
+    GRID = np.geomspace(1e-3, 1e3, 13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(evidence_datasets())
+    def test_curve_matches_single_calls_and_dense_reference(self, ds):
+        stats = accumulate(ds)
+        curve = evidence_curve(stats, self.GRID).log_evidence
+        reference = [dense_log_evidence(stats, r) for r in self.GRID]
+        np.testing.assert_array_equal(np.isnan(curve), [np.isnan(w) for w, _ in reference])
+        for r, value, (want, floor) in zip(self.GRID, curve, reference):
+            if np.isnan(want):
+                with pytest.raises(DegenerateScatter):
+                    log_evidence_noninformative(stats, r)
+                continue
+            assert log_evidence_noninformative(stats, r) == value
+            # Where W is singular the N x N path runs and B* can be near
+            # singular too (T = N, small r), so the floor can exceed 1e-9.
+            assert abs(value - want) <= 1e-9 * abs(want) + floor
