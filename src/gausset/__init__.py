@@ -26,7 +26,6 @@ from .errors import (
     GaussetError,
     ImproperPrior,
     InsufficientDof,
-    NoFiniteValue,
     NonFiniteValue,
     NotPositiveDefinite,
     ParseError,
@@ -85,7 +84,6 @@ __all__ = [
     "ImproperPrior",
     "InsufficientDof",
     "LabeledDataset",
-    "NoFiniteValue",
     "NonFiniteValue",
     "NotPositiveDefinite",
     "ParseError",

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: fit, classify, tune-r, evidence-curve, verify, gen-synth.
+Subcommands: fit, classify, tune-r, verify, gen-synth. ``tune-r --grid N
+--out curve.csv`` also writes the evidence curve.
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 numerical degeneracy.
 """
@@ -113,18 +114,6 @@ def cmd_tune_r(args) -> int:
     return EXIT_OK
 
 
-def cmd_evidence_curve(args) -> int:
-    ds = load_csv(args.data, label_column=args.label_col,
-                  extra_classes=args.declare_class)
-    stats = accumulate(ds)
-    grid = np.geomspace(args.r_min, args.r_max, args.grid)
-    curve = evidence.evidence_curve(stats, grid)
-    evidence.write_curve_csv(curve, args.out)
-    print(f"evidence curve over {args.grid} points written to {args.out} "
-          f"(mode r = {curve.mode!r})")
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
     # Any failure while verifying, including a model file that cannot even
     # be loaded, is a verification failure (exit 1), not an input error.
@@ -233,14 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also evaluate an N-point log grid")
     p.add_argument("--out", help="curve CSV path when --grid is given")
     p.set_defaults(func=cmd_tune_r)
-
-    p = sub.add_parser("evidence-curve", help="evaluate the evidence on a grid")
-    _add_data_flags(p)
-    p.add_argument("--r-min", type=float, default=1e-3)
-    p.add_argument("--r-max", type=float, default=1e3)
-    p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--out", required=True, help="curve CSV path")
-    p.set_defaults(func=cmd_evidence_curve)
 
     p = sub.add_parser("verify", help="run the Monte-Carlo oracle suite")
     p.add_argument("--seed", type=int, default=20260808)

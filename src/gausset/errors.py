@@ -64,7 +64,3 @@ class AllZeroPrior(GaussetError, ValueError):
 
 class ImproperPrior(GaussetError, ValueError):
     """The prior is improper where a proper one is required."""
-
-
-class NoFiniteValue(GaussetError):
-    """No probe of an objective produced a finite value (no longer raised)."""

@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 from .dataset import SufficientStats
@@ -102,8 +101,7 @@ def _evidence_kernel(stats: SufficientStats):
     sizes = counts[counts > 0]
     means = stats.means[:, counts > 0]
     xbar = means @ (sizes / total)
-    white = solve_triangular(chol_w.lower, np.column_stack([means - xbar[:, None], xbar]),
-                             lower=True)
+    white = chol_w.inverse @ np.column_stack([means - xbar[:, None], xbar])
     gram = white.T @ white
     g_hat, h, alpha = gram[:-1, :-1], gram[:-1, -1], gram[-1, -1]
     logdet_w = linalg.logdet(chol_w)

@@ -1,20 +1,21 @@
 """Dense symmetric-positive-definite kernels and log-gamma special functions.
 
-Everything downstream (posterior updates, predictive scoring, evidence)
-reduces to Cholesky factorizations, triangular solves, log-determinants
-and log-gamma sums, so those live here in one place. Matrices are plain
-dense ``float64`` arrays kept exactly symmetric by :func:`symmetrize`;
-factors are immutable :class:`CholeskyFactor` values.
+Everything downstream (posterior updates, predictive scoring, evidence,
+Monte-Carlo sampling) reduces to Cholesky factorizations, products with
+the factor's inverse, log-determinants and log-gamma sums, so those live
+here in one place, on numpy alone. Matrices are plain dense ``float64``
+arrays kept exactly symmetric by :func:`symmetrize`; factors are
+immutable :class:`CholeskyFactor` values, and every solve in the package
+is a product with :attr:`CholeskyFactor.inverse` or its transpose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
@@ -37,6 +38,18 @@ class CholeskyFactor:
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """L^{-1}, exactly lower-triangular and read-only, formed on first use.
+
+        Products with it and its transpose stand in for triangular
+        solves, which numpy lacks. LU pivoting inside ``np.linalg.inv``
+        can leave rounding noise above the diagonal, so that is cut off.
+        """
+        inverse = np.tril(np.linalg.inv(self.lower))
+        inverse.flags.writeable = False
+        return inverse
 
 
 def symmetrize(a) -> np.ndarray:
@@ -74,7 +87,7 @@ def cholesky(a) -> CholeskyFactor:
     if not np.isfinite(a).all():
         raise NotPositiveDefinite("matrix has a non-finite entry")
     try:
-        lower = scipy.linalg.cholesky(a, lower=True, check_finite=False)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"LAPACK factorization failed: {exc}") from exc
     tol = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
@@ -84,8 +97,7 @@ def cholesky(a) -> CholeskyFactor:
         raise NotPositiveDefinite(
             f"pivot {pivots[j]:.3e} at index {j} is <= tolerance {tol:.3e}"
         )
-    # LAPACK hands back Fortran order; downstream einsums run 3x slower on it.
-    return CholeskyFactor(np.ascontiguousarray(lower))
+    return CholeskyFactor(lower)
 
 
 def logdet(factor: CholeskyFactor) -> float:
@@ -97,7 +109,8 @@ def quadform(factor: CholeskyFactor, d):
     """Quadratic form d^T A^{-1} d, computed as ||L^{-1} d||^2 (>= 0).
 
     ``d`` is one (N,) vector, giving a float, or an (N, M) matrix, giving
-    the M forms of its columns as an (M,) array.
+    the M forms of its columns as an (M,) array. The scorer does not use
+    it: it whitens each pattern once against pre-whitened class means.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim not in (1, 2) or d.shape[0] != factor.dim:
@@ -106,9 +119,7 @@ def quadform(factor: CholeskyFactor, d):
         )
     if not np.isfinite(d).all():
         raise ValueError("array must not contain infs or NaNs")
-    # Raw LAPACK skips solve_triangular's per-call overhead. L^T is the
-    # Fortran-ordered upper factor, so L y = d is its transposed solve.
-    y, _ = dtrtrs(factor.lower.T, d, lower=0, trans=1)
+    y = factor.inverse @ d
     return float(y @ y) if d.ndim == 1 else np.einsum("ij,ij->j", y, y)
 
 

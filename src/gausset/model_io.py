@@ -72,5 +72,5 @@ def load_model(path):
                         ("c_star", c_star), ("b_star", b_star)):
         if not np.all(np.isfinite(value)):
             raise ParseError(f"model field {name} holds a non-finite value")
-    model = _assemble_model(class_names, mu_star, c_star, a_star, b_star)
+    model = _assemble_model(class_names, mu_star, c_star, a_star, b_star, r)
     return model, r

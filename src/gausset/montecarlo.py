@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import linalg
 from .dataset import LabeledDataset, SufficientStats, accumulate, merge
@@ -79,7 +78,8 @@ def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
     """Draws from Wishart(a, B), mean a B^{-1}, of shape ``size + (N, N)``.
 
     ``size=None`` gives one (N, N) draw. Lambda = G G^T with G = U^{-T} A
-    for B = U U^T and A a Bartlett factor, so no inverse of B is formed.
+    for B = U U^T and A a Bartlett factor, so only the triangular inverse
+    U^{-1} is formed, never B^{-1}.
     """
     chol_b = _scale_factor(a, linalg.symmetrize(b))
     dim = chol_b.dim
@@ -89,10 +89,7 @@ def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
     bart = np.zeros((n, dim, dim))
     bart[:, np.arange(dim), np.arange(dim)] = diag
     bart[(slice(None),) + np.tril_indices(dim, k=-1)] = lower
-    # One triangular solve U^T G = A for all n factors side by side.
-    stacked = bart.transpose(1, 0, 2).reshape(dim, n * dim)
-    g = solve_triangular(chol_b.lower, stacked, lower=True, trans="T")
-    g = g.reshape(dim, n, dim).transpose(1, 0, 2)
+    g = chol_b.inverse.T @ bart
     draws = linalg.symmetrize(g @ g.transpose(0, 2, 1))
     return draws.reshape(batch + (dim, dim))
 
@@ -115,8 +112,7 @@ def sample_matrix_normal(gen: SeededGenerator, m, r_diag,
     if np.any(r_diag <= 0.0):
         raise ValueError("column precisions must be positive")
     z = gen.rng.standard_normal(m.shape)
-    spread = solve_triangular(chol_precision.lower, z, lower=True, trans="T")
-    return m + spread / np.sqrt(r_diag)[None, :]
+    return m + (chol_precision.inverse.T @ z) / np.sqrt(r_diag)[None, :]
 
 
 def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
@@ -148,10 +144,10 @@ def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
     # Lambda = G G^T with G = U^{-T} A and B* = U U^T, so log|Lambda| is
     # 2 sum log A_ii - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
     # Gaussian exponent is ||A^T U^{-1} (x - mu_k) - sqrt(c) z||^2: one
-    # shared triangular solve, then N^2 work per sample. A^T d is taken
+    # shared product with U^{-1}, then N^2 work per sample. A^T d is taken
     # row by row of A from the raw draws, so A itself is never built.
     logdets = 2.0 * np.sum(np.log(diag), axis=1) - linalg.logdet(chol_bstar)
-    d = solve_triangular(chol_bstar.lower, x - mu_k, lower=True)
+    d = chol_bstar.inverse @ (x - mu_k)
     u = diag * d
     for i in range(1, dim):
         u[:, :i] += d[i] * lower[:, i * (i - 1) // 2:i * (i + 1) // 2]
@@ -197,8 +193,7 @@ def sample_dataset(gen: SeededGenerator, dim: int, counts, r_true: float,
         if count == 0:
             continue
         z = gen.rng.standard_normal((count, dim))
-        spread = solve_triangular(chol_precision.lower, z.T, lower=True, trans="T")
-        rows.append(means[:, k][None, :] + spread.T)
+        rows.append(means[:, k][None, :] + z @ chol_precision.inverse)
         labels.extend([k] * count)
     patterns = np.vstack(rows) if rows else np.zeros((0, dim))
     if class_names is None:

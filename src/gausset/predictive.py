@@ -43,8 +43,10 @@ class PredictiveModel:
     Holds the per-class location ``mu_star`` (N x K), the per-class
     scale inflation ``c_star`` (c*_k = 1/(r + T_k)), the shared degrees
     of freedom ``a_star``, the shared scale matrix ``b_star`` with its
-    Cholesky factor and log-determinant, and the precomputed per-class
-    log normalization constants.
+    Cholesky factor L and log-determinant, and the precomputed per-class
+    log normalization constants. For scoring it also holds the
+    count-weighted training mean ``centre`` (N,) and the whitened centred
+    means ``white_means`` (K x N), whose row k is L^{-1}(mu*_k - centre).
     """
 
     class_names: tuple
@@ -55,9 +57,12 @@ class PredictiveModel:
     chol_b_star: CholeskyFactor
     logdet_b_star: float
     log_norm: np.ndarray
+    centre: np.ndarray
+    white_means: np.ndarray
 
     def __post_init__(self):
-        for name in ("mu_star", "c_star", "b_star", "log_norm"):
+        for name in ("mu_star", "c_star", "b_star", "log_norm", "centre",
+                     "white_means"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -72,8 +77,12 @@ class PredictiveModel:
         return self.mu_star.shape[1]
 
 
-def _assemble_model(class_names, mu_star, c_star, a_star, b_star) -> PredictiveModel:
-    """Shared constructor for freshly built and deserialized models."""
+def _assemble_model(class_names, mu_star, c_star, a_star, b_star, r) -> PredictiveModel:
+    """Shared constructor for freshly built and deserialized models.
+
+    ``r`` is the shrinkage the posterior was built with; with it the
+    fields alone give the training mean that scoring centres on.
+    """
     mu_star = np.asarray(mu_star, dtype=np.float64)
     c_star = np.asarray(c_star, dtype=np.float64)
     b_star = np.asarray(b_star, dtype=np.float64)
@@ -103,8 +112,14 @@ def _assemble_model(class_names, mu_star, c_star, a_star, b_star) -> PredictiveM
         class_names = tuple(f"class_{k}" for k in range(mu_star.shape[1]))
     if len(class_names) != mu_star.shape[1]:
         raise ShapeMismatch("number of class names does not match K")
+    # mu*_k / c*_k is the class sum f_k and 1/c*_k - r the count T_k, so
+    # this is the count-weighted training mean. Their total T is a whole
+    # number, below 1/2 only when there are no patterns.
+    total = float(np.sum(1.0 / c_star - r))
+    centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
+    white_means = (mu_star.T - centre) @ chol.inverse.T
     return PredictiveModel(tuple(class_names), mu_star, c_star, float(a_star),
-                           b_star, chol, ld, log_norm)
+                           b_star, chol, ld, log_norm, centre, white_means)
 
 
 def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
@@ -120,7 +135,7 @@ def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
     """
     c_star = 1.0 / post.r_star_diag
     return _assemble_model(class_names, post.m_star, c_star, post.a_star,
-                           post.b_star)
+                           post.b_star, post.source_r)
 
 
 # Rows per kernel block keep each (rows x K, N) difference block near
@@ -132,17 +147,23 @@ def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
     """The (T, K) term -((a*+1)/2) log1p(q_tk / (c*_k + 1)) for T rows.
 
     The one place the predictive formula is evaluated; every scorer adds
-    its class constants to this. Each block's differences x_t - mu*_k
-    go through a single quadform call.
+    its class constants to this. With L the factor of B*, L^{-1}(x - mu*_k)
+    = L^{-1}(x - centre) - L^{-1}(mu*_k - centre): each row is whitened
+    once, and q_tk is its squared distance to row k of ``white_means``.
     """
+    if not np.isfinite(patterns).all():
+        raise ValueError("patterns must not contain infs or NaNs")
     dim, n_classes = model.dim, model.n_classes
     cp1 = model.c_star + 1.0
+    inverse_t = model.chol_b_star.inverse.T
     log1p_terms = np.empty((patterns.shape[0], n_classes))
     step = max(1, _BLOCK_ENTRIES // (n_classes * dim))
     for start in range(0, patterns.shape[0], step):
-        diffs = patterns[start:start + step, None, :] - model.mu_star.T
-        q = linalg.quadform(model.chol_b_star, diffs.reshape(-1, dim).T)
-        log1p_terms[start:start + step] = np.log1p(q.reshape(-1, n_classes) / cp1)
+        # A stack of (1, N) @ (N, N) products, so one row scores bit for
+        # bit as it does inside a batch.
+        white = (patterns[start:start + step] - model.centre)[:, None, :] @ inverse_t
+        diffs = white - model.white_means
+        log1p_terms[start:start + step] = np.log1p(np.sum(diffs * diffs, axis=-1) / cp1)
     return -0.5 * (model.a_star + 1.0) * log1p_terms
 
 

@@ -26,6 +26,15 @@ def worked_posterior(worked_stats):
     return posterior(worked_stats, PriorHyper.noninformative(1.0))
 
 
+def offset_dataset(offset):
+    """400 rows, N = 3, K = 4, unit within-class noise, a common offset."""
+    rng = np.random.default_rng(0)
+    labels = rng.integers(0, 4, 400)
+    means = rng.normal(0, 3, (4, 3))
+    x = means[labels] + rng.normal(size=(400, 3)) + offset
+    return LabeledDataset(x, labels, ("a", "b", "c", "d"))
+
+
 def random_spd(rng, n, jitter=1e-3):
     g = rng.normal(size=(n, n))
     return g @ g.T + jitter * np.eye(n)

@@ -190,13 +190,11 @@ class TestTuneR:
         tuned = float(capsys.readouterr().out.split("tuned r = ")[1].split()[0])
         assert 1e-2 <= tuned <= 1e2
 
-
-class TestEvidenceCurveCommand:
     def test_writes_grid(self, tmp_path):
         data = tmp_path / "data.csv"
         write_worked_csv(data)
         curve_path = tmp_path / "curve.csv"
-        assert run(["evidence-curve", "--data", data, "--r-min", "0.1",
+        assert run(["tune-r", "--data", data, "--r-min", "0.1",
                     "--r-max", "10", "--grid", "25", "--out", curve_path]) == 0
         with open(curve_path) as handle:
             rows = list(csv.DictReader(handle))

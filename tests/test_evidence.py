@@ -21,6 +21,8 @@ from gausset import (
 from gausset.errors import DegenerateScatter, DomainError, ImproperPrior
 from gausset.montecarlo import SeededGenerator, sample_dataset
 
+from conftest import offset_dataset
+
 
 def sequential_log_predictive(ds, prior, order):
     """Independent oracle: sum of one-point-at-a-time log predictives."""
@@ -256,15 +258,6 @@ class TestEvidenceCurve:
         assert lines[0] == "r,log_evidence"
         assert lines[1] == "0.5,"
         assert lines[2] == "1.0,"
-
-
-def offset_dataset(offset):
-    """400 rows, N = 3, K = 4, unit within-class noise, a common offset."""
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, 4, 400)
-    means = rng.normal(0, 3, (4, 3))
-    x = means[labels] + rng.normal(size=(400, 3)) + offset
-    return LabeledDataset(x, labels, ("a", "b", "c", "d"))
 
 
 def centred_log_evidence(ds, r):

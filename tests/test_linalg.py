@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import multigammaln
+
+import gausset
 
 from gausset.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from gausset.linalg import (
@@ -79,6 +86,34 @@ class TestCholesky:
         factor = cholesky(np.eye(2))
         with pytest.raises(ValueError):
             factor.lower[0, 0] = 5.0
+
+
+class TestInverse:
+    def test_exactly_lower_triangular_and_read_only(self):
+        rng = np.random.default_rng(43)
+        factor = cholesky(symmetrize(random_spd(rng, 7)))
+        inverse = factor.inverse
+        assert inverse is factor.inverse
+        assert np.all(np.triu(inverse, 1) == 0.0)
+        with pytest.raises(ValueError):
+            inverse[1, 0] = 5.0
+
+    def test_inverts_an_ill_conditioned_factor(self):
+        rng = np.random.default_rng(44)
+        basis, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        a = symmetrize((basis * np.geomspace(1.0, 1e-10, 30)) @ basis.T)
+        factor = cholesky(a)
+        np.testing.assert_allclose(factor.lower @ factor.inverse, np.eye(30),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, gausset, gausset.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(gausset.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestLogdet:

@@ -47,7 +47,7 @@ class TestRoundTrip:
         mu = np.array([[1.0 / 3.0, np.pi], [np.e, 2.0 ** -45]])
         c = np.array([1.0 / 7.0, 0.1 + 0.2])
         b = np.array([[1.000000000000001, 1e-13], [1e-13, 0.3333333333333333]])
-        model = _assemble_model(("u", "v"), mu, c, 9.000000000000002, b)
+        model = _assemble_model(("u", "v"), mu, c, 9.000000000000002, b, 1.0 / 9.0)
         path = tmp_path / "model.json"
         save_model(model, 1.0 / 9.0, path)
         loaded, r = load_model(path)

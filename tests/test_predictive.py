@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import solve_triangular
 
 from gausset import (
     ClassPrior,
@@ -31,7 +32,7 @@ from gausset.errors import (
 from gausset.linalg import log_gamma
 from gausset.predictive import _BLOCK_ENTRIES
 
-from conftest import random_spd
+from conftest import offset_dataset, random_spd
 
 
 @pytest.fixture
@@ -319,3 +320,69 @@ class TestBatchedMatchesSingle:
             offsets = np.subtract(normalized, single)
             scale = max(1.0, np.abs(normalized).max(), np.abs(single).max())
             assert np.ptp(offsets) <= 1e-12 * scale
+
+
+SCORERS = {
+    "score_batch": lambda m, x: score_batch(m, x[None, :], ClassPrior.uniform(2)),
+    "class_posterior": lambda m, x: class_posterior(m, x, ClassPrior.uniform(2)),
+    "log_predictive": lambda m, x: log_predictive(m, x, 0),
+    "log_predictive_unnormalized": lambda m, x: log_predictive_unnormalized(m, x, 0),
+}
+
+
+class TestNonFinitePatterns:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_rejected_by_every_scorer(self, scorer, bad):
+        rng = np.random.default_rng(21)
+        ds = LabeledDataset(rng.normal(size=(12, 2)), rng.integers(0, 2, 12), ("a", "b"))
+        model = build_model(posterior(accumulate(ds), PriorHyper.noninformative(1.0)))
+        with pytest.raises(ValueError):
+            SCORERS[scorer](model, np.array([0.5, bad]))
+
+
+def per_class_reference(model, patterns):
+    """Unnormalized log predictive with one triangular solve per class.
+
+    Solves against the model's own factor of B*: two float64 factors of a
+    matrix with condition number kappa differ by about eps * kappa in
+    the quadratic form, which would swamp what this compares.
+    """
+    out = np.empty((patterns.shape[0], model.n_classes))
+    for k in range(model.n_classes):
+        y = solve_triangular(model.chol_b_star.lower, (patterns - model.mu_star[:, k]).T,
+                             lower=True)
+        cp1 = model.c_star[k] + 1.0
+        out[:, k] = (-0.5 * model.dim * np.log(cp1)
+                     - 0.5 * (model.a_star + 1.0) * np.log1p(np.sum(y * y, axis=0) / cp1))
+    return out
+
+
+class TestScoringAccuracy:
+    """Whitened centred means must not lose what a per-class solve keeps."""
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    @pytest.mark.parametrize("r", [1e-3, 1e-2])
+    def test_large_common_offset(self, offset, r):
+        ds = offset_dataset(offset)
+        model = build_model(posterior(accumulate(ds), PriorHyper.noninformative(r)))
+        rng = np.random.default_rng(22)
+        patterns = np.vstack([ds.patterns[:100], offset + rng.normal(0.0, 4.0, (50, 3))])
+        got = score_batch(model, patterns, ClassPrior.uniform(4))[0]
+        want = per_class_reference(model, patterns)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_ill_conditioned_scale_matrix(self):
+        rng = np.random.default_rng(23)
+        dim = 6
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        b_star = (basis * np.geomspace(1.0, 1e-10, dim)) @ basis.T
+        b_star = 0.5 * (b_star + b_star.T)
+        assert np.linalg.cond(b_star) == pytest.approx(1e10, rel=0.1)
+        post = PosteriorMNW(rng.normal(0.0, 1e-4, (dim, 3)), [5.0, 9.0, 14.0],
+                            dim + 4.0, b_star, source_r=1.0)
+        model = build_model(post)
+        patterns = rng.normal(0.0, 1e-4, (60, dim))
+        got = score_batch(model, patterns, ClassPrior.uniform(3))[0]
+        np.testing.assert_allclose(got, per_class_reference(model, patterns),
+                                   rtol=1e-10, atol=0.0)
