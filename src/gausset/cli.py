@@ -119,9 +119,8 @@ def cmd_verify(args) -> int:
     # be loaded, is a verification failure (exit 1), not an input error.
     try:
         if args.model:
-            model, model_r = model_io.load_model(args.model)
-            report = montecarlo.run_verification(args.seed, args.samples,
-                                                 model=model, model_r=model_r)
+            model, _ = model_io.load_model(args.model)
+            report = montecarlo.run_verification(args.seed, args.samples, model=model)
         else:
             report = montecarlo.run_verification(args.seed, args.samples)
     except (GaussetError, OSError) as exc:

@@ -19,12 +19,15 @@ FORMAT_VERSION = 1
 
 
 def save_model(model: PredictiveModel, r: float, path) -> None:
-    """Write a predictive model (plus the r that produced it) to JSON."""
+    """Write a predictive model to JSON; ``r`` must be the ``model.r`` it was built with."""
+    if float(r) != model.r:
+        raise ValueError(f"model was built with r={model.r!r}, not {r!r}; "
+                         "its reloaded scoring centre depends on r")
     doc = {
         "version": FORMAT_VERSION,
         "dim": model.dim,
         "class_names": list(model.class_names),
-        "r": float(r),
+        "r": model.r,
         "a_star": float(model.a_star),
         "mu_star": [model.mu_star[:, k].tolist() for k in range(model.n_classes)],
         "c_star": model.c_star.tolist(),

@@ -48,20 +48,18 @@ class SeededGenerator:
         return self._rng
 
 
-def _bartlett_factors(gen: SeededGenerator, a: float, dim: int, n: int):
-    """Raw draws of n lower-triangular (N, N) factors A with A A^T ~ Wishart(a, I).
+def _bartlett_diagonal(gen: SeededGenerator, a: float, dim: int, n: int) -> np.ndarray:
+    """Diagonals of n Bartlett factors A, A A^T ~ Wishart(a, I), as (n, N).
 
-    Bartlett construction: sqrt(chi-square(a - i)) on diagonal entry i
-    (i = 0..N-1), drawn entry by entry, then standard normals strictly
-    below the diagonal. Returns the diagonal as (n, N) and the lower
-    entries as (n, N(N-1)/2) in ``np.tril_indices(N, -1)`` order, so
-    row i of A holds lower entries i(i-1)/2 .. i(i+1)/2 - 1.
+    Entry i is sqrt(chi-square(a - i)), drawn column by column. The
+    entries below it are independent standard normals, independent of the
+    diagonal, so each caller draws only what it reads of them.
     """
     rng = gen.rng
     diag = np.empty((n, dim))
     for i in range(dim):
         diag[:, i] = np.sqrt(rng.chisquare(a - i, size=n))
-    return diag, rng.standard_normal((n, dim * (dim - 1) // 2))
+    return diag
 
 
 def _scale_factor(a: float, b) -> CholeskyFactor:
@@ -85,10 +83,10 @@ def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
     dim = chol_b.dim
     batch = () if size is None else tuple(int(s) for s in np.atleast_1d(size))
     n = int(np.prod(batch))
-    diag, lower = _bartlett_factors(gen, float(a), dim, n)
     bart = np.zeros((n, dim, dim))
-    bart[:, np.arange(dim), np.arange(dim)] = diag
-    bart[(slice(None),) + np.tril_indices(dim, k=-1)] = lower
+    bart[:, np.arange(dim), np.arange(dim)] = _bartlett_diagonal(gen, float(a), dim, n)
+    bart[(slice(None),) + np.tril_indices(dim, k=-1)] = gen.rng.standard_normal(
+        (n, dim * (dim - 1) // 2))
     g = chol_b.inverse.T @ bart
     draws = linalg.symmetrize(g @ g.transpose(0, 2, 1))
     return draws.reshape(batch + (dim, dim))
@@ -126,6 +124,9 @@ def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
     domain together with its jackknife standard error, which for a plain
     mean reduces to ``sqrt(sum (w_i - mean)^2 / (n (n - 1)))``.
 
+    In the body's notation, v = A^T d - sqrt(c*) z given d has independent
+    coordinates v_j = A_jj d_j + Normal(0, t_j + c*), t_j = sum_{i>j} d_i^2.
+
     With ``n_samples = 1`` the estimate is a single density value and
     the standard error is infinite.
     """
@@ -140,19 +141,14 @@ def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
     chol_bstar = _scale_factor(post.a_star, post.b_star)
 
     mu_k, c_k = column_marginal(post, k)
-    diag, lower = _bartlett_factors(gen, post.a_star, dim, n_samples)
+    diag = _bartlett_diagonal(gen, post.a_star, dim, n_samples)
     # Lambda = G G^T with G = U^{-T} A and B* = U U^T, so log|Lambda| is
-    # 2 sum log A_ii - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
-    # Gaussian exponent is ||A^T U^{-1} (x - mu_k) - sqrt(c) z||^2: one
-    # shared product with U^{-1}, then N^2 work per sample. A^T d is taken
-    # row by row of A from the raw draws, so A itself is never built.
+    # 2 sum log A_jj - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
+    # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = U^{-1}(x - mu_k).
     logdets = 2.0 * np.sum(np.log(diag), axis=1) - linalg.logdet(chol_bstar)
     d = chol_bstar.inverse @ (x - mu_k)
-    u = diag * d
-    for i in range(1, dim):
-        u[:, :i] += d[i] * lower[:, i * (i - 1) // 2:i * (i + 1) // 2]
-    z = gen.rng.standard_normal((n_samples, dim))
-    v = u - np.sqrt(c_k) * z
+    tails = np.append(np.cumsum(d[:0:-1] ** 2)[::-1], 0.0)
+    v = diag * d + np.sqrt(tails + c_k) * gen.rng.standard_normal((n_samples, dim))
     log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v * v, axis=1)
 
     shift = float(np.max(log_weights))
@@ -215,7 +211,7 @@ def sample_dataset(gen: SeededGenerator, dim: int, counts, r_true: float,
 # ---------------------------------------------------------------------------
 
 def _probe(name, reference, estimate, std_error):
-    ok = bool(np.isfinite(estimate)
+    ok = bool(np.all(np.isfinite([estimate, std_error]))
               and abs(estimate - reference) <= 3.0 * std_error)
     return {
         "probe": name,
@@ -278,7 +274,7 @@ def _predictive_probes(gen: SeededGenerator, n_samples: int):
     return results
 
 
-def _model_probes(gen: SeededGenerator, model, model_r: float, n_samples: int):
+def _model_probes(gen: SeededGenerator, model, n_samples: int):
     results = []
     try:
         chol = linalg.cholesky(model.b_star)
@@ -291,7 +287,7 @@ def _model_probes(gen: SeededGenerator, model, model_r: float, n_samples: int):
         results.append(_failed_probe("model-predictive", "a* too small to sample"))
         return results
     post = PosteriorMNW(model.mu_star, 1.0 / model.c_star, model.a_star,
-                        model.b_star, source_r=model_r)
+                        model.b_star, source_r=model.r)
     for k in range(min(model.n_classes, 3)):
         x = model.mu_star[:, k] + gen.rng.normal(0.0, 1.0, size=model.dim)
         closed = float(np.exp(log_predictive(model, x, k)))
@@ -301,8 +297,7 @@ def _model_probes(gen: SeededGenerator, model, model_r: float, n_samples: int):
     return results
 
 
-def run_verification(seed: int, n_samples: int = 20000, model=None,
-                     model_r: float | None = None):
+def run_verification(seed: int, n_samples: int = 20000, model=None):
     """Run the oracle suite; returns {"probes": [...], "all_pass": bool}.
 
     Without a model this checks the Wishart sampling convention against
@@ -310,14 +305,12 @@ def run_verification(seed: int, n_samples: int = 20000, model=None,
     versus Monte-Carlo predictive densities on three synthetic builds.
     With a model it checks the stored B* and the model's own predictive
     scores against the Monte-Carlo integral. Every stochastic probe uses
-    the same three-standard-error rule, so shrinking ``n_samples`` only
-    widens the reported uncertainty.
+    the same three-standard-error rule and needs a finite standard error,
+    so ``n_samples = 1`` fails every Monte-Carlo probe.
     """
     gen = SeededGenerator(seed)
     if model is not None:
-        if model_r is None:
-            raise DomainError("verifying a model requires its source r")
-        probes = _model_probes(gen, model, float(model_r), n_samples)
+        probes = _model_probes(gen, model, n_samples)
     else:
         probes = [_wishart_mean_probe(gen, n_samples), _chain_rule_probe(gen)]
         probes.extend(_predictive_probes(gen, n_samples))

@@ -41,18 +41,19 @@ class PredictiveModel:
     """Frozen per-class scoring parameters.
 
     Holds the per-class location ``mu_star`` (N x K), the per-class
-    scale inflation ``c_star`` (c*_k = 1/(r + T_k)), the shared degrees
-    of freedom ``a_star``, the shared scale matrix ``b_star`` with its
-    Cholesky factor L and log-determinant, and the precomputed per-class
-    log normalization constants. For scoring it also holds the
-    count-weighted training mean ``centre`` (N,) and the whitened centred
-    means ``white_means`` (K x N), whose row k is L^{-1}(mu*_k - centre).
+    scale inflation ``c_star`` (c*_k = 1/(r + T_k)) and the shrinkage
+    ``r``, the shared degrees of freedom ``a_star``, the shared scale
+    matrix ``b_star`` with its Cholesky factor L and log-determinant, and
+    the per-class log normalization constants. For scoring it also holds
+    the count-weighted training mean ``centre`` (N,) and the whitened
+    centred means ``white_means`` (K x N), row k L^{-1}(mu*_k - centre).
     """
 
     class_names: tuple
     mu_star: np.ndarray
     c_star: np.ndarray
     a_star: float
+    r: float
     b_star: np.ndarray
     chol_b_star: CholeskyFactor
     logdet_b_star: float
@@ -119,7 +120,7 @@ def _assemble_model(class_names, mu_star, c_star, a_star, b_star, r) -> Predicti
     centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
     white_means = (mu_star.T - centre) @ chol.inverse.T
     return PredictiveModel(tuple(class_names), mu_star, c_star, float(a_star),
-                           b_star, chol, ld, log_norm, centre, white_means)
+                           float(r), b_star, chol, ld, log_norm, centre, white_means)
 
 
 def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:

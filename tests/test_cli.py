@@ -231,6 +231,20 @@ class TestVerify:
         assert run(["fit", "--data", data, "--out", model_path]) == 0
         assert run(["verify", "--model", model_path, "--samples", "20000"]) == 0
 
+    def test_single_sample_cannot_pass(self, tmp_path, capsys):
+        # One sample has an infinite standard error, which would accept
+        # any estimate under the three-standard-error rule.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--out", model_path]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--samples", "1"]) == 1
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        predictive = [p for p in report["probes"]
+                      if p["probe"].startswith("model-predictive")]
+        assert predictive and not any(p["pass"] for p in predictive)
+
     def test_tiny_sample_count_reports_wider_error(self, tmp_path, capsys):
         assert run(["verify", "--samples", "100", "--seed", "20260808"]) in (0, 1)
         small = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

@@ -57,6 +57,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.b_star, b)
         assert loaded.a_star == 9.000000000000002
 
+    def test_mismatched_r_rejected_before_writing(self, worked_posterior, tmp_path):
+        # The reloaded scoring centre is derived from the stored r, so a
+        # model saved under another r would not score as it did in memory.
+        model = build_model(worked_posterior, class_names=("a", "b"))
+        assert model.r == 1.0
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="r="):
+            save_model(model, 5.0, path)
+        assert not path.exists()
+
 
 class TestLoadValidation:
     def write_doc(self, tmp_path, mutate):

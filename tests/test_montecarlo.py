@@ -73,6 +73,23 @@ class TestSampleWishart:
         expected = a * (sigma ** 2 + np.outer(np.diag(sigma), np.diag(sigma)))
         np.testing.assert_allclose(samples.var(axis=0, ddof=1), expected, rtol=0.05)
 
+    def test_bartlett_draw_order(self):
+        # The diagonal chi-squares are drawn first, column by column, then
+        # the normals below the diagonal in np.tril_indices order, so a
+        # seed gives the same Wishart draws as it always has.
+        a, dim, n, seed = 6.5, 4, 3, 16
+        b = np.array([[2.0, -0.4, 0.1, 0.0], [-0.4, 1.5, 0.3, 0.2],
+                      [0.1, 0.3, 0.9, -0.1], [0.0, 0.2, -0.1, 1.2]])
+        draws = sample_wishart(SeededGenerator(seed), a, b, size=n)
+        rng = SeededGenerator(seed).rng
+        bart = np.zeros((n, dim, dim))
+        for i in range(dim):
+            bart[:, i, i] = np.sqrt(rng.chisquare(a - i, size=n))
+        bart[(slice(None),) + np.tril_indices(dim, -1)] = rng.standard_normal(
+            (n, dim * (dim - 1) // 2))
+        g = np.linalg.inv(np.linalg.cholesky(b)).T @ bart
+        np.testing.assert_allclose(draws, g @ g.transpose(0, 2, 1), rtol=1e-12, atol=1e-14)
+
     def test_size_none_is_first_of_size_one(self):
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
         single = sample_wishart(SeededGenerator(15), 5.0, b)
@@ -153,20 +170,49 @@ class TestMcPredictive:
         assert np.mean(ratios) == pytest.approx(np.sqrt(2.0), rel=0.2)
 
     def test_error_shrinks_with_more_samples(self):
-        # |estimate - closed form| should shrink over 1e3 -> 1e4 -> 1e5
-        # samples in at least 4 of 5 probes.
+        # At 1e3, 1e4 and 1e5 samples every estimate lies within 4 of its
+        # own standard errors of the closed form, and the error falls as
+        # 1/sqrt(n): SE(1e3)/SE(1e5) is about 10.
         rng = np.random.default_rng(22)
-        improved = 0
+        ratios = []
         for i in range(5):
             post = make_posterior(300 + i, 2, [5, 4])
             model = build_model(post)
             x = rng.normal(0.0, 1.0, size=2)
             closed = np.exp(log_predictive(model, x, 0))
-            errs = [abs(mc_predictive(SeededGenerator(400 + i), post, x, 0, n)[0]
-                        - closed) for n in (1000, 10000, 100000)]
-            if errs[0] > errs[1] > errs[2]:
-                improved += 1
-        assert improved >= 4
+            ses = []
+            for n in (1000, 10000, 100000):
+                estimate, se = mc_predictive(SeededGenerator(400 + i), post, x, 0, n)
+                assert abs(estimate - closed) <= 4.0 * se, (i, n)
+                ses.append(se)
+            ratios.append(ses[0] / ses[2])
+        assert 7.0 <= np.median(ratios) <= 14.0
+
+    def test_agrees_with_brute_force(self):
+        # An independent estimator of the same integral: full Lambda draws,
+        # mu drawn given each Lambda, and the Gaussian density from
+        # np.linalg. It shares no sampling step with mc_predictive.
+        cases = [(1, [4, 5]), (2, [5, 3]), (3, [6])]
+        rng = np.random.default_rng(23)
+        n = 4000
+        for i, (dim, counts) in enumerate(cases):
+            post = make_posterior(500 + i, dim, counts)
+            x = rng.normal(0.0, 1.5, size=dim)
+            k = int(rng.integers(0, len(counts)))
+            gen = SeededGenerator(600 + i)
+            lams = sample_wishart(gen, post.a_star, post.b_star, size=n)
+            mus = np.array([sample_matrix_normal(gen, post.m_star[:, [k]],
+                                                 post.r_star_diag[[k]],
+                                                 cholesky(lam))[:, 0]
+                            for lam in lams])
+            diff = x - mus
+            log_w = (0.5 * np.linalg.slogdet(lams)[1]
+                     - 0.5 * dim * np.log(2.0 * np.pi)
+                     - 0.5 * np.einsum("si,sij,sj->s", diff, lams, diff))
+            w = np.exp(log_w)
+            brute, brute_se = w.mean(), w.std(ddof=1) / np.sqrt(n)
+            estimate, se = mc_predictive(SeededGenerator(700 + i), post, x, k, n)
+            assert abs(estimate - brute) <= 3.0 * np.hypot(se, brute_se), (dim, estimate, brute)
 
     def test_deterministic_given_seed(self):
         post = make_posterior(33, 2, [4, 4])
@@ -228,8 +274,17 @@ class TestRunVerification:
 
     def test_fitted_model_passes(self, worked_posterior):
         model = build_model(worked_posterior, class_names=("a", "b"))
-        report = run_verification(seed=3, n_samples=20000, model=model, model_r=1.0)
+        report = run_verification(seed=3, n_samples=20000, model=model)
         assert report["all_pass"], report
+
+    def test_single_sample_cannot_pass(self, worked_posterior):
+        # One sample has an infinite standard error, and |est - ref| <= 3 inf
+        # would accept any estimate.
+        model = build_model(worked_posterior, class_names=("a", "b"))
+        report = run_verification(seed=3, n_samples=1, model=model)
+        assert not report["all_pass"]
+        assert not any(p["pass"] for p in report["probes"]
+                       if p["probe"].startswith("model-predictive"))
 
     def test_deterministic_report(self):
         a = run_verification(seed=42, n_samples=2000)
