@@ -45,7 +45,7 @@ print("\nclosed form vs Monte-Carlo (200000 posterior samples):")
 for x in (np.array([0.5, -0.5]), np.array([2.0, 2.0])):
     for k in (0, 1):
         closed = np.exp(log_predictive(model, x, k))
-        estimate, stderr = mc_predictive(SeededGenerator(13), post, x, k, 200000)
+        estimate, stderr = mc_predictive(SeededGenerator(13), model, x, k, 200000)
         sigmas = abs(estimate - closed) / stderr
         print(f"  x={x}, k={k}: closed {closed:.6f}  mc {estimate:.6f} "
               f"(se {stderr:.1e}, {sigmas:.2f} SE apart)")

@@ -21,13 +21,9 @@ from .errors import (
     DegenerateScatter,
     DimensionMismatch,
     DomainError,
-    EmptyDimension,
     GaussetError,
-    ImproperPrior,
     InsufficientDof,
     NotPositiveDefinite,
-    ParseError,
-    ShapeMismatch,
 )
 from .inference import PriorHyper, posterior
 from .predictive import build_model, score_batch
@@ -38,8 +34,8 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 _DEGENERATE_ERRORS = (DegenerateScatter, NotPositiveDefinite, InsufficientDof)
-_INPUT_ERRORS = (ParseError, DimensionMismatch, ShapeMismatch, EmptyDimension,
-                 DomainError, ImproperPrior, OSError, ValueError)
+# After _DEGENERATE_ERRORS, every other library error is an input error.
+_INPUT_ERRORS = (GaussetError, OSError, ValueError)
 
 
 def _build_prior(args, dim: int) -> PriorHyper:
@@ -98,6 +94,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tune_r(args) -> int:
+    if args.grid < 0:
+        raise DomainError(f"--grid must be >= 0, got {args.grid}")
+    if args.out and not args.grid:
+        raise DomainError("--out writes the evidence curve and needs --grid N >= 1")
     ds = load_csv(args.data, label_column=args.label_col,
                   extra_classes=args.declare_class)
     stats = accumulate(ds)
@@ -132,7 +132,10 @@ def cmd_verify(args) -> int:
         print(f"{status} {probe['probe']}: closed_form={probe['closed_form']:.6g} "
               f"mc_estimate={probe['mc_estimate']:.6g} "
               f"std_error={probe['std_error']:.3g}")
-    print(json.dumps(report))
+    # RFC 8259 JSON has no Infinity or NaN, so those values go out as null.
+    probes = [{key: None if isinstance(value, float) and not np.isfinite(value) else value
+               for key, value in probe.items()} for probe in report["probes"]]
+    print(json.dumps({**report, "probes": probes}, allow_nan=False))
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
 
 
@@ -253,9 +256,6 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except _INPUT_ERRORS as exc:
         print(f"error (input): {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GaussetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -210,7 +210,7 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
     golden section inside the two grid cells around the best point. The
     curve is near-log-concave in practice but not provably so; the grid
     guards against a local peak, and the returned r never scores below
-    any grid point.
+    any grid point. ``tol`` is the final log-r bracket width, finite and > 0.
 
     A probe whose scale matrix is degenerate loses every comparison.
     Degeneracy can come and go along r, so no single probe stands for
@@ -220,6 +220,8 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
     r_min, r_max = float(r_min), float(r_max)
     if not 0.0 < r_min < r_max:
         raise DomainError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
 
     values = _evidence_kernel(stats)
     grid = np.geomspace(r_min, r_max, _TUNE_GRID)
@@ -237,6 +239,8 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
     best = int(np.argmax(scanned))
     lo = math.log(grid[max(best - 1, 0)])
     hi = math.log(grid[min(best + 1, grid.size - 1)])
+    # A bracket a few ulps wide stops shrinking, so no smaller tol is met.
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = objective(x1), objective(x2)

@@ -28,9 +28,9 @@ from . import linalg
 from .dataset import LabeledDataset, SufficientStats, accumulate, merge
 from .errors import DomainError, NotPositiveDefinite, ShapeMismatch
 from .evidence import log_evidence_proper
-from .inference import PosteriorMNW, PriorHyper, column_marginal, posterior
+from .inference import PriorHyper, posterior
 from .linalg import CholeskyFactor
-from .predictive import build_model, log_predictive
+from .predictive import PredictiveModel, build_model, log_predictive
 
 
 @dataclass
@@ -62,16 +62,6 @@ def _bartlett_diagonal(gen: SeededGenerator, a: float, dim: int, n: int) -> np.n
     return diag
 
 
-def _scale_factor(a: float, b) -> CholeskyFactor:
-    """Lower factor U of a Wishart scale matrix B = U U^T, checked for sampling."""
-    if not float(a) > len(b) - 1:
-        raise DomainError(f"Wishart needs a > N - 1, got a={a}, N={len(b)}")
-    try:
-        return linalg.cholesky(b)
-    except NotPositiveDefinite as exc:
-        raise DomainError("Wishart scale matrix is not positive definite") from exc
-
-
 def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
     """Draws from Wishart(a, B), mean a B^{-1}, of shape ``size + (N, N)``.
 
@@ -79,7 +69,13 @@ def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
     for B = U U^T and A a Bartlett factor, so only the triangular inverse
     U^{-1} is formed, never B^{-1}.
     """
-    chol_b = _scale_factor(a, linalg.symmetrize(b))
+    b = linalg.symmetrize(b)
+    if not float(a) > len(b) - 1:
+        raise DomainError(f"Wishart needs a > N - 1, got a={a}, N={len(b)}")
+    try:
+        chol_b = linalg.cholesky(b)
+    except NotPositiveDefinite as exc:
+        raise DomainError("Wishart scale matrix is not positive definite") from exc
     dim = chol_b.dim
     batch = () if size is None else tuple(int(s) for s in np.atleast_1d(size))
     n = int(np.prod(batch))
@@ -113,15 +109,16 @@ def sample_matrix_normal(gen: SeededGenerator, m, r_diag,
     return m + (chol_precision.inverse.T @ z) / np.sqrt(r_diag)[None, :]
 
 
-def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
+def mc_predictive(gen: SeededGenerator, model: PredictiveModel, x, k: int,
                   n_samples: int):
     """Monte-Carlo estimate of the predictive density of x under class k.
 
     Draws ``Lambda ~ Wishart(a*, B*)``, then ``mu_k ~ Normal(mu*_k,
     c*_k Lambda^{-1})``, and averages the Gaussian density
-    ``Normal(x | mu_k, Lambda^{-1})``. The average is accumulated in the
-    log domain (shift by the max log weight) and returned in the linear
-    domain together with its jackknife standard error, which for a plain
+    ``Normal(x | mu_k, Lambda^{-1})``; B* enters only as the model's
+    log|B*| and L^{-1}, so nothing is factored. The average is accumulated
+    in the log domain (shift by the max log weight) and returned in the
+    linear domain with its jackknife standard error, which for a plain
     mean reduces to ``sqrt(sum (w_i - mean)^2 / (n (n - 1)))``.
 
     In the body's notation, v = A^T d - sqrt(c*) z given d has independent
@@ -131,22 +128,21 @@ def mc_predictive(gen: SeededGenerator, post: PosteriorMNW, x, k: int,
     the standard error is infinite.
     """
     x = np.asarray(x, dtype=np.float64)
-    dim = post.dim
+    dim = model.dim
     if x.shape != (dim,):
-        raise ShapeMismatch(f"pattern has shape {x.shape}, posterior dimension is {dim}")
-    if not 0 <= k < post.n_classes:
-        raise IndexError(f"class index {k} out of range for K={post.n_classes}")
+        raise ShapeMismatch(f"pattern has shape {x.shape}, model dimension is {dim}")
+    if not 0 <= k < model.n_classes:
+        raise IndexError(f"class index {k} out of range for K={model.n_classes}")
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    chol_bstar = _scale_factor(post.a_star, post.b_star)
 
-    mu_k, c_k = column_marginal(post, k)
-    diag = _bartlett_diagonal(gen, post.a_star, dim, n_samples)
-    # Lambda = G G^T with G = U^{-T} A and B* = U U^T, so log|Lambda| is
+    mu_k, c_k = model.mu_star[:, k], float(model.c_star[k])
+    diag = _bartlett_diagonal(gen, model.a_star, dim, n_samples)
+    # Lambda = G G^T with G = L^{-T} A and B* = L L^T, so log|Lambda| is
     # 2 sum log A_jj - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
-    # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = U^{-1}(x - mu_k).
-    logdets = 2.0 * np.sum(np.log(diag), axis=1) - linalg.logdet(chol_bstar)
-    d = chol_bstar.inverse @ (x - mu_k)
+    # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = L^{-1}(x - mu_k).
+    logdets = 2.0 * np.sum(np.log(diag), axis=1) - model.logdet_b_star
+    d = model.chol_b_star.inverse @ (x - mu_k)
     tails = np.append(np.cumsum(d[:0:-1] ** 2)[::-1], 0.0)
     v = diag * d + np.sqrt(tails + c_k) * gen.rng.standard_normal((n_samples, dim))
     log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v * v, axis=1)
@@ -269,7 +265,7 @@ def _predictive_probes(gen: SeededGenerator, n_samples: int):
         k = int(gen.rng.integers(0, n_classes))
         x = gen.rng.normal(0.0, 1.5, size=dim)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, se = mc_predictive(gen, post, x, k, n_samples)
+        estimate, se = mc_predictive(gen, model, x, k, n_samples)
         results.append(_probe(f"mc-predictive-N{dim}K{n_classes}", closed, estimate, se))
     return results
 
@@ -283,15 +279,10 @@ def _model_probes(gen: SeededGenerator, model, n_samples: int):
     except NotPositiveDefinite:
         results.append(_failed_probe("model-spd", "B* not positive definite"))
         return results
-    if not model.a_star > model.dim - 1:
-        results.append(_failed_probe("model-predictive", "a* too small to sample"))
-        return results
-    post = PosteriorMNW(model.mu_star, 1.0 / model.c_star, model.a_star,
-                        model.b_star, source_r=model.r)
     for k in range(min(model.n_classes, 3)):
         x = model.mu_star[:, k] + gen.rng.normal(0.0, 1.0, size=model.dim)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, se = mc_predictive(gen, post, x, k, n_samples)
+        estimate, se = mc_predictive(gen, model, x, k, n_samples)
         results.append(_probe(f"model-predictive-{model.class_names[k]}",
                               closed, estimate, se))
     return results
@@ -306,8 +297,11 @@ def run_verification(seed: int, n_samples: int = 20000, model=None):
     With a model it checks the stored B* and the model's own predictive
     scores against the Monte-Carlo integral. Every stochastic probe uses
     the same three-standard-error rule and needs a finite standard error,
-    so ``n_samples = 1`` fails every Monte-Carlo probe.
+    so ``n_samples = 1`` fails every Monte-Carlo probe. ``n_samples < 1``
+    raises :class:`DomainError` before anything is drawn.
     """
+    if n_samples < 1:
+        raise DomainError(f"need at least one sample, got n_samples={n_samples}")
     gen = SeededGenerator(seed)
     if model is not None:
         probes = _model_probes(gen, model, n_samples)

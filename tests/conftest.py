@@ -1,7 +1,25 @@
+import signal
+
 import numpy as np
 import pytest
 
 from gausset import LabeledDataset, PriorHyper, accumulate, posterior
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose calls take over 20 s."""
+    def expire(signum, frame):
+        # Not an Exception, so no handler under test can swallow it.
+        pytest.fail("call did not return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -58,7 +58,7 @@ def test_01_closed_form_vs_monte_carlo_predictive():
         k = int(rng.integers(0, n_classes))
         x = rng.normal(0.0, 1.5, size=dim)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, stderr = mc_predictive(SeededGenerator(seed + 1000), post,
+        estimate, stderr = mc_predictive(SeededGenerator(seed + 1000), model,
                                          x, k, 200000)
         deviation = abs(estimate - closed) / stderr
         worst = max(worst, deviation)

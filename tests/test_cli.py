@@ -201,6 +201,23 @@ class TestTuneR:
         assert len(rows) == 25
         assert all(row["log_evidence"] for row in rows)
 
+    def test_non_positive_tol_exits_2(self, tmp_path, deadline):
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        assert run(["tune-r", "--data", data, "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize("grid", [None, "0", "-3"])
+    def test_curve_flags_checked_before_reading(self, tmp_path, capsys, grid):
+        # The data file does not exist, so only a check made before reading
+        # it can report --grid.
+        curve_path = tmp_path / "curve.csv"
+        argv = ["tune-r", "--data", tmp_path / "missing.csv", "--out", curve_path]
+        if grid is not None:
+            argv += ["--grid", grid]
+        assert run(argv) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not curve_path.exists()
+
 
 class TestVerify:
     def test_default_run_passes(self, tmp_path, capsys):
@@ -244,6 +261,31 @@ class TestVerify:
         predictive = [p for p in report["probes"]
                       if p["probe"].startswith("model-predictive")]
         assert predictive and not any(p["pass"] for p in predictive)
+
+    def test_report_is_strict_json(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--out", model_path]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--samples", "1"]) == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        report = json.loads(last, parse_constant=reject)
+        predictive = [p for p in report["probes"]
+                      if p["probe"].startswith("model-predictive")]
+        assert predictive and all(p["std_error"] is None for p in predictive)
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_aborts(self, capsys, recwarn, samples):
+        assert run(["verify", "--samples", samples]) == 1
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["probes"] == [] and report["all_pass"] is False
+        assert "sample" in report["error"]
+        assert not recwarn.list
 
     def test_tiny_sample_count_reports_wider_error(self, tmp_path, capsys):
         assert run(["verify", "--samples", "100", "--seed", "20260808"]) in (0, 1)

@@ -217,6 +217,17 @@ class TestTuneR:
         with pytest.raises(DomainError):
             tune_r(worked_stats, 2.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, worked_stats, deadline, tol):
+        with pytest.raises(DomainError):
+            tune_r(worked_stats, 1e-3, 1e3, tol=tol)
+
+    def test_tol_below_rounding_returns(self, worked_stats, deadline):
+        # The golden-section bracket cannot shrink below a few ulps of log r.
+        tuned = tune_r(worked_stats, 1e-2, 1e2, tol=1e-300)
+        assert np.log(tuned) == pytest.approx(
+            np.log(tune_r(worked_stats, 1e-2, 1e2, tol=1e-12)), abs=1e-11)
+
 
 class TestEvidenceCurve:
     def test_single_point_grid(self, worked_stats):

@@ -13,8 +13,10 @@ from gausset import (
     sample_matrix_normal,
     sample_wishart,
 )
+from gausset import linalg
 from gausset.errors import DomainError
 from gausset.linalg import cholesky
+from gausset.model_io import load_model, save_model
 from gausset.montecarlo import SeededGenerator
 
 
@@ -150,12 +152,12 @@ class TestMcPredictive:
             x = rng.normal(0.0, 1.5, size=dim)
             k = int(rng.integers(0, len(counts)))
             closed = np.exp(log_predictive(model, x, k))
-            estimate, se = mc_predictive(SeededGenerator(200 + i), post, x, k, 40000)
+            estimate, se = mc_predictive(SeededGenerator(200 + i), model, x, k, 40000)
             assert abs(estimate - closed) <= 3.0 * se
 
     def test_single_sample_is_finite_density(self):
         post = make_posterior(30, 2, [4, 4])
-        estimate, se = mc_predictive(SeededGenerator(31), post, np.zeros(2), 0, 1)
+        estimate, se = mc_predictive(SeededGenerator(31), build_model(post), np.zeros(2), 0, 1)
         assert np.isfinite(estimate) and estimate > 0
         assert se == np.inf
 
@@ -164,8 +166,8 @@ class TestMcPredictive:
         x = np.array([0.4, -0.7])
         ratios = []
         for seed in (41, 42, 43, 44):
-            _, se_n = mc_predictive(SeededGenerator(seed), post, x, 0, 30000)
-            _, se_2n = mc_predictive(SeededGenerator(seed + 100), post, x, 0, 60000)
+            _, se_n = mc_predictive(SeededGenerator(seed), build_model(post), x, 0, 30000)
+            _, se_2n = mc_predictive(SeededGenerator(seed + 100), build_model(post), x, 0, 60000)
             ratios.append(se_n / se_2n)
         assert np.mean(ratios) == pytest.approx(np.sqrt(2.0), rel=0.2)
 
@@ -182,7 +184,7 @@ class TestMcPredictive:
             closed = np.exp(log_predictive(model, x, 0))
             ses = []
             for n in (1000, 10000, 100000):
-                estimate, se = mc_predictive(SeededGenerator(400 + i), post, x, 0, n)
+                estimate, se = mc_predictive(SeededGenerator(400 + i), model, x, 0, n)
                 assert abs(estimate - closed) <= 4.0 * se, (i, n)
                 ses.append(se)
             ratios.append(ses[0] / ses[2])
@@ -211,23 +213,31 @@ class TestMcPredictive:
                      - 0.5 * np.einsum("si,sij,sj->s", diff, lams, diff))
             w = np.exp(log_w)
             brute, brute_se = w.mean(), w.std(ddof=1) / np.sqrt(n)
-            estimate, se = mc_predictive(SeededGenerator(700 + i), post, x, k, n)
+            estimate, se = mc_predictive(SeededGenerator(700 + i), build_model(post), x, k, n)
             assert abs(estimate - brute) <= 3.0 * np.hypot(se, brute_se), (dim, estimate, brute)
 
     def test_deterministic_given_seed(self):
         post = make_posterior(33, 2, [4, 4])
         x = np.array([1.0, 0.0])
-        first = mc_predictive(SeededGenerator(5150), post, x, 1, 5000)
-        second = mc_predictive(SeededGenerator(5150), post, x, 1, 5000)
+        first = mc_predictive(SeededGenerator(5150), build_model(post), x, 1, 5000)
+        second = mc_predictive(SeededGenerator(5150), build_model(post), x, 1, 5000)
         assert first == second
+
+    def test_reloaded_model_gives_identical_estimate(self, tmp_path):
+        model = build_model(make_posterior(36, 3, [5, 4]))
+        save_model(model, model.r, tmp_path / "model.json")
+        loaded, _ = load_model(tmp_path / "model.json")
+        x = np.array([0.3, -1.0, 0.8])
+        assert (mc_predictive(SeededGenerator(37), loaded, x, 1, 5000)
+                == mc_predictive(SeededGenerator(37), model, x, 1, 5000))
 
     def test_validation(self):
         post = make_posterior(34, 2, [4, 4])
         gen = SeededGenerator(35)
         with pytest.raises(IndexError):
-            mc_predictive(gen, post, np.zeros(2), 9, 10)
+            mc_predictive(gen, build_model(post), np.zeros(2), 9, 10)
         with pytest.raises(DomainError):
-            mc_predictive(gen, post, np.zeros(2), 0, 0)
+            mc_predictive(gen, build_model(post), np.zeros(2), 0, 0)
 
 
 class TestSampleDataset:
@@ -285,6 +295,16 @@ class TestRunVerification:
         assert not report["all_pass"]
         assert not any(p["pass"] for p in report["probes"]
                        if p["probe"].startswith("model-predictive"))
+
+    def test_model_run_factors_b_star_once(self, monkeypatch):
+        # The model-spd probe refactors B*; the Monte-Carlo probes reuse
+        # the model's own factor.
+        model = build_model(make_posterior(38, 2, [4, 5, 6]))
+        factor = linalg.cholesky
+        calls = []
+        monkeypatch.setattr(linalg, "cholesky", lambda a: calls.append(a) or factor(a))
+        run_verification(seed=39, n_samples=200, model=model)
+        assert len(calls) == 1
 
     def test_deterministic_report(self):
         a = run_verification(seed=42, n_samples=2000)
