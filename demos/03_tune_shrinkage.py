@@ -18,11 +18,10 @@ from gausset import (
     tune_r,
     write_curve_csv,
 )
-from gausset.montecarlo import SeededGenerator
 
 r_true = 0.5
-gen = SeededGenerator(2024)
-ds, truth = sample_dataset(gen, dim=2, counts=[12] * 15, r_true=r_true)
+rng = np.random.default_rng(2024)
+ds, _ = sample_dataset(rng, dim=2, counts=[12] * 15, r_true=r_true)
 stats = accumulate(ds)
 print(f"generated {stats.total} patterns in {stats.n_classes} classes, "
       f"r_true = {r_true}")
@@ -48,7 +47,7 @@ print(f"wrote evidence_curve.csv, grid mode at r = {curve.mode:.4f}")
 # size that matters for it.
 print("\ntuned r as the number of classes grows (same seed pattern):")
 for n_classes in (3, 10, 30):
-    ds_k, _ = sample_dataset(SeededGenerator(99), dim=2,
+    ds_k, _ = sample_dataset(np.random.default_rng(99), dim=2,
                              counts=[12] * n_classes, r_true=r_true)
     tuned_k = tune_r(accumulate(ds_k), 1e-3, 1e3, tol=1e-8)
     print(f"  K = {n_classes:3d}: tuned r = {tuned_k:.4f}")

@@ -21,22 +21,19 @@ from gausset import (
     sample_dataset,
     sample_wishart,
 )
-from gausset.montecarlo import SeededGenerator
 
 # --- 1. Wishart convention -------------------------------------------------
 # The sampler must have mean a B^{-1}; a wrong convention would silently
 # invert every other check, so this one comes first.
 a, b = 6.0, np.array([[2.0, 0.5], [0.5, 1.0]])
-gen = SeededGenerator(11)
-draws = sample_wishart(gen, a, b, size=20000)
+draws = sample_wishart(np.random.default_rng(11), a, b, size=20000)
 print("Wishart sample mean:\n", draws.mean(axis=0).round(3))
 print("analytic a B^-1:\n", (a * np.linalg.inv(b)).round(3))
 
 # --- 2. Predictive density vs the integral it came from --------------------
 # p(x | k) integrates Normal(x | mu_k, Lambda^-1) over the posterior on
 # (mu_k, Lambda). Sample that posterior and average the integrand.
-gen = SeededGenerator(12)
-ds, _ = sample_dataset(gen, dim=2, counts=[6, 8], r_true=1.0)
+ds, _ = sample_dataset(np.random.default_rng(12), dim=2, counts=[6, 8], r_true=1.0)
 prior = PriorHyper(r=0.8, a=4.0, b=np.eye(2))
 post = posterior(accumulate(ds), prior)
 model = build_model(post)
@@ -45,7 +42,7 @@ print("\nclosed form vs Monte-Carlo (200000 posterior samples):")
 for x in (np.array([0.5, -0.5]), np.array([2.0, 2.0])):
     for k in (0, 1):
         closed = np.exp(log_predictive(model, x, k))
-        estimate, stderr = mc_predictive(SeededGenerator(13), model, x, k, 200000)
+        estimate, stderr = mc_predictive(np.random.default_rng(13), model, x, k, 200000)
         sigmas = abs(estimate - closed) / stderr
         print(f"  x={x}, k={k}: closed {closed:.6f}  mc {estimate:.6f} "
               f"(se {stderr:.1e}, {sigmas:.2f} SE apart)")

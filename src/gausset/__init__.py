@@ -49,12 +49,12 @@ from .inference import (
 from .linalg import CholeskyFactor
 from .model_io import load_model, save_model
 from .montecarlo import (
-    SeededGenerator,
     mc_predictive,
     run_verification,
     sample_dataset,
     sample_matrix_normal,
     sample_wishart,
+    seeded_generator,
 )
 from .predictive import (
     ClassPrior,
@@ -90,7 +90,6 @@ __all__ = [
     "PosteriorMNW",
     "PredictiveModel",
     "PriorHyper",
-    "SeededGenerator",
     "ShapeMismatch",
     "SufficientStats",
     "accumulate",
@@ -117,6 +116,7 @@ __all__ = [
     "sample_wishart",
     "save_model",
     "score_batch",
+    "seeded_generator",
     "tune_r",
     "write_curve_csv",
     "zero_one_costs",

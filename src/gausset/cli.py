@@ -19,7 +19,6 @@ from . import evidence, model_io, montecarlo
 from .dataset import accumulate, load_csv, load_features
 from .errors import (
     DegenerateScatter,
-    DimensionMismatch,
     DomainError,
     GaussetError,
     InsufficientDof,
@@ -73,10 +72,6 @@ def cmd_fit(args) -> int:
 def cmd_classify(args) -> int:
     model, _ = model_io.load_model(args.model)
     _, patterns = load_features(args.data)
-    if patterns.shape[1] != model.dim:
-        raise DimensionMismatch(
-            f"data has {patterns.shape[1]} features, model expects {model.dim}"
-        )
     prior = _parse_class_prior(args.prior, model.n_classes)
     log_unnorm, posteriors, actions = score_batch(model, patterns, prior)
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
@@ -147,9 +142,9 @@ def cmd_gen_synth(args) -> int:
         raise DomainError(
             f"--per-class gives {len(counts)} counts for {args.classes} classes"
         )
-    gen = montecarlo.SeededGenerator(args.seed)
+    rng = montecarlo.seeded_generator(args.seed)
     precision = args.lambda_scale * np.eye(args.dim)
-    ds, truth = montecarlo.sample_dataset(gen, args.dim, counts, args.r_true,
+    ds, means = montecarlo.sample_dataset(rng, args.dim, counts, args.r_true,
                                           precision=precision)
     with open(args.out, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -157,12 +152,11 @@ def cmd_gen_synth(args) -> int:
         for row, label in zip(ds.patterns, ds.labels):
             writer.writerow([*row.tolist(), ds.class_names[label]])
     sidecar = {
-        "r_true": truth["r_true"],
-        "seed": truth["seed"],
-        "counts": {name: int(c) for name, c in zip(ds.class_names, counts)},
-        "means": {name: truth["means"][:, k].tolist()
-                  for k, name in enumerate(ds.class_names)},
-        "precision": [row.tolist() for row in truth["precision"]],
+        "r_true": args.r_true,
+        "seed": args.seed,
+        "counts": dict(zip(ds.class_names, counts)),
+        "means": {name: means[:, k].tolist() for k, name in enumerate(ds.class_names)},
+        "precision": [row.tolist() for row in precision],
     }
     truth_path = str(args.out) + ".truth.json"
     with open(truth_path, "w", encoding="utf-8") as handle:

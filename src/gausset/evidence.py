@@ -170,10 +170,13 @@ def log_evidence_proper(stats: SufficientStats, prior: PriorHyper) -> float:
     any order, of the log predictive of each pattern given all earlier
     ones. An empty dataset scores exactly 0.
     """
-    if not prior.proper or prior.b is None:
-        raise ImproperPrior(
-            "proper evidence needs a > N - 1 and a positive definite B"
-        )
+    improper = ImproperPrior("proper evidence needs a > N - 1 and a positive definite B")
+    if prior.b is None or not prior.a > prior.b.shape[0] - 1:
+        raise improper
+    try:
+        factor_b = linalg.cholesky(prior.b)
+    except NotPositiveDefinite:
+        raise improper from None
     if prior.b.shape[0] != stats.dim:
         raise ImproperPrior(
             f"prior scale matrix is {prior.b.shape[0]}-dimensional, "
@@ -182,7 +185,6 @@ def log_evidence_proper(stats: SufficientStats, prior: PriorHyper) -> float:
     n, k, t = stats.dim, stats.n_classes, stats.total
     post = posterior(stats, prior)
     try:
-        factor_b = linalg.cholesky(prior.b)
         factor_bstar = linalg.cholesky(post.b_star)
     except NotPositiveDefinite as exc:
         raise DegenerateScatter("posterior scale matrix is singular") from exc

@@ -27,13 +27,13 @@ input ``a = 0, B = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .dataset import SufficientStats
-from .errors import NotPositiveDefinite, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,13 @@ class PriorHyper:
     ``r`` is the shrinkage precision pulling class means toward the
     origin; larger r shrinks harder and is what makes classes with no
     training data scorable. ``b=None`` stands for the zero matrix.
-    ``proper`` records whether (a, B) define a normalizable prior
-    (``a > N - 1`` and B positive definite); only proper priors have a
-    finite evidence constant.
+    Only a proper prior (``a > N - 1`` and B positive definite) has a
+    finite evidence constant; ``log_evidence_proper`` checks that.
     """
 
     r: float
     a: float = 0.0
     b: np.ndarray | None = None
-    proper: bool = field(init=False)
 
     def __post_init__(self):
         r = float(self.r)
@@ -60,21 +58,13 @@ class PriorHyper:
             raise ValueError(f"shrinkage precision r must be positive, got {r}")
         if not a >= 0.0:
             raise ValueError(f"degrees of freedom a must be non-negative, got {a}")
-        proper = False
         b = self.b
         if b is not None:
             b = linalg.symmetrize(b)
             b.flags.writeable = False
-            if a > b.shape[0] - 1:
-                try:
-                    linalg.cholesky(b)
-                    proper = True
-                except NotPositiveDefinite:
-                    proper = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "proper", proper)
 
     @classmethod
     def noninformative(cls, r: float) -> "PriorHyper":

@@ -12,15 +12,16 @@ exp(-tr(B Lambda)/2)`` and mean ``a B^{-1}``. Textbooks often use the
 inverse scale instead; the mean check in the verification suite pins
 the convention down before any oracle result is trusted.
 
-Randomness comes from numpy's PCG64 via :class:`SeededGenerator`. The
-bit stream is a pure function of the 64-bit seed, so estimates are
-reproducible bit for bit on a platform and across platforms for a given
-numpy version.
+Every sampler draws from the ``numpy.random.Generator`` it is given.
+:func:`seeded_generator` builds the one that ``verify`` and ``gen-synth``
+use, PCG64 on the user's seed. Its bit stream is a pure function of the
+seed, so estimates are reproducible bit for bit on a platform and across
+platforms for a given numpy version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -30,39 +31,30 @@ from .errors import DomainError, NotPositiveDefinite, ShapeMismatch
 from .evidence import log_evidence_proper
 from .inference import PriorHyper, posterior
 from .linalg import CholeskyFactor
-from .predictive import PredictiveModel, build_model, log_predictive
+from .predictive import PredictiveModel, _one_row, build_model, log_predictive
 
 
-@dataclass
-class SeededGenerator:
-    """Deterministic random source. Same seed, same sample stream."""
-
-    seed: int
-
-    def __post_init__(self):
-        self.seed = int(self.seed)
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
+def seeded_generator(seed) -> np.random.Generator:
+    """PCG64 generator for a user seed. Same seed, same sample stream."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def _bartlett_diagonal(gen: SeededGenerator, a: float, dim: int, n: int) -> np.ndarray:
+def _bartlett_diagonal(rng: np.random.Generator, a: float, dim: int, n: int) -> np.ndarray:
     """Diagonals of n Bartlett factors A, A A^T ~ Wishart(a, I), as (n, N).
 
     Entry i is sqrt(chi-square(a - i)), drawn column by column. The
     entries below it are independent standard normals, independent of the
     diagonal, so each caller draws only what it reads of them.
     """
-    rng = gen.rng
     diag = np.empty((n, dim))
     for i in range(dim):
         diag[:, i] = np.sqrt(rng.chisquare(a - i, size=n))
     return diag
 
 
-def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
+def sample_wishart(rng: np.random.Generator, a: float, b, size=None) -> np.ndarray:
     """Draws from Wishart(a, B), mean a B^{-1}, of shape ``size + (N, N)``.
 
     ``size=None`` gives one (N, N) draw. Lambda = G G^T with G = U^{-T} A
@@ -80,15 +72,15 @@ def sample_wishart(gen: SeededGenerator, a: float, b, size=None) -> np.ndarray:
     batch = () if size is None else tuple(int(s) for s in np.atleast_1d(size))
     n = int(np.prod(batch))
     bart = np.zeros((n, dim, dim))
-    bart[:, np.arange(dim), np.arange(dim)] = _bartlett_diagonal(gen, float(a), dim, n)
-    bart[(slice(None),) + np.tril_indices(dim, k=-1)] = gen.rng.standard_normal(
+    bart[:, np.arange(dim), np.arange(dim)] = _bartlett_diagonal(rng, float(a), dim, n)
+    bart[(slice(None),) + np.tril_indices(dim, k=-1)] = rng.standard_normal(
         (n, dim * (dim - 1) // 2))
     g = chol_b.inverse.T @ bart
     draws = linalg.symmetrize(g @ g.transpose(0, 2, 1))
     return draws.reshape(batch + (dim, dim))
 
 
-def sample_matrix_normal(gen: SeededGenerator, m, r_diag,
+def sample_matrix_normal(rng: np.random.Generator, m, r_diag,
                          chol_precision: CholeskyFactor) -> np.ndarray:
     """Draw an N x K matrix with independent columns.
 
@@ -105,11 +97,11 @@ def sample_matrix_normal(gen: SeededGenerator, m, r_diag,
         raise ShapeMismatch("mean matrix rows do not match the precision dimension")
     if np.any(r_diag <= 0.0):
         raise ValueError("column precisions must be positive")
-    z = gen.rng.standard_normal(m.shape)
+    z = rng.standard_normal(m.shape)
     return m + (chol_precision.inverse.T @ z) / np.sqrt(r_diag)[None, :]
 
 
-def mc_predictive(gen: SeededGenerator, model: PredictiveModel, x, k: int,
+def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
                   n_samples: int):
     """Monte-Carlo estimate of the predictive density of x under class k.
 
@@ -124,27 +116,25 @@ def mc_predictive(gen: SeededGenerator, model: PredictiveModel, x, k: int,
     In the body's notation, v = A^T d - sqrt(c*) z given d has independent
     coordinates v_j = A_jj d_j + Normal(0, t_j + c*), t_j = sum_{i>j} d_i^2.
 
-    With ``n_samples = 1`` the estimate is a single density value and
-    the standard error is infinite.
+    Draws come from ``rng``, any ``numpy.random.Generator``. x and k are
+    checked as the scorer checks them (``DimensionMismatch``,
+    ``IndexError``). With ``n_samples = 1`` the estimate is a single
+    density value and the standard error is infinite.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _one_row(model, x, k)[0]
     dim = model.dim
-    if x.shape != (dim,):
-        raise ShapeMismatch(f"pattern has shape {x.shape}, model dimension is {dim}")
-    if not 0 <= k < model.n_classes:
-        raise IndexError(f"class index {k} out of range for K={model.n_classes}")
     if n_samples < 1:
         raise DomainError("need at least one sample")
 
     mu_k, c_k = model.mu_star[:, k], float(model.c_star[k])
-    diag = _bartlett_diagonal(gen, model.a_star, dim, n_samples)
+    diag = _bartlett_diagonal(rng, model.a_star, dim, n_samples)
     # Lambda = G G^T with G = L^{-T} A and B* = L L^T, so log|Lambda| is
     # 2 sum log A_jj - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
     # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = L^{-1}(x - mu_k).
     logdets = 2.0 * np.sum(np.log(diag), axis=1) - model.logdet_b_star
     d = model.chol_b_star.inverse @ (x - mu_k)
     tails = np.append(np.cumsum(d[:0:-1] ** 2)[::-1], 0.0)
-    v = diag * d + np.sqrt(tails + c_k) * gen.rng.standard_normal((n_samples, dim))
+    v = diag * d + np.sqrt(tails + c_k) * rng.standard_normal((n_samples, dim))
     log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v * v, axis=1)
 
     shift = float(np.max(log_weights))
@@ -157,16 +147,16 @@ def mc_predictive(gen: SeededGenerator, model: PredictiveModel, x, k: int,
     return estimate, float(np.exp(shift) * np.sqrt(jack_var))
 
 
-def sample_dataset(gen: SeededGenerator, dim: int, counts, r_true: float,
-                   precision=None, class_names=None):
+def sample_dataset(rng: np.random.Generator, dim: int, counts, r_true: float,
+                   precision=None):
     """Draw a dataset from the model's own generative story.
 
     Class means come from Normal(0, (1/r_true) Lambda^{-1}), then each
     class k contributes ``counts[k]`` patterns from Normal(mu_k,
-    Lambda^{-1}). ``precision`` defaults to the identity. Classes with a
-    zero count appear in the dataset's class list but contribute no
-    rows. Returns ``(dataset, truth)`` where ``truth`` records the
-    sampled means, the precision and r_true.
+    Lambda^{-1}), rows grouped by class in class order. ``precision``
+    defaults to the identity. Classes are named ``class_0`` onwards; one
+    with a zero count appears in the class list but contributes no rows.
+    Returns ``(dataset, means)`` with the sampled N x K mean matrix.
     """
     counts = [int(c) for c in counts]
     if dim < 1 or not counts or any(c < 0 for c in counts):
@@ -177,29 +167,13 @@ def sample_dataset(gen: SeededGenerator, dim: int, counts, r_true: float,
     if precision is None:
         precision = np.eye(dim)
     chol_precision = linalg.cholesky(linalg.symmetrize(precision))
-    means = sample_matrix_normal(gen, np.zeros((dim, n_classes)),
+    means = sample_matrix_normal(rng, np.zeros((dim, n_classes)),
                                  np.full(n_classes, float(r_true)), chol_precision)
-    rows = []
-    labels = []
-    for k, count in enumerate(counts):
-        if count == 0:
-            continue
-        z = gen.rng.standard_normal((count, dim))
-        rows.append(means[:, k][None, :] + z @ chol_precision.inverse)
-        labels.extend([k] * count)
-    patterns = np.vstack(rows) if rows else np.zeros((0, dim))
-    if class_names is None:
-        class_names = tuple(f"class_{k}" for k in range(n_classes))
-    ds = LabeledDataset(patterns, np.asarray(labels, dtype=np.int64),
-                        tuple(class_names))
-    truth = {
-        "r_true": float(r_true),
-        "means": means,
-        "precision": np.asarray(precision, dtype=np.float64),
-        "counts": counts,
-        "seed": gen.seed,
-    }
-    return ds, truth
+    labels = np.repeat(np.arange(n_classes), counts)
+    z = rng.standard_normal((labels.size, dim))
+    patterns = means.T[labels] + z @ chol_precision.inverse
+    names = tuple(f"class_{k}" for k in range(n_classes))
+    return LabeledDataset(patterns, labels, names), means
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +202,10 @@ def _failed_probe(name, reason):
     }
 
 
-def _wishart_mean_probe(gen: SeededGenerator, n_samples: int):
+def _wishart_mean_probe(rng: np.random.Generator, n_samples: int):
     a = 5.0
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
-    samples = sample_wishart(gen, a, b, size=n_samples)
+    samples = sample_wishart(rng, a, b, size=n_samples)
     expected = a * np.linalg.inv(b)
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
@@ -239,9 +213,9 @@ def _wishart_mean_probe(gen: SeededGenerator, n_samples: int):
     return _probe("wishart-mean", expected[worst], mean[worst], se[worst])
 
 
-def _chain_rule_probe(gen: SeededGenerator, tol: float = 1e-8):
+def _chain_rule_probe(rng: np.random.Generator, tol: float = 1e-8):
     dim = 2
-    ds, _ = sample_dataset(gen, dim=dim, counts=[5, 5], r_true=1.0)
+    ds, _ = sample_dataset(rng, dim=dim, counts=[5, 5], r_true=1.0)
     prior = PriorHyper(r=0.8, a=dim + 2.0, b=np.eye(dim))
     total = 0.0
     running = SufficientStats.zeros(dim, ds.n_classes)
@@ -254,23 +228,23 @@ def _chain_rule_probe(gen: SeededGenerator, tol: float = 1e-8):
     return _probe("evidence-chain-rule", reference, total, tol / 3.0)
 
 
-def _predictive_probes(gen: SeededGenerator, n_samples: int):
+def _predictive_probes(rng: np.random.Generator, n_samples: int):
     results = []
     for dim, n_classes in ((1, 2), (2, 2), (3, 1)):
-        counts = list(gen.rng.integers(3, 8, size=n_classes))
-        ds, _ = sample_dataset(gen, dim=dim, counts=counts, r_true=1.0)
+        counts = list(rng.integers(3, 8, size=n_classes))
+        ds, _ = sample_dataset(rng, dim=dim, counts=counts, r_true=1.0)
         prior = PriorHyper(r=0.5, a=dim + 2.0, b=np.eye(dim))
         post = posterior(accumulate(ds), prior)
         model = build_model(post)
-        k = int(gen.rng.integers(0, n_classes))
-        x = gen.rng.normal(0.0, 1.5, size=dim)
+        k = int(rng.integers(0, n_classes))
+        x = rng.normal(0.0, 1.5, size=dim)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, se = mc_predictive(gen, model, x, k, n_samples)
+        estimate, se = mc_predictive(rng, model, x, k, n_samples)
         results.append(_probe(f"mc-predictive-N{dim}K{n_classes}", closed, estimate, se))
     return results
 
 
-def _model_probes(gen: SeededGenerator, model, n_samples: int):
+def _model_probes(rng: np.random.Generator, model, n_samples: int):
     results = []
     try:
         chol = linalg.cholesky(model.b_star)
@@ -280,9 +254,9 @@ def _model_probes(gen: SeededGenerator, model, n_samples: int):
         results.append(_failed_probe("model-spd", "B* not positive definite"))
         return results
     for k in range(min(model.n_classes, 3)):
-        x = model.mu_star[:, k] + gen.rng.normal(0.0, 1.0, size=model.dim)
+        x = model.mu_star[:, k] + rng.normal(0.0, 1.0, size=model.dim)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, se = mc_predictive(gen, model, x, k, n_samples)
+        estimate, se = mc_predictive(rng, model, x, k, n_samples)
         results.append(_probe(f"model-predictive-{model.class_names[k]}",
                               closed, estimate, se))
     return results
@@ -298,14 +272,15 @@ def run_verification(seed: int, n_samples: int = 20000, model=None):
     scores against the Monte-Carlo integral. Every stochastic probe uses
     the same three-standard-error rule and needs a finite standard error,
     so ``n_samples = 1`` fails every Monte-Carlo probe. ``n_samples < 1``
-    raises :class:`DomainError` before anything is drawn.
+    or a seed that is not a non-negative integer raises
+    :class:`DomainError` before anything is drawn.
     """
     if n_samples < 1:
         raise DomainError(f"need at least one sample, got n_samples={n_samples}")
-    gen = SeededGenerator(seed)
+    rng = seeded_generator(seed)
     if model is not None:
-        probes = _model_probes(gen, model, n_samples)
+        probes = _model_probes(rng, model, n_samples)
     else:
-        probes = [_wishart_mean_probe(gen, n_samples), _chain_rule_probe(gen)]
-        probes.extend(_predictive_probes(gen, n_samples))
+        probes = [_wishart_mean_probe(rng, n_samples), _chain_rule_probe(rng)]
+        probes.extend(_predictive_probes(rng, n_samples))
     return {"probes": probes, "all_pass": all(p["pass"] for p in probes)}

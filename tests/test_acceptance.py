@@ -34,7 +34,6 @@ from gausset import (
 )
 from gausset.cli import main as cli_main
 from gausset.inference import _posterior_general
-from gausset.montecarlo import SeededGenerator
 
 from test_evidence import sequential_log_predictive
 
@@ -49,7 +48,7 @@ def test_01_closed_form_vs_monte_carlo_predictive():
     rng = np.random.default_rng(2026)
     worst = 0.0
     for dim, n_classes, seed in specs:
-        gen = SeededGenerator(seed)
+        gen = np.random.default_rng(seed)
         counts = list(rng.integers(3, 11, size=n_classes))
         ds, _ = sample_dataset(gen, dim=dim, counts=counts, r_true=1.0)
         prior = PriorHyper(r=0.6, a=dim + 2.0, b=np.eye(dim))
@@ -58,7 +57,7 @@ def test_01_closed_form_vs_monte_carlo_predictive():
         k = int(rng.integers(0, n_classes))
         x = rng.normal(0.0, 1.5, size=dim)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, stderr = mc_predictive(SeededGenerator(seed + 1000), model,
+        estimate, stderr = mc_predictive(np.random.default_rng(seed + 1000), model,
                                          x, k, 200000)
         deviation = abs(estimate - closed) / stderr
         worst = max(worst, deviation)
@@ -71,7 +70,7 @@ def test_01_closed_form_vs_monte_carlo_predictive():
 
 def test_02_chain_rule_evidence_identity():
     started = time.perf_counter()
-    gen = SeededGenerator(7)
+    gen = np.random.default_rng(7)
     ds, _ = sample_dataset(gen, dim=2, counts=[6, 6], r_true=1.0)
     prior = PriorHyper(r=0.9, a=4.0, b=np.eye(2))
     reference = log_evidence_proper(accumulate(ds), prior)
@@ -165,7 +164,7 @@ def test_06_openset_invariance(worked_posterior):
 def test_07_wishart_convention():
     a = 5.0
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
-    gen = SeededGenerator(77)
+    gen = np.random.default_rng(77)
     n = 100000
     samples = sample_wishart(gen, a, b, size=n)
     expected = a * np.linalg.inv(b)
@@ -180,7 +179,7 @@ def test_07_wishart_convention():
 def test_08_tuned_r_matches_grid_and_truth():
     started = time.perf_counter()
     r_true = 1.0
-    gen = SeededGenerator(88)
+    gen = np.random.default_rng(88)
     ds, _ = sample_dataset(gen, dim=2, counts=[10] * 20, r_true=r_true)
     stats = accumulate(ds)
     r_min, r_max, n_grid = 1e-3, 1e3, 1000
@@ -212,7 +211,7 @@ def test_09_degenerate_fit_is_structured_error(tmp_path, capsys):
 
 def test_10_model_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(55)
-    gen = SeededGenerator(56)
+    gen = np.random.default_rng(56)
     train, _ = sample_dataset(gen, dim=3, counts=[40, 30, 30], r_true=0.5)
     post = posterior(accumulate(train), PriorHyper.noninformative(0.7))
     model = build_model(post, class_names=train.class_names)

@@ -230,6 +230,14 @@ class TestVerify:
             assert set(probe) == {"probe", "closed_form", "mc_estimate",
                                   "std_error", "pass"}
 
+    def test_negative_seed_is_an_aborted_verification(self, capsys):
+        assert run(["verify", "--seed", "-1", "--samples", "10"]) == 1
+        out = capsys.readouterr().out
+        assert "verification aborted" in out
+        report = json.loads(out.strip().splitlines()[-1])
+        assert report["probes"] == [] and report["all_pass"] is False
+        assert "seed" in report["error"] and "-1" in report["error"]
+
     def test_corrupted_model_exits_1(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         write_worked_csv(data)
@@ -357,6 +365,13 @@ class TestGenSynth:
             assert run(["gen-synth", "--out", out, "--dim", "2", "--classes", "2",
                         "--per-class", "5", "--seed", "33"]) == 0
         assert out1.read_text() == out2.read_text()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert run(["gen-synth", "--out", tmp_path / "x.csv", "--dim", "2",
+                    "--classes", "2", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_count_spec(self, tmp_path):
         assert run(["gen-synth", "--out", tmp_path / "x.csv", "--dim", "2",

@@ -7,8 +7,10 @@ from gausset import (
     accumulate,
     add_empty_class,
     column_marginal,
+    log_evidence_proper,
     posterior,
 )
+from gausset.errors import ImproperPrior
 from gausset.inference import _posterior_general
 
 from conftest import random_spd
@@ -26,12 +28,17 @@ class TestPriorHyper:
             PriorHyper(r=1.0, a=-0.5)
 
     def test_proper_flag(self):
-        assert not PriorHyper.noninformative(1.0).proper
-        assert PriorHyper(r=1.0, a=3.0, b=np.eye(2)).proper
+        stats = accumulate(LabeledDataset(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]]),
+                                          np.array([0, 0, 1]), ("a", "b")))
+        with pytest.raises(ImproperPrior):
+            log_evidence_proper(stats, PriorHyper.noninformative(1.0))
+        assert np.isfinite(log_evidence_proper(stats, PriorHyper(r=1.0, a=3.0, b=np.eye(2))))
         # a too small for the dimension
-        assert not PriorHyper(r=1.0, a=0.5, b=np.eye(2)).proper
+        with pytest.raises(ImproperPrior):
+            log_evidence_proper(stats, PriorHyper(r=1.0, a=0.5, b=np.eye(2)))
         # scale matrix not positive definite
-        assert not PriorHyper(r=1.0, a=3.0, b=np.zeros((2, 2))).proper
+        with pytest.raises(ImproperPrior):
+            log_evidence_proper(stats, PriorHyper(r=1.0, a=3.0, b=np.zeros((2, 2))))
 
 
 class TestPosterior:

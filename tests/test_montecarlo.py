@@ -12,16 +12,16 @@ from gausset import (
     sample_dataset,
     sample_matrix_normal,
     sample_wishart,
+    seeded_generator,
 )
 from gausset import linalg
 from gausset.errors import DomainError
 from gausset.linalg import cholesky
 from gausset.model_io import load_model, save_model
-from gausset.montecarlo import SeededGenerator
 
 
 def make_posterior(seed, dim, counts, r=0.5):
-    gen = SeededGenerator(seed)
+    gen = np.random.default_rng(seed)
     ds, _ = sample_dataset(gen, dim=dim, counts=counts, r_true=1.0)
     prior = PriorHyper(r=r, a=dim + 2.0, b=np.eye(dim))
     return posterior(accumulate(ds), prior)
@@ -29,9 +29,14 @@ def make_posterior(seed, dim, counts, r=0.5):
 
 class TestSeededGenerator:
     def test_same_seed_same_stream(self):
-        a = SeededGenerator(123).rng.standard_normal(10)
-        b = SeededGenerator(123).rng.standard_normal(10)
+        a = seeded_generator(123).standard_normal(10)
+        b = np.random.Generator(np.random.PCG64(123)).standard_normal(10)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_negative_or_fractional_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            seeded_generator(seed)
 
 
 class TestSampleWishart:
@@ -40,7 +45,7 @@ class TestSampleWishart:
         # convention before any oracle result is trusted.
         a = 5.0
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
-        gen = SeededGenerator(7)
+        gen = np.random.default_rng(7)
         n = 20000
         samples = sample_wishart(gen, a, b, size=n)
         expected = a * np.linalg.inv(b)
@@ -51,14 +56,14 @@ class TestSampleWishart:
         # With B = 1 the density is Gamma(shape a/2, rate 1/2): mean a,
         # variance 2a.
         a = 6.5
-        gen = SeededGenerator(8)
+        gen = np.random.default_rng(8)
         n = 40000
         draws = sample_wishart(gen, a, [[1.0]], size=n)[:, 0, 0]
         assert draws.mean() == pytest.approx(a, abs=3.0 * draws.std() / np.sqrt(n))
         assert draws.var(ddof=1) == pytest.approx(2.0 * a, rel=0.05)
 
     def test_every_sample_is_positive_definite(self):
-        gen = SeededGenerator(9)
+        gen = np.random.default_rng(9)
         b = np.array([[2.0, -0.4, 0.1], [-0.4, 1.5, 0.3], [0.1, 0.3, 0.9]])
         for draw in sample_wishart(gen, 4.2, b, size=200):
             cholesky(draw)
@@ -70,7 +75,7 @@ class TestSampleWishart:
         # normals below it keeps the mean a B^{-1} but not these variances.
         a = 7.0
         b = np.array([[2.0, -0.4, 0.1], [-0.4, 1.5, 0.3], [0.1, 0.3, 0.9]])
-        samples = sample_wishart(SeededGenerator(14), a, b, size=200000)
+        samples = sample_wishart(np.random.default_rng(14), a, b, size=200000)
         sigma = np.linalg.inv(b)
         expected = a * (sigma ** 2 + np.outer(np.diag(sigma), np.diag(sigma)))
         np.testing.assert_allclose(samples.var(axis=0, ddof=1), expected, rtol=0.05)
@@ -82,8 +87,8 @@ class TestSampleWishart:
         a, dim, n, seed = 6.5, 4, 3, 16
         b = np.array([[2.0, -0.4, 0.1, 0.0], [-0.4, 1.5, 0.3, 0.2],
                       [0.1, 0.3, 0.9, -0.1], [0.0, 0.2, -0.1, 1.2]])
-        draws = sample_wishart(SeededGenerator(seed), a, b, size=n)
-        rng = SeededGenerator(seed).rng
+        draws = sample_wishart(np.random.default_rng(seed), a, b, size=n)
+        rng = np.random.default_rng(seed)
         bart = np.zeros((n, dim, dim))
         for i in range(dim):
             bart[:, i, i] = np.sqrt(rng.chisquare(a - i, size=n))
@@ -94,13 +99,13 @@ class TestSampleWishart:
 
     def test_size_none_is_first_of_size_one(self):
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
-        single = sample_wishart(SeededGenerator(15), 5.0, b)
-        batch = sample_wishart(SeededGenerator(15), 5.0, b, size=1)
+        single = sample_wishart(np.random.default_rng(15), 5.0, b)
+        batch = sample_wishart(np.random.default_rng(15), 5.0, b, size=1)
         assert single.shape == (2, 2) and batch.shape == (1, 2, 2)
         np.testing.assert_array_equal(single, batch[0])
 
     def test_domain_errors(self):
-        gen = SeededGenerator(10)
+        gen = np.random.default_rng(10)
         with pytest.raises(DomainError):
             sample_wishart(gen, 1.0, np.eye(2))  # needs a > N - 1
         with pytest.raises(DomainError):
@@ -109,7 +114,7 @@ class TestSampleWishart:
 
 class TestSampleMatrixNormal:
     def test_column_means(self):
-        gen = SeededGenerator(11)
+        gen = np.random.default_rng(11)
         m = np.array([[1.0, -2.0], [0.5, 3.0]])
         r_diag = np.array([2.0, 5.0])
         chol_prec = cholesky(np.array([[1.5, 0.4], [0.4, 1.0]]))
@@ -121,7 +126,7 @@ class TestSampleMatrixNormal:
 
     def test_column_covariance(self):
         # Column k has covariance Lambda^{-1} / r_k.
-        gen = SeededGenerator(12)
+        gen = np.random.default_rng(12)
         precision = np.array([[1.5, 0.4], [0.4, 1.0]])
         r_diag = np.array([2.0, 5.0])
         chol_prec = cholesky(precision)
@@ -136,7 +141,7 @@ class TestSampleMatrixNormal:
             assert err < 0.05
 
     def test_concentrates_at_large_precision(self):
-        gen = SeededGenerator(13)
+        gen = np.random.default_rng(13)
         m = np.array([[2.0], [-1.0]])
         draw = sample_matrix_normal(gen, m, np.array([1e12]), cholesky(np.eye(2)))
         assert np.max(np.abs(draw - m)) < 1e-5
@@ -152,12 +157,12 @@ class TestMcPredictive:
             x = rng.normal(0.0, 1.5, size=dim)
             k = int(rng.integers(0, len(counts)))
             closed = np.exp(log_predictive(model, x, k))
-            estimate, se = mc_predictive(SeededGenerator(200 + i), model, x, k, 40000)
+            estimate, se = mc_predictive(np.random.default_rng(200 + i), model, x, k, 40000)
             assert abs(estimate - closed) <= 3.0 * se
 
     def test_single_sample_is_finite_density(self):
         post = make_posterior(30, 2, [4, 4])
-        estimate, se = mc_predictive(SeededGenerator(31), build_model(post), np.zeros(2), 0, 1)
+        estimate, se = mc_predictive(np.random.default_rng(31), build_model(post), np.zeros(2), 0, 1)
         assert np.isfinite(estimate) and estimate > 0
         assert se == np.inf
 
@@ -166,8 +171,8 @@ class TestMcPredictive:
         x = np.array([0.4, -0.7])
         ratios = []
         for seed in (41, 42, 43, 44):
-            _, se_n = mc_predictive(SeededGenerator(seed), build_model(post), x, 0, 30000)
-            _, se_2n = mc_predictive(SeededGenerator(seed + 100), build_model(post), x, 0, 60000)
+            _, se_n = mc_predictive(np.random.default_rng(seed), build_model(post), x, 0, 30000)
+            _, se_2n = mc_predictive(np.random.default_rng(seed + 100), build_model(post), x, 0, 60000)
             ratios.append(se_n / se_2n)
         assert np.mean(ratios) == pytest.approx(np.sqrt(2.0), rel=0.2)
 
@@ -184,7 +189,7 @@ class TestMcPredictive:
             closed = np.exp(log_predictive(model, x, 0))
             ses = []
             for n in (1000, 10000, 100000):
-                estimate, se = mc_predictive(SeededGenerator(400 + i), model, x, 0, n)
+                estimate, se = mc_predictive(np.random.default_rng(400 + i), model, x, 0, n)
                 assert abs(estimate - closed) <= 4.0 * se, (i, n)
                 ses.append(se)
             ratios.append(ses[0] / ses[2])
@@ -201,7 +206,7 @@ class TestMcPredictive:
             post = make_posterior(500 + i, dim, counts)
             x = rng.normal(0.0, 1.5, size=dim)
             k = int(rng.integers(0, len(counts)))
-            gen = SeededGenerator(600 + i)
+            gen = np.random.default_rng(600 + i)
             lams = sample_wishart(gen, post.a_star, post.b_star, size=n)
             mus = np.array([sample_matrix_normal(gen, post.m_star[:, [k]],
                                                  post.r_star_diag[[k]],
@@ -213,14 +218,14 @@ class TestMcPredictive:
                      - 0.5 * np.einsum("si,sij,sj->s", diff, lams, diff))
             w = np.exp(log_w)
             brute, brute_se = w.mean(), w.std(ddof=1) / np.sqrt(n)
-            estimate, se = mc_predictive(SeededGenerator(700 + i), build_model(post), x, k, n)
+            estimate, se = mc_predictive(np.random.default_rng(700 + i), build_model(post), x, k, n)
             assert abs(estimate - brute) <= 3.0 * np.hypot(se, brute_se), (dim, estimate, brute)
 
     def test_deterministic_given_seed(self):
         post = make_posterior(33, 2, [4, 4])
         x = np.array([1.0, 0.0])
-        first = mc_predictive(SeededGenerator(5150), build_model(post), x, 1, 5000)
-        second = mc_predictive(SeededGenerator(5150), build_model(post), x, 1, 5000)
+        first = mc_predictive(np.random.default_rng(5150), build_model(post), x, 1, 5000)
+        second = mc_predictive(np.random.default_rng(5150), build_model(post), x, 1, 5000)
         assert first == second
 
     def test_reloaded_model_gives_identical_estimate(self, tmp_path):
@@ -228,12 +233,12 @@ class TestMcPredictive:
         save_model(model, model.r, tmp_path / "model.json")
         loaded, _ = load_model(tmp_path / "model.json")
         x = np.array([0.3, -1.0, 0.8])
-        assert (mc_predictive(SeededGenerator(37), loaded, x, 1, 5000)
-                == mc_predictive(SeededGenerator(37), model, x, 1, 5000))
+        assert (mc_predictive(np.random.default_rng(37), loaded, x, 1, 5000)
+                == mc_predictive(np.random.default_rng(37), model, x, 1, 5000))
 
     def test_validation(self):
         post = make_posterior(34, 2, [4, 4])
-        gen = SeededGenerator(35)
+        gen = np.random.default_rng(35)
         with pytest.raises(IndexError):
             mc_predictive(gen, build_model(post), np.zeros(2), 9, 10)
         with pytest.raises(DomainError):
@@ -242,29 +247,48 @@ class TestMcPredictive:
 
 class TestSampleDataset:
     def test_zero_count_class_has_no_rows(self):
-        gen = SeededGenerator(50)
-        ds, truth = sample_dataset(gen, dim=2, counts=[5, 0, 3], r_true=1.0)
+        gen = np.random.default_rng(50)
+        ds, means = sample_dataset(gen, dim=2, counts=[5, 0, 3], r_true=1.0)
         assert ds.n_classes == 3
         assert not np.any(ds.labels == 1)
-        assert truth["means"].shape == (2, 3)
+        assert means.shape == (2, 3)
 
     def test_large_class_mean_near_truth(self):
         # Law of large numbers: the sample mean sits within 4 / sqrt(T_k)
         # scale units of the sampled class mean (unit within-class scale).
-        gen = SeededGenerator(51)
+        gen = np.random.default_rng(51)
         count = 400
-        ds, truth = sample_dataset(gen, dim=2, counts=[count], r_true=1.0)
+        ds, means = sample_dataset(gen, dim=2, counts=[count], r_true=1.0)
         sample_mean = ds.patterns.mean(axis=0)
-        assert np.all(np.abs(sample_mean - truth["means"][:, 0])
+        assert np.all(np.abs(sample_mean - means[:, 0])
                       <= 4.0 / np.sqrt(count))
 
     def test_deterministic(self):
-        ds1, _ = sample_dataset(SeededGenerator(52), 2, [3, 3], 1.0)
-        ds2, _ = sample_dataset(SeededGenerator(52), 2, [3, 3], 1.0)
+        ds1, _ = sample_dataset(np.random.default_rng(52), 2, [3, 3], 1.0)
+        ds2, _ = sample_dataset(np.random.default_rng(52), 2, [3, 3], 1.0)
         np.testing.assert_array_equal(ds1.patterns, ds2.patterns)
 
+    def test_rows_match_per_class_draws(self):
+        # Rows are drawn class by class from one stream, after the means, so
+        # a seed gives the dataset it always has. A diagonal precision gives
+        # bit-identical rows; a full one may differ in the last bits with
+        # the shape of the matrix product.
+        counts = [4, 0, 6, 3]
+        a = np.random.default_rng(54).standard_normal((5, 5))
+        for precision, rtol in ((2.5 * np.eye(5), 0.0), (a @ a.T + 5.0 * np.eye(5), 1e-13)):
+            ds, means = sample_dataset(np.random.default_rng(55), 5, counts, 0.7,
+                                       precision=precision)
+            rng = np.random.default_rng(55)
+            chol = cholesky(precision)
+            expected = sample_matrix_normal(rng, np.zeros((5, 4)), np.full(4, 0.7), chol)
+            rows = [expected[:, k] + rng.standard_normal((c, 5)) @ chol.inverse
+                    for k, c in enumerate(counts)]
+            np.testing.assert_array_equal(means, expected)
+            np.testing.assert_allclose(ds.patterns, np.vstack(rows), rtol=rtol, atol=rtol)
+            np.testing.assert_array_equal(ds.labels, np.repeat(np.arange(4), counts))
+
     def test_validation(self):
-        gen = SeededGenerator(53)
+        gen = np.random.default_rng(53)
         with pytest.raises(DomainError):
             sample_dataset(gen, 0, [3], 1.0)
         with pytest.raises(DomainError):
