@@ -173,6 +173,17 @@ def _parse_cell(text, line, column):
     return value
 
 
+def _columns(header, label_column):
+    """The index of ``label_column`` in ``header`` (None if not named) and
+    the indices of every other column, the features."""
+    label_idx = None
+    if label_column is not None:
+        if label_column not in header:
+            raise ParseError(f"no column named {label_column!r} in header", line=1)
+        label_idx = header.index(label_column)
+    return label_idx, [i for i in range(len(header)) if i != label_idx]
+
+
 def _read_table(path, label_column=None):
     """Read a headed CSV into (header, labels, patterns), skipping blank rows.
 
@@ -185,12 +196,7 @@ def _read_table(path, label_column=None):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError("file is empty, expected a header row", line=1) from None
-        label_idx = None
-        if label_column is not None:
-            if label_column not in header:
-                raise ParseError(f"no column named {label_column!r} in header", line=1)
-            label_idx = header.index(label_column)
-        features = [i for i in range(len(header)) if i != label_idx]
+        label_idx, features = _columns(header, label_column)
         labels = []
         rows = []
         for line_no, row in enumerate(reader, start=2):
@@ -210,6 +216,58 @@ def _read_table(path, label_column=None):
     return header, labels, patterns
 
 
+# Text on which csv.reader or float() can disagree with np.loadtxt: a quote
+# (csv quoting), a carriage return not ending a CRLF pair (a line end to
+# csv), NUL (a csv error before Python 3.11) and the ASCII separators
+# \x1c-\x1f, which loadtxt strips around a number and float() rejects.
+_FALLBACK_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _fast_table(path, label_column=None):
+    """What :func:`_read_table` returns, parsed by one ``np.loadtxt`` call.
+
+    Returns None whenever the two readers could disagree: undecodable
+    bytes, a character of ``_FALLBACK_CHARS``, a line longer than csv's
+    field size limit, no data rows, a row whose cell count differs from
+    the header's, a cell loadtxt rejects, or a non-finite value. The
+    caller then runs ``_read_table``, which gives the result or the
+    error with its line and column.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(char in text for char in _FALLBACK_CHARS):
+        return None
+    head, *lines = text.split("\n")
+    lines = [line for line in lines if line]   # csv skips empty lines
+    if not head or not lines or max(len(head), *map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in head.split(",")]
+    label_idx, features = _columns(header, label_column)
+    # loadtxt does not check row length when given usecols.
+    if any(line.count(",") != len(header) - 1 for line in lines):
+        return None
+    try:
+        patterns = np.loadtxt(lines, delimiter=",", usecols=features, comments=None,
+                              ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(patterns).all():
+        return None
+    labels = []
+    if label_idx is not None:
+        # Splitting from the right leaves cells before the label joined at
+        # index 0, so the label is item 1 (item 0 when it is the first cell).
+        cut = len(header) - label_idx
+        labels = [sys.intern(line.rsplit(",", cut)[min(label_idx, 1)].strip())
+                  for line in lines]
+    return header, labels, patterns
+
+
 def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledDataset:
     """Load a labeled dataset from a headed CSV file.
 
@@ -218,7 +276,8 @@ def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledData
     of first appearance, with any ``extra_classes`` not present in the
     file appended after (their counts are zero).
     """
-    _, labels, patterns = _read_table(path, label_column)
+    _, labels, patterns = (_fast_table(path, label_column)
+                           or _read_table(path, label_column))
     names = list(dict.fromkeys([*labels, *map(str, extra_classes)])) or ["unlabeled"]
     index = {name: k for k, name in enumerate(names)}
     return LabeledDataset(patterns,
@@ -228,5 +287,5 @@ def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledData
 
 def load_features(path):
     """Load an unlabeled feature CSV. Returns (feature_names, patterns)."""
-    header, _, patterns = _read_table(path)
+    header, _, patterns = _fast_table(path) or _read_table(path)
     return header, patterns

@@ -1,4 +1,4 @@
-"""Model persistence: one JSON file, bit-exact float round trips.
+"""Model persistence: one compact JSON file, bit-exact float round trips.
 
 Floats are written with Python's shortest-round-trip decimal repr
 (at most 17 significant digits), so read(write(model)) reproduces every
@@ -31,11 +31,15 @@ def save_model(model: PredictiveModel, r: float, path) -> None:
         "a_star": float(model.a_star),
         "mu_star": [model.mu_star[:, k].tolist() for k in range(model.n_classes)],
         "c_star": model.c_star.tolist(),
-        "b_star": [row.tolist() for row in model.b_star],
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+        # The text of json.dumps(doc | {"b_star": rows}). json.dumps takes
+        # json's C encoder (json.dump does not), but that encoder holds one
+        # string per float until it returns, so B* goes one row per call.
+        handle.write(json.dumps(doc)[:-1] + ', "b_star": [')
+        for i, row in enumerate(model.b_star):
+            handle.write((", " if i else "") + json.dumps(row.tolist()))
+        handle.write("]}\n")
 
 
 def load_model(path):

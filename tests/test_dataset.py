@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gausset import LabeledDataset, SufficientStats, accumulate, load_csv, merge
-from gausset.dataset import load_features
+from gausset.dataset import _read_table, load_features
 from gausset.errors import (
     EmptyDimension,
     NonFiniteValue,
@@ -289,6 +289,85 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path)
 
+    @pytest.mark.parametrize("row", ["1,2,3,a", "1,a", "1,2"],
+                             ids=["extra-cell", "missing-feature", "missing-label"])
+    def test_cell_count_mismatch_reports_line(self, tmp_path, row):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x0,x1,label\n1,2,a\n{row}\n3,4,b\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.line == 3
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,label\n\n1,a\n\n\n2,b\n\n")
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.patterns, [[1.0], [2.0]])
+        assert ds.class_names == ("a", "b")
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,label\n1,a\n  \n2,b\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize("text, names", [
+        ('"x0",x1,label\n"1.5",2,"a,b"\n-3,"4e1",c\n', ("a,b", "c")),
+        ('x0,x1,label\n1.5,2,"a"\n-3,4e1,c\n', ("a", "c")),
+    ], ids=["quoted-comma", "quoted-label"])
+    def test_quoted_cells(self, tmp_path, text, names):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        ds = load_csv(path)
+        np.testing.assert_array_equal(ds.patterns, [[1.5, 2.0], [-3.0, 40.0]])
+        assert ds.class_names == names
+
+    def test_crlf_loads_like_lf(self, tmp_path):
+        text = "x0,x1,label\n0.1,2e-3,a\n\n-7,1_5, b \n"
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        want, got = load_csv(lf), load_csv(crlf)
+        assert got.patterns.tobytes() == want.patterns.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.class_names == want.class_names == ("a", "b")
+
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x0,label\r1,a\r2,b\r")
+        np.testing.assert_array_equal(load_csv(path).patterns, [[1.0], [2.0]])
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1,label\n1,2,a\n3,4 # note,a\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, "x1")
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661\u0662", 12.0),
+                                             (" \u00a02.5\t", 2.5)])
+    def test_cells_parse_as_python_float(self, tmp_path, cell, value):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x0,label\n{cell},a\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_csv(path).patterns, [[value]])
+
+    @pytest.mark.parametrize("cell", ["\x1c1", "1\x1f", "0x10", "1d5"])
+    def test_cells_python_float_rejects_raise(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"x0,x1,label\n1,2,a\n3,{cell},a\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert (excinfo.value.line, excinfo.value.column) == (3, "x1")
+
+    def test_label_column_in_the_middle(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x0,kind,x1\n1,u,2\n3,v,4\n5,u,6\n")
+        ds = load_csv(path, label_column="kind")
+        np.testing.assert_array_equal(ds.patterns, [[1, 2], [3, 4], [5, 6]])
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0])
+        assert ds.class_names == ("u", "v")
+
 
 class TestLoadFeatures:
     def test_basic(self, tmp_path):
@@ -303,3 +382,118 @@ class TestLoadFeatures:
         path.write_text("x0\ninf\n")
         with pytest.raises(NonFiniteValue):
             load_features(path)
+
+    @pytest.mark.parametrize("row", ["1,2,3", "1"], ids=["extra-cell", "missing-cell"])
+    def test_cell_count_mismatch_reports_line(self, tmp_path, row):
+        path = tmp_path / "feat.csv"
+        path.write_text(f"x0,x1\n1,2\n{row}\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_features(path)
+        assert excinfo.value.line == 3
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        path.write_text("x0\n1\n\n \n2\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_features(path)
+        assert (excinfo.value.line, excinfo.value.column) == (4, "x0")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER_CELLS = st.one_of(
+    FINITE.map(repr),
+    FINITE.map("{:.17g}".format),
+    st.integers(-10**20, 10**20).map(str),
+    st.from_regex(r"[-+]?[0-9]{1,25}\.[0-9]{0,25}([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+)
+# Cells on which csv.reader, float() and np.loadtxt may part ways.
+ODD_CELLS = st.sampled_from([
+    "", " 2.5\t", "\u00a03", "1_0", "\u0661", '"4.5"', "1 # c", "#1",
+    "-inf", "1e400", "0x10", "oops", "\x1c1", "1\x1f", "1\x00", "1,5",
+])
+LABEL_CELLS = st.sampled_from(["a", "b", " c ", "\u03a9", "a#b", "", '"a,b"', '"b"', "a\x00"])
+DEFECTS = ("blank-line", "space-line", "extra-cell", "missing-cell",
+           "crlf-once", "lone-cr", "bad-utf8")
+
+
+@st.composite
+def csv_files(draw):
+    """(bytes of a headed CSV, whether it has a label column).
+
+    Up to three cells from ``ODD_CELLS`` and up to three line defects from
+    ``DEFECTS``, in LF or CRLF line endings.
+    """
+    labelled = draw(st.booleans())
+    n_features = draw(st.integers(0 if labelled else 1, 4))
+    label_at = draw(st.integers(0, n_features)) if labelled else None
+    rows = [[f"x{i}" for i in range(n_features)]]
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append([draw(NUMBER_CELLS) for _ in range(n_features)])
+    if labelled:
+        for row in rows:
+            row.insert(label_at, "label" if row is rows[0] else draw(LABEL_CELLS))
+    for _ in range(draw(st.integers(0, 3)) if len(rows) > 1 else 0):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+    lines = [",".join(row) for row in rows]
+    defects = draw(st.lists(st.sampled_from(DEFECTS), max_size=3))
+    for defect in defects:
+        at = draw(st.integers(1, len(lines)))
+        if defect == "blank-line":
+            lines.insert(at, "")
+        elif defect == "space-line":
+            lines.insert(at, draw(st.sampled_from([" ", "\t", "  "])))
+        elif at < len(lines) and defect == "extra-cell":
+            lines[at] += ",1"
+        elif at < len(lines) and defect == "missing-cell":
+            lines[at] = lines[at].rpartition(",")[0]
+        elif defect in ("crlf-once", "lone-cr"):
+            lines[at - 1] += "\r\n" if defect == "crlf-once" else "\r"
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode()
+    if "bad-utf8" in defects:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, labelled
+
+
+def _outcome(read):
+    """``read()``'s result, or the type, message, line and column it raised."""
+    try:
+        return read(), None
+    except (ParseError, NonFiniteValue) as exc:
+        return None, (type(exc), str(exc), exc.line, exc.column)
+    except ValueError as exc:   # UnicodeDecodeError, ShapeMismatch
+        return None, (type(exc), str(exc), None, None)
+
+
+def _fields(ds):
+    return ds.patterns, ds.labels.tolist(), ds.class_names
+
+
+def _reference_dataset(path):
+    """``load_csv`` built from ``_read_table`` alone."""
+    _, labels, patterns = _read_table(path, "label")
+    names = list(dict.fromkeys(labels)) or ["unlabeled"]
+    return LabeledDataset(patterns, [names.index(label) for label in labels], tuple(names))
+
+
+class TestReaderProperties:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(csv_files())
+    def test_loaders_match_read_table(self, tmp_path_factory, case):
+        data, labelled = case
+        path = tmp_path_factory.getbasetemp() / "reader_property.csv"
+        path.write_bytes(data)
+        if labelled:
+            want, want_error = _outcome(lambda: _fields(_reference_dataset(path)))
+            got, got_error = _outcome(lambda: _fields(load_csv(path)))
+        else:
+            want, want_error = _outcome(lambda: _read_table(path)[::-2])
+            got, got_error = _outcome(lambda: load_features(path)[::-1])
+        assert got_error == want_error
+        if want is not None:
+            assert got[0].shape == want[0].shape
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]

@@ -57,6 +57,19 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.b_star, b)
         assert loaded.a_star == 9.000000000000002
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_file_is_compact_json(self, tmp_path, dim):
+        from gausset.predictive import _assemble_model
+        rng = np.random.default_rng(dim)
+        b = np.eye(dim) + 0.1
+        model = _assemble_model(("u", "v"), rng.normal(size=(dim, 2)),
+                                np.array([0.5, 0.25]), dim + 4.0, b, 1.0)
+        path = tmp_path / "model.json"
+        save_model(model, 1.0, path)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+        assert list(json.loads(text))[-1] == "b_star"
+
     def test_mismatched_r_rejected_before_writing(self, worked_posterior, tmp_path):
         # The reloaded scoring centre is derived from the stored r, so a
         # model saved under another r would not score as it did in memory.
