@@ -35,15 +35,15 @@ class LabeledDataset:
     class_names: tuple
 
     def __post_init__(self):
-        patterns = np.atleast_2d(np.asarray(self.patterns, dtype=np.float64))
+        patterns = np.asarray(self.patterns, dtype=np.float64)
+        # An empty vector is no patterns; T rows of zero features stay (T, 0).
+        patterns = patterns.reshape(0, 0) if patterns.shape == (0,) else np.atleast_2d(patterns)
         labels = np.asarray(self.labels, dtype=np.int64)
         names = tuple(str(n) for n in self.class_names)
         if len(names) < 1:
             raise ValueError("at least one class must be declared")
         if len(set(names)) != len(names):
             raise ValueError("class names must be unique")
-        if patterns.size == 0:
-            patterns = patterns.reshape(0, patterns.shape[1] if patterns.ndim == 2 else 0)
         if patterns.shape[0] != labels.shape[0]:
             raise ShapeMismatch(
                 f"{patterns.shape[0]} patterns but {labels.shape[0]} labels"
@@ -199,9 +199,10 @@ def _read_table(path, label_column=None):
         label_idx, features = _columns(header, label_column)
         labels = []
         rows = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num   # the physical line a quoted cell ends on
             if len(row) != len(header):
                 raise ParseError(
                     f"row has {len(row)} cells, header has {len(header)}", line_no
@@ -210,10 +211,7 @@ def _read_table(path, label_column=None):
                 # Interned: one string per distinct label, not one per row.
                 labels.append(sys.intern(row[label_idx].strip()))
             rows.append([_parse_cell(row[i], line_no, header[i]) for i in features])
-    patterns = np.asarray(rows, dtype=np.float64)
-    if patterns.size == 0:
-        patterns = np.zeros((0, len(features)))
-    return header, labels, patterns
+    return header, labels, np.asarray(rows, dtype=np.float64).reshape(len(rows), len(features))
 
 
 # Text on which csv.reader or float() can disagree with np.loadtxt: a quote

@@ -47,6 +47,9 @@ class PredictiveModel:
     the per-class log normalization constants. For scoring it also holds
     the count-weighted training mean ``centre`` (N,) and the whitened
     centred means ``white_means`` (K x N), row k L^{-1}(mu*_k - centre).
+    Computed once, not per call: ``cp1`` (c* + 1), ``class_term``
+    (-(N/2) log(c* + 1)), ``tail_scale`` (-(a* + 1)/2), ``inverse_t``
+    ((L^{-1})^T) and ``block_rows``, the rows per kernel block.
     """
 
     class_names: tuple
@@ -60,10 +63,15 @@ class PredictiveModel:
     log_norm: np.ndarray
     centre: np.ndarray
     white_means: np.ndarray
+    cp1: np.ndarray
+    class_term: np.ndarray
+    tail_scale: float
+    inverse_t: np.ndarray
+    block_rows: int
 
     def __post_init__(self):
         for name in ("mu_star", "c_star", "b_star", "log_norm", "centre",
-                     "white_means"):
+                     "white_means", "cp1", "class_term", "inverse_t"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -84,7 +92,9 @@ def _assemble_model(class_names, mu_star, c_star, a_star, b_star, r) -> Predicti
     ``r`` is the shrinkage the posterior was built with; with it the
     fields alone give the training mean that scoring centres on.
     """
-    mu_star = np.asarray(mu_star, dtype=np.float64)
+    # The layout a loaded model has (the file stores columns), so that BLAS
+    # sums in one order and a reload scores bit for bit.
+    mu_star = np.asfortranarray(mu_star, dtype=np.float64)
     c_star = np.asarray(c_star, dtype=np.float64)
     b_star = np.asarray(b_star, dtype=np.float64)
     n = mu_star.shape[0]
@@ -119,8 +129,11 @@ def _assemble_model(class_names, mu_star, c_star, a_star, b_star, r) -> Predicti
     total = float(np.sum(1.0 / c_star - r))
     centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
     white_means = (mu_star.T - centre) @ chol.inverse.T
+    cp1 = c_star + 1.0
     return PredictiveModel(tuple(class_names), mu_star, c_star, float(a_star),
-                           float(r), b_star, chol, ld, log_norm, centre, white_means)
+                           float(r), b_star, chol, ld, log_norm, centre, white_means,
+                           cp1, -0.5 * n * np.log(cp1), -0.5 * (float(a_star) + 1.0),
+                           chol.inverse.T, max(1, _BLOCK_ENTRIES // (mu_star.shape[1] * n)))
 
 
 def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
@@ -154,22 +167,19 @@ def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(patterns).all():
         raise ValueError("patterns must not contain infs or NaNs")
-    dim, n_classes = model.dim, model.n_classes
-    cp1 = model.c_star + 1.0
-    inverse_t = model.chol_b_star.inverse.T
-    log1p_terms = np.empty((patterns.shape[0], n_classes))
-    step = max(1, _BLOCK_ENTRIES // (n_classes * dim))
+    log1p_terms = np.empty((patterns.shape[0], model.n_classes))
+    step = model.block_rows
     for start in range(0, patterns.shape[0], step):
         # A stack of (1, N) @ (N, N) products, so one row scores bit for
         # bit as it does inside a batch.
-        white = (patterns[start:start + step] - model.centre)[:, None, :] @ inverse_t
+        white = (patterns[start:start + step, None, :] - model.centre) @ model.inverse_t
         diffs = white - model.white_means
-        log1p_terms[start:start + step] = np.log1p(np.sum(diffs * diffs, axis=-1) / cp1)
-    return -0.5 * (model.a_star + 1.0) * log1p_terms
+        log1p_terms[start:start + step] = np.log1p(np.add.reduce(diffs * diffs, -1) / model.cp1)
+    return model.tail_scale * log1p_terms
 
 
 def _log_unnormalized(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
-    return -0.5 * model.dim * np.log(model.c_star + 1.0) + _log_tails(model, patterns)
+    return model.class_term + _log_tails(model, patterns)
 
 
 def _one_row(model: PredictiveModel, x, k=None) -> np.ndarray:
@@ -210,7 +220,11 @@ def _checked_probs(probs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassPrior:
-    """Prior probabilities over the K classes; must sum to one."""
+    """Prior probabilities over the K classes; must sum to one.
+
+    ``_log_terms`` holds what the softmax adds, computed once: the mask of
+    non-zero entries (None if none is zero) and log(probs / probs.sum()).
+    """
 
     probs: np.ndarray
 
@@ -223,10 +237,17 @@ class ClassPrior:
             raise ValueError(f"class prior sums to {probs.sum()!r}, expected 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_log_terms", _log_prior(probs / float(probs.sum())))
 
     @classmethod
     def uniform(cls, n_classes: int) -> "ClassPrior":
         return cls(np.full(n_classes, 1.0 / n_classes))
+
+
+def _log_prior(probs: np.ndarray):
+    """The non-zero mask of normalized ``probs`` (None if none is zero) and their logs."""
+    active = probs > 0.0
+    return (None if active.all() else active), np.log(np.where(active, probs, 1.0))
 
 
 def _prior_probs(prior, n_classes: int) -> np.ndarray:
@@ -249,11 +270,16 @@ def posterior_from_scores(log_scores, prior) -> np.ndarray:
     adding any constant to its scores, however large.
     """
     log_scores = np.asarray(log_scores, dtype=np.float64)
-    probs = _prior_probs(prior, log_scores.shape[-1])
-    active = probs > 0.0
-    combined = np.where(active, log_scores + np.log(np.where(active, probs, 1.0)), -np.inf)
-    shifted = np.exp(combined - combined.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    n_classes = log_scores.shape[-1]
+    if isinstance(prior, ClassPrior) and prior.probs.shape == (n_classes,):
+        active, log_probs = prior._log_terms
+    else:
+        active, log_probs = _log_prior(_prior_probs(prior, n_classes))
+    # Masking first keeps a zero-prior class's NaN or inf score out.
+    masked = log_scores if active is None else np.where(active, log_scores, -np.inf)
+    combined = masked + log_probs
+    shifted = np.exp(combined - np.maximum.reduce(combined, axis=-1, keepdims=True))
+    return shifted / np.add.reduce(shifted, axis=-1, keepdims=True)
 
 
 def class_posterior(model: PredictiveModel, x, prior) -> np.ndarray:

@@ -222,6 +222,10 @@ class TestLabeledDataset:
         with pytest.raises(NonFiniteValue):
             LabeledDataset(np.array([[np.nan]]), [0], ("a",))
 
+    def test_zero_feature_rows_keep_their_count(self):
+        assert LabeledDataset(np.zeros((3, 0)), [0, 0, 0], ("a",)).patterns.shape == (3, 0)
+        assert LabeledDataset([], [], ("a",)).patterns.shape == (0, 0)
+
     def test_label_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             LabeledDataset(np.ones((3, 1)), [0, 0], ("a",))
@@ -297,6 +301,24 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as excinfo:
             load_csv(path)
         assert excinfo.value.line == 3
+
+    def test_error_after_multiline_cell_names_physical_line(self, tmp_path):
+        # The quoted label spans lines 2-3, so "oops" sits on line 5.
+        path = tmp_path / "data.csv"
+        path.write_text('x0,label\n1,"a\nb"\n2,c\noops,d\n')
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.line == 5
+        assert excinfo.value.column == "x0"
+
+    def test_label_only_file_has_no_feature_columns(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("label\na\nb\n")
+        ds = load_csv(path)
+        assert ds.patterns.shape == (2, 0)
+        assert ds.class_names == ("a", "b")
+        with pytest.raises(EmptyDimension):
+            accumulate(ds)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.csv"

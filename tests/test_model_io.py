@@ -5,8 +5,16 @@ import pytest
 
 from gausset import (
     ClassPrior,
+    LabeledDataset,
+    PosteriorMNW,
+    PriorHyper,
+    accumulate,
     build_model,
+    class_posterior,
     load_model,
+    log_predictive,
+    log_predictive_unnormalized,
+    posterior,
     save_model,
     score_batch,
 )
@@ -40,6 +48,34 @@ class TestRoundTrip:
         for before, after in zip(score_batch(model, patterns, prior),
                                  score_batch(loaded, patterns, prior)):
             np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("source", ["data", "hand-built"])
+    def test_single_rows_bit_identical_after_reload(self, tmp_path, source):
+        # load_model rebuilds every constant single-pattern scoring reads. A
+        # hand-built posterior holds its means in row-major order, which
+        # once summed the scoring centre in another order than a reload did.
+        rng = np.random.default_rng(64)
+        dim, n_classes = 3, 4
+        if source == "data":
+            ds = LabeledDataset(5.0 + rng.normal(size=(40, dim)),
+                                rng.integers(0, n_classes, 40), tuple("abcd"))
+            post = posterior(accumulate(ds), PriorHyper.noninformative(0.5))
+        else:
+            post = PosteriorMNW(rng.normal(5.0, 2.0, size=(dim, n_classes)),
+                                rng.uniform(0.5, 20.0, size=n_classes), dim + 2.5,
+                                np.eye(dim) + 0.3, source_r=0.5)
+        model = build_model(post)
+        path = tmp_path / "model.json"
+        save_model(model, 0.5, path)
+        loaded, _ = load_model(path)
+        prior = ClassPrior([0.1, 0.0, 0.6, 0.3])
+        for x in rng.normal(5.0, 3.0, size=(10, dim)):
+            assert (class_posterior(loaded, x, prior).tobytes()
+                    == class_posterior(model, x, prior).tobytes())
+            for k in range(n_classes):
+                assert log_predictive(loaded, x, k) == log_predictive(model, x, k)
+                assert (log_predictive_unnormalized(loaded, x, k)
+                        == log_predictive_unnormalized(model, x, k))
 
     def test_awkward_floats_survive(self, tmp_path):
         # Shortest-repr decimal serialization must round-trip exactly.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,9 +190,41 @@ class TestClassPosterior:
             posterior_from_scores([[np.inf, 1.0], [2.0, 3.0]], [0.0, 1.0]),
             [[0.0, 1.0], [0.0, 1.0]])
 
+    def test_cached_zero_prior_class_ignores_nonfinite_score(self):
+        prior = ClassPrior([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(posterior_from_scores([np.nan, 1.0], prior),
+                                          [0.0, 1.0])
+            np.testing.assert_array_equal(
+                posterior_from_scores([[np.inf, 1.0], [2.0, 3.0]], prior),
+                [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_class_prior_of_wrong_length(self, worked_model):
+        prior = ClassPrior.uniform(3)
+        with pytest.raises(ShapeMismatch):
+            posterior_from_scores([0.0, 1.0], prior)
+        with pytest.raises(ShapeMismatch):
+            class_posterior(worked_model, [1.0], prior)
+        with pytest.raises(ShapeMismatch):
+            score_batch(worked_model, [[1.0]], prior)
+
+    @pytest.mark.parametrize("prior", [[0.5, -0.5], [np.nan, 1.0], [np.inf, 1.0]])
+    def test_raw_prior_entries_checked(self, worked_model, prior):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            class_posterior(worked_model, [1.0], prior)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            posterior_from_scores([0.0, 1.0], prior)
+
+    def test_raw_prior_of_wrong_length(self, worked_model):
+        with pytest.raises(ShapeMismatch):
+            class_posterior(worked_model, [1.0], [0.2, 0.3, 0.5])
+
     def test_all_zero_prior(self, worked_model):
         with pytest.raises(AllZeroPrior):
             class_posterior(worked_model, [1.0], [0.0, 0.0])
+        with pytest.raises(AllZeroPrior):
+            posterior_from_scores([[0.0, 1.0]], [0.0, 0.0])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(16)
@@ -285,9 +319,11 @@ class TestScoreBatch:
 
 @st.composite
 def scoring_cases(draw):
-    """A random model and a batch whose rows may span several kernel blocks."""
+    """A random model, a batch whose rows may span several kernel blocks,
+    and a prior: uniform, with one zero entry, or a raw unnormalized array."""
+    prior_kind = draw(st.sampled_from(["uniform", "one-zero", "raw"]))
     dim = draw(st.integers(1, 8))
-    n_classes = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2 if prior_kind == "one-zero" else 1, 6))
     block = max(1, _BLOCK_ENTRIES // (n_classes * dim))
     n_rows = block * draw(st.integers(0, 2)) + draw(st.integers(1, block))
     offset = draw(st.sampled_from([0.0, 1e6]))
@@ -299,23 +335,29 @@ def scoring_cases(draw):
     patterns = offset + rng.normal(0.0, 3.0, size=(n_rows, dim))
     rows = {0, n_rows - 1, *rng.integers(0, n_rows, size=5)}
     rows |= {i for b in (block, 2 * block) for i in (b - 1, b) if i < n_rows}
-    return build_model(post), patterns, sorted(rows)
+    weights = rng.uniform(0.1, 5.0, size=n_classes)
+    if prior_kind == "uniform":
+        prior = ClassPrior.uniform(n_classes)
+    elif prior_kind == "one-zero":
+        weights[rng.integers(n_classes)] = 0.0
+        prior = ClassPrior(weights / weights.sum())
+    else:
+        prior = weights
+    return build_model(post), patterns, sorted(rows), prior
 
 
 class TestBatchedMatchesSingle:
     @settings(max_examples=30, deadline=None)
     @given(scoring_cases())
     def test_rows_match_single_pattern_calls(self, case):
-        model, patterns, rows = case
-        prior = ClassPrior.uniform(model.n_classes)
+        model, patterns, rows, prior = case
         log_unnorm, posteriors, _ = score_batch(model, patterns, prior)
         for i in rows:
             x = patterns[i]
             single = [log_predictive_unnormalized(model, x, k)
                       for k in range(model.n_classes)]
-            np.testing.assert_allclose(log_unnorm[i], single, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(posteriors[i], class_posterior(model, x, prior),
-                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(log_unnorm[i], single)
+            np.testing.assert_array_equal(posteriors[i], class_posterior(model, x, prior))
             normalized = [log_predictive(model, x, k) for k in range(model.n_classes)]
             offsets = np.subtract(normalized, single)
             scale = max(1.0, np.abs(normalized).max(), np.abs(single).max())
