@@ -189,6 +189,7 @@ def _read_table(path, label_column=None):
 
     ``labels`` holds the stripped ``label_column`` cells, if one is named;
     every other cell must parse to a finite float of ``patterns`` (T, F).
+    An error names the physical line its record starts on.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -199,10 +200,11 @@ def _read_table(path, label_column=None):
         label_idx, features = _columns(header, label_column)
         labels = []
         rows = []
+        end = reader.line_num
         for row in reader:
+            line_no, end = end + 1, reader.line_num
             if not row:
                 continue
-            line_no = reader.line_num   # the physical line a quoted cell ends on
             if len(row) != len(header):
                 raise ParseError(
                     f"row has {len(row)} cells, header has {len(header)}", line_no

@@ -19,7 +19,7 @@ set sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class PredictiveModel:
     the per-class log normalization constants. For scoring it also holds
     the count-weighted training mean ``centre`` (N,) and the whitened
     centred means ``white_means`` (K x N), row k L^{-1}(mu*_k - centre).
-    Computed once, not per call: ``cp1`` (c* + 1), ``class_term``
-    (-(N/2) log(c* + 1)), ``tail_scale`` (-(a* + 1)/2), ``inverse_t``
-    ((L^{-1})^T) and ``block_rows``, the rows per kernel block.
+    Derived from those once per model, not passed in: ``cp1`` (c* + 1),
+    ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T) and
+    ``block_rows``, the rows per kernel block.
     """
 
     class_names: tuple
@@ -63,19 +63,24 @@ class PredictiveModel:
     log_norm: np.ndarray
     centre: np.ndarray
     white_means: np.ndarray
-    cp1: np.ndarray
-    class_term: np.ndarray
-    tail_scale: float
-    inverse_t: np.ndarray
-    block_rows: int
+    cp1: np.ndarray = field(init=False, repr=False)
+    class_term: np.ndarray = field(init=False, repr=False)
+    inverse_t: np.ndarray = field(init=False, repr=False)
+    block_rows: int = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("mu_star", "c_star", "b_star", "log_norm", "centre",
-                     "white_means", "cp1", "class_term", "inverse_t"):
+                     "white_means"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "class_names", tuple(self.class_names))
+        cp1 = self.c_star + 1.0
+        for name, arr in (("cp1", cp1), ("class_term", -0.5 * self.dim * np.log(cp1)),
+                          ("inverse_t", self.chol_b_star.inverse.T)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "block_rows", max(1, _BLOCK_ENTRIES // self.mu_star.size))
 
     @property
     def dim(self) -> int:
@@ -129,11 +134,8 @@ def _assemble_model(class_names, mu_star, c_star, a_star, b_star, r) -> Predicti
     total = float(np.sum(1.0 / c_star - r))
     centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
     white_means = (mu_star.T - centre) @ chol.inverse.T
-    cp1 = c_star + 1.0
     return PredictiveModel(tuple(class_names), mu_star, c_star, float(a_star),
-                           float(r), b_star, chol, ld, log_norm, centre, white_means,
-                           cp1, -0.5 * n * np.log(cp1), -0.5 * (float(a_star) + 1.0),
-                           chol.inverse.T, max(1, _BLOCK_ENTRIES // (mu_star.shape[1] * n)))
+                           float(r), b_star, chol, ld, log_norm, centre, white_means)
 
 
 def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
@@ -175,7 +177,7 @@ def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
         white = (patterns[start:start + step, None, :] - model.centre) @ model.inverse_t
         diffs = white - model.white_means
         log1p_terms[start:start + step] = np.log1p(np.add.reduce(diffs * diffs, -1) / model.cp1)
-    return model.tail_scale * log1p_terms
+    return -0.5 * (model.a_star + 1.0) * log1p_terms
 
 
 def _log_unnormalized(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
@@ -223,7 +225,7 @@ class ClassPrior:
     """Prior probabilities over the K classes; must sum to one.
 
     ``_log_terms`` holds what the softmax adds, computed once: the mask of
-    non-zero entries (None if none is zero) and log(probs / probs.sum()).
+    non-zero entries and log(probs / probs.sum()).
     """
 
     probs: np.ndarray
@@ -237,20 +239,15 @@ class ClassPrior:
             raise ValueError(f"class prior sums to {probs.sum()!r}, expected 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_log_terms", _log_prior(probs / float(probs.sum())))
+        object.__setattr__(self, "_log_terms", _log_prior(self, len(probs)))
 
     @classmethod
     def uniform(cls, n_classes: int) -> "ClassPrior":
         return cls(np.full(n_classes, 1.0 / n_classes))
 
 
-def _log_prior(probs: np.ndarray):
-    """The non-zero mask of normalized ``probs`` (None if none is zero) and their logs."""
-    active = probs > 0.0
-    return (None if active.all() else active), np.log(np.where(active, probs, 1.0))
-
-
-def _prior_probs(prior, n_classes: int) -> np.ndarray:
+def _log_prior(prior, n_classes: int):
+    """The non-zero mask of ``prior`` and the logs of it normalized to sum to one."""
     probs = prior.probs if isinstance(prior, ClassPrior) else _checked_probs(prior)
     if probs.shape != (n_classes,):
         raise ShapeMismatch(
@@ -259,7 +256,8 @@ def _prior_probs(prior, n_classes: int) -> np.ndarray:
     total = float(probs.sum())
     if total == 0.0:
         raise AllZeroPrior("every class prior probability is zero")
-    return probs / total
+    active = probs > 0.0
+    return active, np.log(np.where(active, probs / total, 1.0))
 
 
 def posterior_from_scores(log_scores, prior) -> np.ndarray:
@@ -271,13 +269,10 @@ def posterior_from_scores(log_scores, prior) -> np.ndarray:
     """
     log_scores = np.asarray(log_scores, dtype=np.float64)
     n_classes = log_scores.shape[-1]
-    if isinstance(prior, ClassPrior) and prior.probs.shape == (n_classes,):
-        active, log_probs = prior._log_terms
-    else:
-        active, log_probs = _log_prior(_prior_probs(prior, n_classes))
+    cached = isinstance(prior, ClassPrior) and prior.probs.shape == (n_classes,)
+    active, log_probs = prior._log_terms if cached else _log_prior(prior, n_classes)
     # Masking first keeps a zero-prior class's NaN or inf score out.
-    masked = log_scores if active is None else np.where(active, log_scores, -np.inf)
-    combined = masked + log_probs
+    combined = np.where(active, log_scores, -np.inf) + log_probs
     shifted = np.exp(combined - np.maximum.reduce(combined, axis=-1, keepdims=True))
     return shifted / np.add.reduce(shifted, axis=-1, keepdims=True)
 

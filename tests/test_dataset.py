@@ -311,6 +311,25 @@ class TestLoadCsv:
         assert excinfo.value.line == 5
         assert excinfo.value.column == "x0"
 
+    def test_error_in_multiline_record_names_its_first_line(self, tmp_path):
+        # "oops" opens a record whose quoted label spans lines 3-4.
+        path = tmp_path / "data.csv"
+        path.write_text('x0,label\n1,a\noops,"b\nc"\n2,d\n')
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.line == 3
+        path.write_text('x0,label\n1,a\n2,"b\nc",3\n')
+        with pytest.raises(ParseError, match="cells") as excinfo:
+            load_csv(path)
+        assert excinfo.value.line == 3
+
+    def test_error_after_blank_lines_names_physical_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('x0,label\n\n"1",a\n\noops,b\n')
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert excinfo.value.line == 5
+
     def test_label_only_file_has_no_feature_columns(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("label\na\nb\n")

@@ -32,7 +32,7 @@ from gausset.errors import (
     ShapeMismatch,
 )
 from gausset.linalg import log_gamma
-from gausset.predictive import _BLOCK_ENTRIES
+from gausset.predictive import _BLOCK_ENTRIES, PredictiveModel
 
 from conftest import offset_dataset, random_spd
 
@@ -69,6 +69,21 @@ class TestBuildModel:
         post = posterior(accumulate(ds), PriorHyper.noninformative(1.0))
         with pytest.raises(DegenerateScatter):
             build_model(post)
+
+    def test_scoring_constants_are_derived_not_passed(self, worked_model):
+        # The cached constants follow from the stored fields, so a model
+        # built field by field scores exactly as the one it copies.
+        fields = ("class_names", "mu_star", "c_star", "a_star", "r", "b_star",
+                  "chol_b_star", "logdet_b_star", "log_norm", "centre", "white_means")
+        copy = PredictiveModel(*(getattr(worked_model, name) for name in fields))
+        np.testing.assert_array_equal(copy.cp1, worked_model.c_star + 1.0)
+        np.testing.assert_array_equal(copy.inverse_t, worked_model.chol_b_star.inverse.T)
+        assert copy.block_rows == _BLOCK_ENTRIES // 2
+        np.testing.assert_array_equal(
+            score_batch(copy, [[0.3], [2.0]], [0.5, 0.5])[0],
+            score_batch(worked_model, [[0.3], [2.0]], [0.5, 0.5])[0])
+        with pytest.raises(TypeError):
+            PredictiveModel(*(getattr(worked_model, name) for name in fields), cp1=[1.0, 1.0])
 
     def test_class_name_default_and_mismatch(self, worked_posterior):
         assert build_model(worked_posterior).class_names == ("class_0", "class_1")
