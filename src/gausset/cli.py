@@ -62,7 +62,8 @@ def cmd_fit(args) -> int:
     prior = _build_prior(args, stats.dim)
     post = posterior(stats, prior)
     model = build_model(post, class_names=ds.class_names)
-    model_io.save_model(model, prior.r, args.out)
+    # By keyword: the bench's save_model span reads the path from it.
+    model_io.save_model(model, path=args.out)
     print(f"fit: N={stats.dim} K={stats.n_classes} T={stats.total} "
           f"a_star={model.a_star!r} logdet_b_star={model.logdet_b_star!r}")
     print(f"model written to {args.out}")

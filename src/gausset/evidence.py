@@ -19,26 +19,32 @@ terms that do not depend on r. Because the prior is improper there, the
 value is meaningful only as a relative score for choosing r, never as
 an absolute likelihood comparable across datasets or models.
 
-Only the weights w_k depend on r, so one private kernel factors the
-within-class scatter W once per dataset and scores every r with K' x K'
-work, K' the number of non-empty classes. With s = sum_k w_k, the
-weighted mean mbar = sum_k w_k m_k / s and
+Both rest on one private kernel. For a prior (a, B) it scores
 
-    C = W + sum_k w_k (m_k - mbar)(m_k - mbar)^T,
+    (N/2) [K log r - sum_k log(r + T_k)] - ((a + T)/2) log det B*(r),
+
+    B*(r) = B + W + sum_k w_k m_k m_k^T,
+
+and only the weights w_k depend on r. So it factors B + W once per
+dataset and scores every r with K' x K' work, K' the number of
+non-empty classes. With s = sum_k w_k, the weighted mean
+mbar = sum_k w_k m_k / s and
+
+    C = B + W + sum_k w_k (m_k - mbar)(m_k - mbar)^T,
 
 B*(r) = C + s mbar mbar^T, so
 
     log det B* = log det C + log1p(s mbar^T C^-1 mbar).
 
 log det C comes from the determinant lemma on the offset-free means
-m_k - xbar (xbar the count-weighted mean, whitened by W once), and
+m_k - xbar (xbar the count-weighted mean, whitened by B + W once), and
 mbar^T C^-1 mbar from Woodbury on the same K' x K' factor. No N x N
 matrix with offset-sized entries is formed, so a large common offset in
 the data is never rounded into B* and cannot make B* look singular.
 ``evidence_curve`` scores its whole grid in one batch, and ``tune_r``
-scans a coarse grid in one batch before refining. When W itself fails
-the pivot check (for example T < N + K'), each r factors the N x N
-B*(r) from the shared posterior update instead.
+scans a coarse grid in one batch before refining. When B + W itself
+fails the pivot check (for example B = 0 and T < N + K'), each r
+factors the N x N B*(r) from the shared posterior update instead.
 """
 
 from __future__ import annotations
@@ -57,76 +63,80 @@ from .errors import (
     ImproperPrior,
     NotPositiveDefinite,
 )
-from .inference import PriorHyper, _posterior_general, posterior
+from .inference import PriorHyper, _posterior_general
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Points of tune_r's first, batched scan over [r_min, r_max].
 _TUNE_GRID = 64
 
 
-def _dense_log_det(stats: SufficientStats, r: float) -> float:
+def _dense_log_det(stats: SufficientStats, r: float, b) -> float:
     """log det B*(r) from the N x N matrix itself, NaN if it is degenerate."""
-    _, _, _, b_star = _posterior_general(stats, 0.0, np.full(stats.n_classes, r), 0.0, None)
+    _, _, _, b_star = _posterior_general(stats, 0.0, np.full(stats.n_classes, r), 0.0, b)
     try:
         return linalg.logdet(linalg.cholesky(b_star))
     except NotPositiveDefinite:
         return math.nan
 
 
-def _evidence_kernel(stats: SufficientStats):
+def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     """Set up once per dataset; return ``values(r)`` for a 1-D array of r > 0.
 
-    ``values`` gives the non-informative log evidence at every r, NaN
-    where B*(r) is degenerate. The N x N work is done here once: factor
-    W and whiten the offset-free means M - xbar 1^T and the
-    count-weighted mean xbar. Each r then costs K' x K' work through the
-    weighted-mean split of the module docstring. If W fails the pivot
-    rule (for example T < N + K'), each r factors B*(r) itself instead.
+    ``values`` gives (N/2) [K log r - sum_k log(r + T_k)] - ((a + T)/2)
+    log det B*(r) for the prior (a, B) at every r, ``b=None`` standing for
+    B = 0, and NaN where B*(r) is degenerate. The N x N work is done here
+    once: factor B + W and whiten the offset-free means M - xbar 1^T and
+    the count-weighted mean xbar. Each r then costs K' x K' work through
+    the weighted-mean split of the module docstring. If B + W fails the
+    pivot rule (for example B = 0 and T < N + K'), each r factors B*(r)
+    itself instead.
     """
     counts = stats.counts.astype(np.float64)
     dim, total = stats.dim, stats.total
+    a_star = a + total
 
     def bracket(r):
         return 0.5 * dim * (stats.n_classes * np.log(r)
                             - np.sum(np.log(r[:, None] + counts), axis=1))
 
-    if total == 0:
+    if total == 0 and b is None:
         return lambda r: np.zeros(r.shape)
     try:
-        chol_w = linalg.cholesky(linalg.symmetrize(stats.within))
+        chol = linalg.cholesky(linalg.symmetrize(
+            stats.within if b is None else b + stats.within))
     except NotPositiveDefinite:
-        return lambda r: bracket(r) - 0.5 * total * np.array(
-            [_dense_log_det(stats, x) for x in r])
+        return lambda r: bracket(r) - 0.5 * a_star * np.array(
+            [_dense_log_det(stats, x, b) for x in r])
 
     sizes = counts[counts > 0]
     means = stats.means[:, counts > 0]
     xbar = means @ (sizes / total)
-    white = chol_w.inverse @ np.column_stack([means - xbar[:, None], xbar])
+    white = chol.inverse @ np.column_stack([means - xbar[:, None], xbar])
     gram = white.T @ white
     g_hat, h, alpha = gram[:-1, :-1], gram[:-1, -1], gram[-1, -1]
-    logdet_w = linalg.logdet(chol_w)
+    logdet_bw = linalg.logdet(chol)
     eye = np.eye(sizes.size)
 
     def values(r):
         # With v = w / s, F = sqrt(s) E and E = diag(sqrt v)(I - sqrt v sqrt v^T):
-        # log det C = log det W + log det A with A = I + s E^T G E, and by
-        # Woodbury s mbar^T C^-1 mbar = s mbar^T W^-1 mbar - b^T A^-1 b with
-        # g = (M - xbar 1^T)^T W^-1 mbar = h + G v and b = s E^T g.
+        # log det C = log det(B + W) + log det A with A = I + s E^T G E, and by
+        # Woodbury s mbar^T C^-1 mbar = s mbar^T (B + W)^-1 mbar - b^T A^-1 b
+        # with g = (M - xbar 1^T)^T (B + W)^-1 mbar = h + G v and b = s E^T g.
         w = r[:, None] * sizes / (r[:, None] + sizes)
         s = np.sum(w, axis=1)
         v = w / s[:, None]
         root = np.sqrt(v)
         e_mat = root[:, :, None] * (eye - root[:, :, None] * root[:, None, :])
-        a = eye + s[:, None, None] * (e_mat.transpose(0, 2, 1) @ g_hat @ e_mat)
+        a_mat = eye + s[:, None, None] * (e_mat.transpose(0, 2, 1) @ g_hat @ e_mat)
         # Products stay per r (stacks of rows), so one r scores bit for bit
         # as it does inside a batch.
         g = h + (v[:, None, :] @ g_hat)[:, 0, :]
-        b = s[:, None] * (g[:, None, :] @ e_mat)[:, 0, :]
-        quad = np.sum(b * np.linalg.solve(a, b[:, :, None])[:, :, 0], axis=1)
-        pivots = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
-        log_det = (logdet_w + 2.0 * np.sum(np.log(pivots), axis=1)
+        b_vec = s[:, None] * (g[:, None, :] @ e_mat)[:, 0, :]
+        quad = np.sum(b_vec * np.linalg.solve(a_mat, b_vec[:, :, None])[:, :, 0], axis=1)
+        pivots = np.diagonal(np.linalg.cholesky(a_mat), axis1=1, axis2=2)
+        log_det = (logdet_bw + 2.0 * np.sum(np.log(pivots), axis=1)
                    + np.log1p(s * (alpha + np.sum(v * (h + g), axis=1)) - quad))
-        return bracket(r) - 0.5 * total * log_det
+        return bracket(r) - 0.5 * a_star * log_det
 
     return values
 
@@ -182,24 +192,18 @@ def log_evidence_proper(stats: SufficientStats, prior: PriorHyper) -> float:
             f"prior scale matrix is {prior.b.shape[0]}-dimensional, "
             f"data is {stats.dim}-dimensional"
         )
-    n, k, t = stats.dim, stats.n_classes, stats.total
-    post = posterior(stats, prior)
-    try:
-        factor_bstar = linalg.cholesky(post.b_star)
-    except NotPositiveDefinite as exc:
-        raise DegenerateScatter("posterior scale matrix is singular") from exc
-    logdet_half_b = linalg.logdet(factor_b) - n * np.log(2.0)
-    logdet_half_bstar = linalg.logdet(factor_bstar) - n * np.log(2.0)
-    counts = stats.counts.astype(np.float64)
-    bracket = k * np.log(prior.r) - np.sum(np.log(prior.r + counts))
-    return float(
-        -0.5 * t * n * np.log(2.0 * np.pi)
-        + linalg.log_multivariate_gamma(n, post.a_star / 2.0)
-        - linalg.log_multivariate_gamma(n, prior.a / 2.0)
-        + 0.5 * prior.a * logdet_half_b
-        - 0.5 * post.a_star * logdet_half_bstar
-        + 0.5 * n * bracket
-    )
+    n, t = stats.dim, stats.total
+    value = _evidence_kernel(stats, prior.a, prior.b)(np.array([prior.r]))[0]
+    if np.isnan(value):
+        raise DegenerateScatter("posterior scale matrix is singular")
+    # The kernel gives the bracket term and -(a*/2) log det B*. The N log 2
+    # parts of log det(B/2) and log det(B*/2) leave (T N/2) log 2, which
+    # cancels the 2 of log(2 pi).
+    constants = (-0.5 * t * n * np.log(np.pi)
+                 + linalg.log_multivariate_gamma(n, (prior.a + t) / 2.0)
+                 - linalg.log_multivariate_gamma(n, prior.a / 2.0)
+                 + 0.5 * prior.a * linalg.logdet(factor_b))
+    return float(constants + value)
 
 
 def tune_r(stats: SufficientStats, r_min: float, r_max: float,

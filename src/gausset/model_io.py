@@ -13,16 +13,13 @@ import json
 import numpy as np
 
 from .errors import ParseError
-from .predictive import PredictiveModel, _assemble_model
+from .predictive import PredictiveModel
 
 FORMAT_VERSION = 1
 
 
-def save_model(model: PredictiveModel, r: float, path) -> None:
-    """Write a predictive model to JSON; ``r`` must be the ``model.r`` it was built with."""
-    if float(r) != model.r:
-        raise ValueError(f"model was built with r={model.r!r}, not {r!r}; "
-                         "its reloaded scoring centre depends on r")
+def save_model(model: PredictiveModel, path) -> None:
+    """Write a predictive model to JSON."""
     doc = {
         "version": FORMAT_VERSION,
         "dim": model.dim,
@@ -45,9 +42,9 @@ def save_model(model: PredictiveModel, r: float, path) -> None:
 def load_model(path):
     """Read a model file. Returns ``(model, r)``.
 
-    The Cholesky factor and log normalizers are recomputed from the
-    stored parameters through the same code path as a fresh build, so
-    the loaded model scores bit-identically.
+    The model's constructor derives the Cholesky factor, log normalizers
+    and scoring centre from the stored parameters, as for a fresh build,
+    so the loaded model scores bit-identically.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -79,5 +76,4 @@ def load_model(path):
                         ("c_star", c_star), ("b_star", b_star)):
         if not np.all(np.isfinite(value)):
             raise ParseError(f"model field {name} holds a non-finite value")
-    model = _assemble_model(class_names, mu_star, c_star, a_star, b_star, r)
-    return model, r
+    return PredictiveModel(class_names, mu_star, c_star, a_star, r, b_star), r

@@ -40,47 +40,94 @@ from .linalg import CholeskyFactor
 class PredictiveModel:
     """Frozen per-class scoring parameters.
 
-    Holds the per-class location ``mu_star`` (N x K), the per-class
-    scale inflation ``c_star`` (c*_k = 1/(r + T_k)) and the shrinkage
-    ``r``, the shared degrees of freedom ``a_star``, the shared scale
-    matrix ``b_star`` with its Cholesky factor L and log-determinant, and
-    the per-class log normalization constants. For scoring it also holds
-    the count-weighted training mean ``centre`` (N,) and the whitened
-    centred means ``white_means`` (K x N), row k L^{-1}(mu*_k - centre).
-    Derived from those once per model, not passed in: ``cp1`` (c* + 1),
+    Built from the six values a model file stores: the class names
+    (``None`` gives ``class_0`` ...), the per-class location ``mu_star``
+    (N x K), the per-class scale inflation ``c_star`` (c*_k = 1/(r + T_k)),
+    the shared degrees of freedom ``a_star``, the shrinkage ``r`` and the
+    shared scale matrix ``b_star``. Everything else is derived from those
+    once per model, so no model can disagree with itself: the Cholesky
+    factor L of B* and its log-determinant, the per-class log normalization
+    constants, the count-weighted training mean ``centre`` (N,), the
+    whitened centred means ``white_means`` (K x N), row k
+    L^{-1}(mu*_k - centre), and for the kernel ``cp1`` (c* + 1),
     ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T) and
     ``block_rows``, the rows per kernel block.
+
+    Checked in this order: ``ValueError`` if a c* is not positive,
+    ``DegenerateScatter`` if B* fails the Cholesky check,
+    ``InsufficientDof`` if a* + 1 - N <= 0 (the normalizing gamma
+    argument would be non-positive), ``ShapeMismatch`` if there are not
+    K class names.
     """
 
-    class_names: tuple
+    class_names: tuple | None
     mu_star: np.ndarray
     c_star: np.ndarray
     a_star: float
     r: float
     b_star: np.ndarray
-    chol_b_star: CholeskyFactor
-    logdet_b_star: float
-    log_norm: np.ndarray
-    centre: np.ndarray
-    white_means: np.ndarray
+    chol_b_star: CholeskyFactor = field(init=False)
+    logdet_b_star: float = field(init=False)
+    log_norm: np.ndarray = field(init=False)
+    centre: np.ndarray = field(init=False)
+    white_means: np.ndarray = field(init=False)
     cp1: np.ndarray = field(init=False, repr=False)
     class_term: np.ndarray = field(init=False, repr=False)
     inverse_t: np.ndarray = field(init=False, repr=False)
     block_rows: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("mu_star", "c_star", "b_star", "log_norm", "centre",
-                     "white_means"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        cp1 = self.c_star + 1.0
-        for name, arr in (("cp1", cp1), ("class_term", -0.5 * self.dim * np.log(cp1)),
-                          ("inverse_t", self.chol_b_star.inverse.T)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "block_rows", max(1, _BLOCK_ENTRIES // self.mu_star.size))
+        # The layout a loaded model has (the file stores columns), so that BLAS
+        # sums in one order and a reload scores bit for bit.
+        mu_star = np.asfortranarray(self.mu_star, dtype=np.float64)
+        c_star = np.asarray(self.c_star, dtype=np.float64)
+        b_star = np.asarray(self.b_star, dtype=np.float64)
+        a_star, r = float(self.a_star), float(self.r)
+        n, n_classes = mu_star.shape
+        if np.any(c_star <= 0.0):
+            raise ValueError("per-class c* values must be positive")
+        # Degeneracy of B* is the more informative failure, so check it first;
+        # with too little data both conditions tend to trip together.
+        try:
+            chol = linalg.cholesky(b_star)
+        except NotPositiveDefinite as exc:
+            raise DegenerateScatter(
+                "posterior scale matrix B* is not positive definite; "
+                "typically there are too few training patterns for the "
+                "feature dimension under a non-informative prior"
+            ) from exc
+        if not a_star + 1.0 - n > 0.0:
+            raise InsufficientDof(
+                f"predictive needs a* + 1 - N > 0, got a*={a_star}, N={n}"
+            )
+        class_names = self.class_names
+        if class_names is None:
+            class_names = tuple(f"class_{k}" for k in range(n_classes))
+        if len(class_names) != n_classes:
+            raise ShapeMismatch("number of class names does not match K")
+        ld = linalg.logdet(chol)
+        cp1 = c_star + 1.0
+        log_norm = (linalg.log_gamma((a_star + 1.0) / 2.0)
+                    - linalg.log_gamma((a_star + 1.0 - n) / 2.0)
+                    - 0.5 * n * np.log(np.pi * cp1)
+                    - 0.5 * ld)
+        # mu*_k / c*_k is the class sum f_k and 1/c*_k - r the count T_k, so
+        # this is the count-weighted training mean. Their total T is a whole
+        # number, below 1/2 only when there are no patterns.
+        total = float(np.sum(1.0 / c_star - r))
+        centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
+        inverse_t = chol.inverse.T
+        for name, value in (
+                ("class_names", tuple(class_names)), ("mu_star", mu_star),
+                ("c_star", c_star), ("a_star", a_star), ("r", r), ("b_star", b_star),
+                ("chol_b_star", chol), ("logdet_b_star", ld), ("log_norm", log_norm),
+                ("centre", centre), ("white_means", (mu_star.T - centre) @ inverse_t),
+                ("cp1", cp1), ("class_term", -0.5 * n * np.log(cp1)),
+                ("inverse_t", inverse_t),
+                ("block_rows", max(1, _BLOCK_ENTRIES // mu_star.size))):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -91,67 +138,14 @@ class PredictiveModel:
         return self.mu_star.shape[1]
 
 
-def _assemble_model(class_names, mu_star, c_star, a_star, b_star, r) -> PredictiveModel:
-    """Shared constructor for freshly built and deserialized models.
-
-    ``r`` is the shrinkage the posterior was built with; with it the
-    fields alone give the training mean that scoring centres on.
-    """
-    # The layout a loaded model has (the file stores columns), so that BLAS
-    # sums in one order and a reload scores bit for bit.
-    mu_star = np.asfortranarray(mu_star, dtype=np.float64)
-    c_star = np.asarray(c_star, dtype=np.float64)
-    b_star = np.asarray(b_star, dtype=np.float64)
-    n = mu_star.shape[0]
-    if np.any(c_star <= 0.0):
-        raise ValueError("per-class c* values must be positive")
-    # Degeneracy of B* is the more informative failure, so check it first;
-    # with too little data both conditions tend to trip together.
-    try:
-        chol = linalg.cholesky(b_star)
-    except NotPositiveDefinite as exc:
-        raise DegenerateScatter(
-            "posterior scale matrix B* is not positive definite; "
-            "typically there are too few training patterns for the "
-            "feature dimension under a non-informative prior"
-        ) from exc
-    if not a_star + 1.0 - n > 0.0:
-        raise InsufficientDof(
-            f"predictive needs a* + 1 - N > 0, got a*={a_star}, N={n}"
-        )
-    ld = linalg.logdet(chol)
-    log_norm = (linalg.log_gamma((a_star + 1.0) / 2.0)
-                - linalg.log_gamma((a_star + 1.0 - n) / 2.0)
-                - 0.5 * n * np.log(np.pi * (c_star + 1.0))
-                - 0.5 * ld)
-    if class_names is None:
-        class_names = tuple(f"class_{k}" for k in range(mu_star.shape[1]))
-    if len(class_names) != mu_star.shape[1]:
-        raise ShapeMismatch("number of class names does not match K")
-    # mu*_k / c*_k is the class sum f_k and 1/c*_k - r the count T_k, so
-    # this is the count-weighted training mean. Their total T is a whole
-    # number, below 1/2 only when there are no patterns.
-    total = float(np.sum(1.0 / c_star - r))
-    centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
-    white_means = (mu_star.T - centre) @ chol.inverse.T
-    return PredictiveModel(tuple(class_names), mu_star, c_star, float(a_star),
-                           float(r), b_star, chol, ld, log_norm, centre, white_means)
-
-
 def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
     """Turn a posterior into a scorer.
 
-    Raises
-    ------
-    InsufficientDof
-        If ``a* + 1 - N <= 0`` (the normalizing gamma argument would be
-        non-positive).
-    DegenerateScatter
-        If B* fails the Cholesky positive-definiteness check.
+    Raises what :class:`PredictiveModel` raises; the posterior guarantees
+    positive c* values.
     """
-    c_star = 1.0 / post.r_star_diag
-    return _assemble_model(class_names, post.m_star, c_star, post.a_star,
-                           post.b_star, post.source_r)
+    return PredictiveModel(class_names, post.m_star, 1.0 / post.r_star_diag,
+                           post.a_star, post.source_r, post.b_star)
 
 
 # Rows per kernel block keep each (rows x K, N) difference block near
@@ -197,7 +191,8 @@ def _one_row(model: PredictiveModel, x, k=None) -> np.ndarray:
 
 def log_predictive(model: PredictiveModel, x, k: int) -> float:
     """Normalized log predictive density of pattern x under class k."""
-    return float(model.log_norm[k] + _log_tails(model, _one_row(model, x, k))[0, k])
+    row = _one_row(model, x, k)
+    return float(model.log_norm[k] + _log_tails(model, row)[0, k])
 
 
 def log_predictive_unnormalized(model: PredictiveModel, x, k: int) -> float:

@@ -216,7 +216,7 @@ def test_10_model_round_trip_bit_identical(tmp_path):
     post = posterior(accumulate(train), PriorHyper.noninformative(0.7))
     model = build_model(post, class_names=train.class_names)
     path = tmp_path / "model.json"
-    save_model(model, 0.7, path)
+    save_model(model, path)
     loaded, _ = load_model(path)
     queries = rng.normal(0.0, 2.0, size=(100, 3))
     prior = ClassPrior.uniform(3)

@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import multigammaln
 
 from gausset import (
     LabeledDataset,
@@ -18,6 +22,7 @@ from gausset import (
     tune_r,
     write_curve_csv,
 )
+from gausset import linalg
 from gausset.errors import DegenerateScatter, DomainError, ImproperPrior
 from gausset.montecarlo import sample_dataset
 
@@ -298,8 +303,76 @@ def centred_log_evidence(ds, r):
     return 0.5 * ds.dim * bracket - 0.5 * counts.sum() * logdet
 
 
+def proper_offset_dataset(offset):
+    """120 rows, N = 5, K = 4 with 30 rows each, unit noise, a common offset."""
+    rng = np.random.default_rng(1)
+    means = rng.normal(0.0, 3.0, (4, 5))
+    labels = np.repeat(np.arange(4), 30)
+    x = means[labels] + rng.normal(size=(120, 5)) + offset
+    return LabeledDataset(x, labels, ("a", "b", "c", "d"))
+
+
+def exact_log_det(matrix):
+    """log det of a positive definite matrix of Fractions, by exact elimination."""
+    m = [row[:] for row in matrix]
+    det = Fraction(1)
+    for j in range(len(m)):
+        det *= m[j][j]
+        for i in range(j + 1, len(m)):
+            factor = m[i][j] / m[j][j]
+            for c in range(j, len(m)):
+                m[i][c] -= factor * m[j][c]
+    return math.log(det.numerator) - math.log(det.denominator)
+
+
+def exact_log_evidence_proper(ds, prior):
+    """The documented proper log evidence with both log dets taken exactly.
+
+    B* = B + S - sum_k f_k f_k^T / (r + T_k) is formed from the rows as
+    Fractions, so none of its offset-sized entries is rounded.
+    """
+    n, t, r = ds.dim, ds.n_patterns, Fraction(prior.r)
+    b_star = [[Fraction(v) for v in row] for row in prior.b]
+    logdet_b = exact_log_det(b_star)
+    counts = []
+    for k in range(ds.n_classes):
+        rows = [[Fraction(v) for v in x] for x in ds.patterns[ds.labels == k]]
+        f = [sum(column) for column in zip(*rows)]
+        for i in range(n):
+            for j in range(n):
+                b_star[i][j] += sum(x[i] * x[j] for x in rows) - f[i] * f[j] / (r + len(rows))
+        counts.append(len(rows))
+    a, a_star = prior.a, prior.a + t
+    bracket = ds.n_classes * math.log(prior.r) - sum(math.log(prior.r + c) for c in counts)
+    return (-0.5 * t * n * math.log(2.0 * math.pi)
+            + multigammaln(a_star / 2.0, n) - multigammaln(a / 2.0, n)
+            + 0.5 * a * (logdet_b - n * math.log(2.0))
+            - 0.5 * a_star * (exact_log_det(b_star) - n * math.log(2.0))
+            + 0.5 * n * bracket)
+
+
 class TestLargeCommonOffset:
     """A common offset must not cancel the within-class spread away."""
+
+    @pytest.mark.parametrize("offset, rtol", [(0.0, 1e-12), (1e8, 1e-9), (1e10, 1e-7)])
+    def test_proper_evidence_matches_exact_reference(self, offset, rtol):
+        ds = proper_offset_dataset(offset)
+        stats = accumulate(ds)
+        for r in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3):
+            prior = PriorHyper(r=r, a=ds.dim + 1.0, b=1e-3 * np.eye(ds.dim))
+            want = exact_log_evidence_proper(ds, prior)
+            assert abs(log_evidence_proper(stats, prior) - want) <= rtol * abs(want), r
+
+    def test_proper_evidence_factors_b_and_b_plus_w_only(self, monkeypatch):
+        stats = accumulate(proper_offset_dataset(1e10))
+        prior = PriorHyper(r=1.0, a=stats.dim + 1.0, b=1e-3 * np.eye(stats.dim))
+        factor = linalg.cholesky
+        calls = []
+        monkeypatch.setattr(linalg, "cholesky", lambda a: calls.append(a) or factor(a))
+        assert np.isfinite(log_evidence_proper(stats, prior))
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], prior.b)
+        np.testing.assert_array_equal(calls[1], linalg.symmetrize(prior.b + stats.within))
 
     @pytest.mark.parametrize("offset", [1e6, 1e8, 1e10])
     def test_evidence_matches_centred_reference(self, offset):

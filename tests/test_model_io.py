@@ -19,13 +19,14 @@ from gausset import (
     score_batch,
 )
 from gausset.errors import DegenerateScatter, ParseError
+from gausset.predictive import PredictiveModel
 
 
 class TestRoundTrip:
     def test_fields_bit_exact(self, worked_posterior, tmp_path):
         model = build_model(worked_posterior, class_names=("a", "b"))
         path = tmp_path / "model.json"
-        save_model(model, 1.0, path)
+        save_model(model, path)
         loaded, r = load_model(path)
         assert r == 1.0
         assert loaded.class_names == model.class_names
@@ -40,7 +41,7 @@ class TestRoundTrip:
     def test_scoring_bit_identical_after_reload(self, worked_posterior, tmp_path):
         model = build_model(worked_posterior, class_names=("a", "b"))
         path = tmp_path / "model.json"
-        save_model(model, 1.0, path)
+        save_model(model, path)
         loaded, _ = load_model(path)
         rng = np.random.default_rng(60)
         patterns = rng.normal(0.0, 2.0, size=(25, 1))
@@ -66,7 +67,7 @@ class TestRoundTrip:
                                 np.eye(dim) + 0.3, source_r=0.5)
         model = build_model(post)
         path = tmp_path / "model.json"
-        save_model(model, 0.5, path)
+        save_model(model, path)
         loaded, _ = load_model(path)
         prior = ClassPrior([0.1, 0.0, 0.6, 0.3])
         for x in rng.normal(5.0, 3.0, size=(10, dim)):
@@ -79,13 +80,12 @@ class TestRoundTrip:
 
     def test_awkward_floats_survive(self, tmp_path):
         # Shortest-repr decimal serialization must round-trip exactly.
-        from gausset.predictive import _assemble_model
         mu = np.array([[1.0 / 3.0, np.pi], [np.e, 2.0 ** -45]])
         c = np.array([1.0 / 7.0, 0.1 + 0.2])
         b = np.array([[1.000000000000001, 1e-13], [1e-13, 0.3333333333333333]])
-        model = _assemble_model(("u", "v"), mu, c, 9.000000000000002, b, 1.0 / 9.0)
+        model = PredictiveModel(("u", "v"), mu, c, 9.000000000000002, 1.0 / 9.0, b)
         path = tmp_path / "model.json"
-        save_model(model, 1.0 / 9.0, path)
+        save_model(model, path)
         loaded, r = load_model(path)
         assert r == 1.0 / 9.0
         np.testing.assert_array_equal(loaded.mu_star, mu)
@@ -95,26 +95,15 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_file_is_compact_json(self, tmp_path, dim):
-        from gausset.predictive import _assemble_model
         rng = np.random.default_rng(dim)
         b = np.eye(dim) + 0.1
-        model = _assemble_model(("u", "v"), rng.normal(size=(dim, 2)),
-                                np.array([0.5, 0.25]), dim + 4.0, b, 1.0)
+        model = PredictiveModel(("u", "v"), rng.normal(size=(dim, 2)),
+                                np.array([0.5, 0.25]), dim + 4.0, 1.0, b)
         path = tmp_path / "model.json"
-        save_model(model, 1.0, path)
+        save_model(model, path)
         text = path.read_text()
         assert text == json.dumps(json.loads(text)) + "\n"
         assert list(json.loads(text))[-1] == "b_star"
-
-    def test_mismatched_r_rejected_before_writing(self, worked_posterior, tmp_path):
-        # The reloaded scoring centre is derived from the stored r, so a
-        # model saved under another r would not score as it did in memory.
-        model = build_model(worked_posterior, class_names=("a", "b"))
-        assert model.r == 1.0
-        path = tmp_path / "model.json"
-        with pytest.raises(ValueError, match="r="):
-            save_model(model, 5.0, path)
-        assert not path.exists()
 
 
 class TestLoadValidation:

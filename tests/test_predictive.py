@@ -32,6 +32,7 @@ from gausset.errors import (
     ShapeMismatch,
 )
 from gausset.linalg import log_gamma
+from gausset.montecarlo import mc_predictive
 from gausset.predictive import _BLOCK_ENTRIES, PredictiveModel
 
 from conftest import offset_dataset, random_spd
@@ -71,19 +72,23 @@ class TestBuildModel:
             build_model(post)
 
     def test_scoring_constants_are_derived_not_passed(self, worked_model):
-        # The cached constants follow from the stored fields, so a model
-        # built field by field scores exactly as the one it copies.
-        fields = ("class_names", "mu_star", "c_star", "a_star", "r", "b_star",
-                  "chol_b_star", "logdet_b_star", "log_norm", "centre", "white_means")
+        # Everything but the six stored fields follows from them, so a model
+        # built from those scores exactly as the one it copies, and no
+        # derived value can be passed in to disagree with them.
+        fields = ("class_names", "mu_star", "c_star", "a_star", "r", "b_star")
         copy = PredictiveModel(*(getattr(worked_model, name) for name in fields))
+        for name in ("logdet_b_star", "log_norm", "centre", "white_means"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(worked_model, name))
+        np.testing.assert_array_equal(copy.chol_b_star.lower, worked_model.chol_b_star.lower)
         np.testing.assert_array_equal(copy.cp1, worked_model.c_star + 1.0)
         np.testing.assert_array_equal(copy.inverse_t, worked_model.chol_b_star.inverse.T)
         assert copy.block_rows == _BLOCK_ENTRIES // 2
         np.testing.assert_array_equal(
             score_batch(copy, [[0.3], [2.0]], [0.5, 0.5])[0],
             score_batch(worked_model, [[0.3], [2.0]], [0.5, 0.5])[0])
-        with pytest.raises(TypeError):
-            PredictiveModel(*(getattr(worked_model, name) for name in fields), cp1=[1.0, 1.0])
+        for derived in ({"chol_b_star": worked_model.chol_b_star}, {"cp1": [1.0, 1.0]}):
+            with pytest.raises(TypeError):
+                PredictiveModel(*(getattr(worked_model, name) for name in fields), **derived)
 
     def test_class_name_default_and_mismatch(self, worked_posterior):
         assert build_model(worked_posterior).class_names == ("class_0", "class_1")
@@ -145,6 +150,17 @@ class TestLogPredictive:
             log_predictive(worked_model, [1.0, 2.0], 0)
         with pytest.raises(IndexError):
             log_predictive(worked_model, [1.0], 5)
+
+    @pytest.mark.parametrize("k", [2, -1])
+    def test_class_index_checked_before_any_lookup(self, worked_model, k):
+        # Every single-pattern scorer names the valid range, whatever it
+        # reads per class.
+        rng = np.random.default_rng(0)
+        for score in (lambda: log_predictive(worked_model, [1.0], k),
+                      lambda: log_predictive_unnormalized(worked_model, [1.0], k),
+                      lambda: mc_predictive(rng, worked_model, [1.0], k, 10)):
+            with pytest.raises(IndexError, match=f"class index {k} out of range for K=2"):
+                score()
 
 
 class TestLogPredictiveUnnormalized:
