@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -35,6 +36,7 @@ EXIT_DEGENERATE = 3
 _DEGENERATE_ERRORS = (DegenerateScatter, NotPositiveDefinite, InsufficientDof)
 # After _DEGENERATE_ERRORS, every other library error is an input error.
 _INPUT_ERRORS = (GaussetError, OSError, ValueError)
+_WRITE_BLOCK = 1024  # rows _write_rows turns into Python floats at once
 
 
 def _build_prior(args, dim: int) -> PriorHyper:
@@ -53,6 +55,26 @@ def _parse_class_prior(spec: str, n_classes: int):
     except ValueError:
         raise DomainError(f"cannot parse class prior {spec!r}") from None
     return probs
+
+
+def _write_rows(path, header, values, names, codes) -> None:
+    """Write ``header``, then row i of ``values`` and ``names[codes[i]]``.
+
+    Same bytes as ``csv.writer`` for rows of one float or more: floats in
+    shortest ``repr``, each name quoted once by ``csv.writer`` on the row
+    ``[0, name]`` (as inside any longer row), a block of rows at a time.
+    """
+    ends = []
+    for name in names:
+        cell = io.StringIO()
+        csv.writer(cell).writerow([0, name])
+        ends.append(cell.getvalue()[1:])  # the comma, the name, the terminator
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        for start in range(0, len(values), _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            handle.writelines(",".join(map(repr, row)) + ends[code] for row, code
+                              in zip(values[block].tolist(), codes[block].tolist()))
 
 
 def cmd_fit(args) -> int:
@@ -75,16 +97,11 @@ def cmd_classify(args) -> int:
     _, patterns = load_features(args.data)
     prior = _parse_class_prior(args.prior, model.n_classes)
     log_unnorm, posteriors, actions = score_batch(model, patterns, prior)
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        header = ([f"logpred_{n}" for n in model.class_names]
-                  + [f"posterior_{n}" for n in model.class_names]
-                  + ["action"])
-        writer.writerow(header)
-        for scores, probs, action in zip(log_unnorm, posteriors, actions):
-            # csv writes a Python float as its shortest repr.
-            writer.writerow([*scores.tolist(), *probs.tolist(),
-                             model.class_names[action]])
+    header = ([f"logpred_{n}" for n in model.class_names]
+              + [f"posterior_{n}" for n in model.class_names]
+              + ["action"])
+    _write_rows(args.out, header, np.hstack([log_unnorm, posteriors]),
+                model.class_names, actions)
     print(f"scored {patterns.shape[0]} rows into {args.out}")
     return EXIT_OK
 
@@ -147,11 +164,8 @@ def cmd_gen_synth(args) -> int:
     precision = args.lambda_scale * np.eye(args.dim)
     ds, means = montecarlo.sample_dataset(rng, args.dim, counts, args.r_true,
                                           precision=precision)
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"x{i}" for i in range(args.dim)] + ["label"])
-        for row, label in zip(ds.patterns, ds.labels):
-            writer.writerow([*row.tolist(), ds.class_names[label]])
+    _write_rows(args.out, [f"x{i}" for i in range(args.dim)] + ["label"],
+                ds.patterns, ds.class_names, ds.labels)
     sidecar = {
         "r_true": args.r_true,
         "seed": args.seed,

@@ -92,12 +92,14 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     itself instead.
     """
     counts = stats.counts.astype(np.float64)
+    sizes = counts[counts > 0]
     dim, total = stats.dim, stats.total
     a_star = a + total
 
     def bracket(r):
-        return 0.5 * dim * (stats.n_classes * np.log(r)
-                            - np.sum(np.log(r[:, None] + counts), axis=1))
+        # An empty class adds log r - log(r + 0) = 0, left out to keep it exact.
+        return 0.5 * dim * (sizes.size * np.log(r)
+                            - np.sum(np.log(r[:, None] + sizes), axis=1))
 
     if total == 0 and b is None:
         return lambda r: np.zeros(r.shape)
@@ -108,7 +110,6 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
         return lambda r: bracket(r) - 0.5 * a_star * np.array(
             [_dense_log_det(stats, x, b) for x in r])
 
-    sizes = counts[counts > 0]
     means = stats.means[:, counts > 0]
     xbar = means @ (sizes / total)
     white = chol.inverse @ np.column_stack([means - xbar[:, None], xbar])

@@ -1,12 +1,18 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gausset.cli import main
+from gausset import (LabeledDataset, PriorHyper, accumulate, build_model,
+                     load_features, posterior, save_model, score_batch)
+from gausset.cli import _write_rows, main
 from gausset.errors import ParseError
 from gausset.model_io import load_model
+from gausset.montecarlo import sample_dataset, seeded_generator
 
 
 def write_worked_csv(path):
@@ -15,6 +21,45 @@ def write_worked_csv(path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def csv_bytes(header, rows):
+    """What ``csv.writer`` writes for ``header`` and ``rows``, as UTF-8."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+# Class names that csv quotes, or that are easy to mangle: a delimiter, a
+# quote, surrounding spaces, non-ASCII, empty, a newline (as a quoted
+# multi-line label cell gives) and a number.
+UNUSUAL_NAMES = ("a,b", 'q"x', " pad ", "\u03a9", "", "multi\nline", "1")
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-05, 9.999999999999999e-06, 1.0000000000000002e-05,
+                     1e16, 9999999999999998.0, 1.0000000000000002e16, 1e22]),
+    st.floats(min_value=1e-6, max_value=1e-4),
+    st.floats(min_value=1e15, max_value=1e17),
+    st.integers(-2**53, 2**53).map(float),
+)
+
+
+@st.composite
+def row_blocks(draw):
+    """(values, names, codes) for ``_write_rows``: 1-4 float columns."""
+    n_cols = draw(st.integers(1, 4))
+    names = draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=5),
+                          min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(FLOATS, min_size=n_cols, max_size=n_cols),
+                         max_size=12))
+    codes = draw(st.lists(st.integers(0, len(names) - 1),
+                          min_size=len(rows), max_size=len(rows)))
+    return (np.array(rows, dtype=np.float64).reshape(len(rows), n_cols),
+            names, np.array(codes, dtype=np.int64))
 
 
 class TestFit:
@@ -97,7 +142,7 @@ class TestClassify:
         scored = tmp_path / "scored.csv"
         assert run(["classify", "--model", model_path, "--data", queries,
                     "--out", scored]) == 0
-        with open(scored) as handle:
+        with open(scored, newline="", encoding="utf-8") as handle:
             row = next(csv.DictReader(handle))
         assert float(row["posterior_a"]) == pytest.approx(0.5, abs=1e-12)
         assert float(row["posterior_b"]) == pytest.approx(0.5, abs=1e-12)
@@ -110,7 +155,7 @@ class TestClassify:
         scored = tmp_path / "scored.csv"
         assert run(["classify", "--model", model_path, "--data", queries,
                     "--out", scored]) == 0
-        with open(scored) as handle:
+        with open(scored, newline="", encoding="utf-8") as handle:
             for row in csv.DictReader(handle):
                 total = float(row["posterior_a"]) + float(row["posterior_b"])
                 assert total == pytest.approx(1.0, abs=1e-12)
@@ -124,9 +169,9 @@ class TestClassify:
         assert run(["fit", "--data", synth, "--out", model_path, "--r", "1.0"]) == 0
         features = tmp_path / "features.csv"
         labels = []
-        with open(synth) as handle:
+        with open(synth, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
-        with open(features, "w") as handle:
+        with open(features, "w", encoding="utf-8") as handle:
             handle.write("x0,x1\n")
             for row in rows:
                 handle.write(f"{row['x0']},{row['x1']}\n")
@@ -134,7 +179,7 @@ class TestClassify:
         scored = tmp_path / "scored.csv"
         assert run(["classify", "--model", model_path, "--data", features,
                     "--out", scored]) == 0
-        with open(scored) as handle:
+        with open(scored, newline="", encoding="utf-8") as handle:
             decisions = [row["action"] for row in csv.DictReader(handle)]
         accuracy = np.mean([d == t for d, t in zip(decisions, labels)])
         assert accuracy > 0.6  # chance is 1/3
@@ -153,10 +198,61 @@ class TestClassify:
         scored = tmp_path / "scored.csv"
         assert run(["classify", "--model", model_path, "--data", queries,
                     "--out", scored, "--prior", "1,0"]) == 0
-        with open(scored) as handle:
+        with open(scored, newline="", encoding="utf-8") as handle:
             row = next(csv.DictReader(handle))
         assert float(row["posterior_a"]) == 1.0
         assert row["action"] == "a"
+
+    def test_bytes_match_csv_writer_for_unusual_names(self, tmp_path):
+        rng = np.random.default_rng(13)
+        k = len(UNUSUAL_NAMES)
+        angles = 2.0 * np.pi * np.arange(k) / k
+        centres = 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+        labels = np.repeat(np.arange(k), 20)
+        ds = LabeledDataset(centres[labels] + rng.normal(size=(labels.size, 2)),
+                            labels, UNUSUAL_NAMES)
+        model_path = tmp_path / "model.json"
+        save_model(build_model(posterior(accumulate(ds), PriorHyper.noninformative(1.0)),
+                               class_names=UNUSUAL_NAMES), model_path)
+        queries = tmp_path / "queries.csv"
+        query_x = np.vstack([centres, rng.normal(0.0, 8.0, size=(40, 2))])
+        queries.write_text("x0,x1\n" + "".join(f"{a!r},{b!r}\n"
+                                                for a, b in query_x.tolist()))
+        scored = tmp_path / "scored.csv"
+        assert run(["classify", "--model", model_path, "--data", queries,
+                    "--out", scored]) == 0
+
+        model, _ = load_model(model_path)
+        log_unnorm, posteriors, actions = score_batch(
+            model, load_features(queries)[1], np.full(k, 1.0 / k))
+        assert set(actions.tolist()) == set(range(k))
+        header = ([f"logpred_{n}" for n in UNUSUAL_NAMES]
+                  + [f"posterior_{n}" for n in UNUSUAL_NAMES] + ["action"])
+        rows = [[*scores.tolist(), *probs.tolist(), UNUSUAL_NAMES[action]]
+                for scores, probs, action in zip(log_unnorm, posteriors, actions)]
+        assert scored.read_bytes() == csv_bytes(header, rows)
+
+    def test_header_only_query_file_gives_header_line(self, tmp_path):
+        model_path = self.fit_worked(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n")
+        scored = tmp_path / "scored.csv"
+        assert run(["classify", "--model", model_path, "--data", queries,
+                    "--out", scored]) == 0
+        assert scored.read_bytes() == (
+            b"logpred_a,logpred_b,posterior_a,posterior_b,action\r\n")
+
+
+class TestWriteRows:
+    @settings(max_examples=200, deadline=None)
+    @given(row_blocks())
+    def test_text_equals_csv_writer(self, tmp_path_factory, case):
+        values, names, codes = case
+        path = tmp_path_factory.getbasetemp() / "write_rows_property.csv"
+        header = [f"c{i}" for i in range(values.shape[1])] + ["name"]
+        _write_rows(path, header, values, names, codes)
+        rows = [[*row, names[code]] for row, code in zip(values.tolist(), codes.tolist())]
+        assert path.read_bytes() == csv_bytes(header, rows)
 
 
 class TestTuneR:
@@ -178,7 +274,7 @@ class TestTuneR:
         mode = float(out.split("grid mode r = ")[1].split()[0])
         cell = np.log(1e6) / 399
         assert abs(np.log(tuned) - np.log(mode)) <= cell
-        with open(curve_path) as handle:
+        with open(curve_path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 400
 
@@ -196,7 +292,7 @@ class TestTuneR:
         curve_path = tmp_path / "curve.csv"
         assert run(["tune-r", "--data", data, "--r-min", "0.1",
                     "--r-max", "10", "--grid", "25", "--out", curve_path]) == 0
-        with open(curve_path) as handle:
+        with open(curve_path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 25
         assert all(row["log_evidence"] for row in rows)
@@ -346,7 +442,7 @@ class TestGenSynth:
         truth = json.loads((tmp_path / "synth.csv.truth.json").read_text())
         assert truth["counts"]["class_1"] == 0
         assert len(truth["means"]) == 3
-        with open(out) as handle:
+        with open(out, newline="", encoding="utf-8") as handle:
             labels = {row["label"] for row in csv.DictReader(handle)}
         assert labels == {"class_0", "class_2"}
 
@@ -355,7 +451,7 @@ class TestGenSynth:
         assert run(["gen-synth", "--out", out, "--dim", "1", "--classes", "1",
                     "--per-class", "400", "--seed", "2"]) == 0
         truth = json.loads((tmp_path / "synth.csv.truth.json").read_text())
-        with open(out) as handle:
+        with open(out, newline="", encoding="utf-8") as handle:
             values = [float(row["x0"]) for row in csv.DictReader(handle)]
         assert abs(np.mean(values) - truth["means"]["class_0"][0]) <= 4 / np.sqrt(400)
 
@@ -364,7 +460,18 @@ class TestGenSynth:
         for out in (out1, out2):
             assert run(["gen-synth", "--out", out, "--dim", "2", "--classes", "2",
                         "--per-class", "5", "--seed", "33"]) == 0
-        assert out1.read_text() == out2.read_text()
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_bytes_match_csv_writer_on_the_same_draw(self, tmp_path):
+        # 1100 rows: more than one block of the row writer.
+        out = tmp_path / "synth.csv"
+        assert run(["gen-synth", "--out", out, "--dim", "3", "--classes", "2",
+                    "--per-class", "700,400", "--r-true", "0.5",
+                    "--lambda-scale", "2.0", "--seed", "9"]) == 0
+        ds, _ = sample_dataset(seeded_generator(9), 3, [700, 400], 0.5,
+                               precision=2.0 * np.eye(3))
+        rows = [[*x.tolist(), ds.class_names[k]] for x, k in zip(ds.patterns, ds.labels)]
+        assert out.read_bytes() == csv_bytes(["x0", "x1", "x2", "label"], rows)
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run(["gen-synth", "--out", tmp_path / "x.csv", "--dim", "2",
@@ -384,7 +491,7 @@ class TestModelRoundTripThroughCli:
                              load_csv, load_model, posterior, score_batch)
         data = tmp_path / "train.csv"
         rng = np.random.default_rng(70)
-        with open(data, "w") as handle:
+        with open(data, "w", encoding="utf-8") as handle:
             handle.write("x0,x1,label\n")
             for _ in range(50):
                 k = rng.integers(0, 2)

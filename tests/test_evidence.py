@@ -44,9 +44,9 @@ def sequential_log_predictive(ds, prior, order):
 
 class TestNoninformativeEvidence:
     def test_all_empty_classes_score_zero(self):
-        stats = SufficientStats.zeros(2, 3)
-        for r in (1e-3, 1.0, 50.0):
-            assert log_evidence_noninformative(stats, r) == 0.0
+        for k in range(1, 12):
+            for r in (1e-3, 0.3, 1.0, 17.0, 50.0, 1e3):
+                assert log_evidence_noninformative(SufficientStats.zeros(2, k), r) == 0.0
 
     def test_worked_example(self, worked_stats):
         # (1/2)[2 log 1 - log 3 - log 2] - (3/2) log(20/3), by hand.
@@ -82,9 +82,12 @@ class TestNoninformativeEvidence:
 
 class TestProperEvidence:
     def test_empty_data_scores_zero(self):
-        stats = SufficientStats.zeros(2, 2)
-        prior = PriorHyper(r=0.5, a=4.0, b=np.eye(2))
-        assert log_evidence_proper(stats, prior) == 0.0
+        # Exactly: K log r - sum_k log(r + 0) rounds away from 0 for some
+        # K and r unless the empty classes are left out of the sum.
+        for k in range(1, 12):
+            for r in (1e-3, 0.3, 0.5, 17.0, 1e3):
+                prior = PriorHyper(r=r, a=4.0, b=np.eye(2))
+                assert log_evidence_proper(SufficientStats.zeros(2, k), prior) == 0.0
 
     def test_single_point_equals_prior_predictive(self):
         prior = PriorHyper(r=2.0, a=1.5, b=np.array([[2.0]]))
