@@ -33,7 +33,7 @@ for r in (0.01, 0.1, 0.5, 2.0, 10.0, 100.0):
           f"{log_evidence_noninformative(stats, r):10.3f}")
 
 tuned = tune_r(stats, 1e-3, 1e3, tol=1e-8)
-print(f"\ngolden-section maximum: r = {tuned:.4f} "
+print(f"\nevidence maximum: r = {tuned:.4f} "
       f"(truth {r_true}, ratio {tuned / r_true:.2f})")
 
 # Dump a curve for external plotting; degenerate points would show up as

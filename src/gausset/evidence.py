@@ -42,9 +42,10 @@ mbar^T C^-1 mbar from Woodbury on the same K' x K' factor. No N x N
 matrix with offset-sized entries is formed, so a large common offset in
 the data is never rounded into B* and cannot make B* look singular.
 ``evidence_curve`` scores its whole grid in one batch, and ``tune_r``
-scans a coarse grid in one batch before refining. When B + W itself
-fails the pivot check (for example B = 0 and T < N + K'), each r
-factors the N x N B*(r) from the shared posterior update instead.
+searches by repeated batched scans, each one over the two cells around
+the last scan's best point. When B + W is singular (B = 0 and
+T < N + K', where W has rank at most T - K') or fails the pivot check,
+each r factors the N x N B*(r) from the shared posterior update instead.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ from .errors import (
 )
 from .inference import PriorHyper, _posterior_general
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Points of tune_r's first, batched scan over [r_min, r_max].
+# Points of each of tune_r's batched scans.
 _TUNE_GRID = 64
 
 
@@ -87,8 +87,8 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     B = 0, and NaN where B*(r) is degenerate. The N x N work is done here
     once: factor B + W and whiten the offset-free means M - xbar 1^T and
     the count-weighted mean xbar. Each r then costs K' x K' work through
-    the weighted-mean split of the module docstring. If B + W fails the
-    pivot rule (for example B = 0 and T < N + K'), each r factors B*(r)
+    the weighted-mean split of the module docstring. If B + W is singular
+    (B = 0 and T < N + K') or fails the pivot rule, each r factors B*(r)
     itself instead.
     """
     counts = stats.counts.astype(np.float64)
@@ -101,14 +101,20 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
         return 0.5 * dim * (sizes.size * np.log(r)
                             - np.sum(np.log(r[:, None] + sizes), axis=1))
 
+    def dense(r):
+        return bracket(r) - 0.5 * a_star * np.array([_dense_log_det(stats, x, b) for x in r])
+
     if total == 0 and b is None:
         return lambda r: np.zeros(r.shape)
+    # With B = 0, W has rank at most T - K', and rounding can pass such a
+    # singular W through the pivot rule, so it takes the dense path too.
+    if b is None and total - sizes.size < dim:
+        return dense
     try:
         chol = linalg.cholesky(linalg.symmetrize(
             stats.within if b is None else b + stats.within))
     except NotPositiveDefinite:
-        return lambda r: bracket(r) - 0.5 * a_star * np.array(
-            [_dense_log_det(stats, x, b) for x in r])
+        return dense
 
     means = stats.means[:, counts > 0]
     xbar = means @ (sizes / total)
@@ -211,13 +217,14 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
            tol: float = 1e-6) -> float:
     """Maximize the non-informative log evidence over r.
 
-    The search runs on log r because useful r values span decades. It
-    scores a fixed grid of ``_TUNE_GRID`` log-spaced points over
-    [r_min, r_max], endpoints included, in one batch, then refines by
-    golden section inside the two grid cells around the best point. The
-    curve is near-log-concave in practice but not provably so; the grid
-    guards against a local peak, and the returned r never scores below
-    any grid point. ``tol`` is the final log-r bracket width, finite and > 0.
+    The search runs on log r because useful r values span decades. Each
+    scan scores ``_TUNE_GRID`` log-spaced points, endpoints included, in
+    one batch: first over [r_min, r_max], then over the two cells around
+    the last scan's best point, until those are at most ``tol`` wide in
+    log r (finite and > 0) or stop shrinking. It returns the best point of
+    all scans. The curve is near-log-concave in practice but not provably
+    so; the first grid guards against a local peak, and the returned r
+    never scores below any of its points.
 
     A probe whose scale matrix is degenerate loses every comparison.
     Degeneracy can come and go along r, so no single probe stands for
@@ -231,38 +238,21 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
         raise DomainError(f"tol must be finite and positive, got {tol}")
 
     values = _evidence_kernel(stats)
-    grid = np.geomspace(r_min, r_max, _TUNE_GRID)
-    scanned = values(grid)
-    scanned[np.isnan(scanned)] = -np.inf
-    probes = dict(zip(grid.tolist(), scanned.tolist()))
-
-    def objective(log_r: float) -> float:
-        r = math.exp(log_r)
-        if r not in probes:
-            value = values(np.array([r]))[0]
-            probes[r] = -math.inf if np.isnan(value) else float(value)
-        return probes[r]
-
-    best = int(np.argmax(scanned))
-    lo = math.log(grid[max(best - 1, 0)])
-    hi = math.log(grid[min(best + 1, grid.size - 1)])
-    # A bracket a few ulps wide stops shrinking, so no smaller tol is met.
-    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-    objective(0.5 * (lo + hi))
-    best_r = max(probes, key=probes.get)
-    if probes[best_r] == -math.inf:
+    lo, hi, width = r_min, r_max, math.inf
+    best_r, best_value = r_min, -math.inf
+    while True:
+        grid = np.geomspace(lo, hi, _TUNE_GRID)
+        scanned = values(grid)
+        scanned[np.isnan(scanned)] = -np.inf
+        best = int(np.argmax(scanned))
+        if scanned[best] > best_value:
+            best_r, best_value = float(grid[best]), float(scanned[best])
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        # Cells a few ulps wide stop shrinking, so no smaller tol is met.
+        previous, width = width, math.log(hi / lo)
+        if width <= tol or width >= previous:
+            break
+    if best_value == -math.inf:
         raise DegenerateScatter(
             f"evidence scale matrix is singular at every probed r in "
             f"[{r_min}, {r_max}] (T={stats.total}, N={stats.dim})"

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError, ShapeMismatch
 from .predictive import PredictiveModel
 
 FORMAT_VERSION = 1
@@ -42,9 +42,10 @@ def save_model(model: PredictiveModel, path) -> None:
 def load_model(path):
     """Read a model file. Returns ``(model, r)``.
 
-    The model's constructor derives the Cholesky factor, log normalizers
-    and scoring centre from the stored parameters, as for a fresh build,
-    so the loaded model scores bit-identically.
+    The model's constructor validates the stored parameters and derives
+    the rest from them, as for a fresh build, so the loaded model scores
+    bit-identically. Its ``DomainError`` or ``ShapeMismatch`` becomes a
+    :class:`ParseError` with the same message; other errors pass through.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -64,16 +65,9 @@ def load_model(path):
         b_star = np.asarray(doc["b_star"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model file is missing or malforms a field: {exc}") from exc
-    if mu_star.size == 0 or mu_star.shape != (dim, len(class_names)):
-        raise ParseError(
-            f"mean matrix shape {mu_star.shape} does not match dim={dim}, "
-            f"K={len(class_names)}"
-        )
-    if b_star.shape != (dim, dim) or c_star.shape != (len(class_names),):
-        raise ParseError("scale matrix or c* vector has the wrong shape")
-    # json reads NaN and Infinity; none of them may reach the scorer.
-    for name, value in (("r", r), ("a_star", a_star), ("mu_star", mu_star),
-                        ("c_star", c_star), ("b_star", b_star)):
-        if not np.all(np.isfinite(value)):
-            raise ParseError(f"model field {name} holds a non-finite value")
-    return PredictiveModel(class_names, mu_star, c_star, a_star, r, b_star), r
+    if mu_star.shape[:1] != (dim,):
+        raise ParseError(f"mean matrix shape {mu_star.shape} does not match dim={dim}")
+    try:
+        return PredictiveModel(class_names, mu_star, c_star, a_star, r, b_star), r
+    except (DomainError, ShapeMismatch) as exc:
+        raise ParseError(str(exc)) from exc

@@ -28,6 +28,7 @@ from .errors import (
     AllZeroPrior,
     DegenerateScatter,
     DimensionMismatch,
+    DomainError,
     InsufficientDof,
     NotPositiveDefinite,
     ShapeMismatch,
@@ -53,11 +54,13 @@ class PredictiveModel:
     ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T) and
     ``block_rows``, the rows per kernel block.
 
-    Checked in this order: ``ValueError`` if a c* is not positive,
-    ``DegenerateScatter`` if B* fails the Cholesky check,
+    Checked in this order: ``ShapeMismatch`` if ``mu_star`` is not a
+    non-empty N x K matrix, there are not K class names, ``c_star`` is
+    not (K,) or ``b_star`` not N x N; ``DomainError`` naming the field if
+    r, a*, mu*, c* or B* holds a non-finite value, or if a c* is not
+    positive; ``DegenerateScatter`` if B* fails the Cholesky check;
     ``InsufficientDof`` if a* + 1 - N <= 0 (the normalizing gamma
-    argument would be non-positive), ``ShapeMismatch`` if there are not
-    K class names.
+    argument would be non-positive).
     """
 
     class_names: tuple | None
@@ -83,9 +86,23 @@ class PredictiveModel:
         c_star = np.asarray(self.c_star, dtype=np.float64)
         b_star = np.asarray(self.b_star, dtype=np.float64)
         a_star, r = float(self.a_star), float(self.r)
+        if mu_star.ndim != 2 or mu_star.size == 0:
+            raise ShapeMismatch(f"mu_star has shape {mu_star.shape}, not N x K with N, K >= 1")
         n, n_classes = mu_star.shape
+        class_names = self.class_names
+        if class_names is None:
+            class_names = tuple(f"class_{k}" for k in range(n_classes))
+        if len(class_names) != n_classes:
+            raise ShapeMismatch("number of class names does not match K")
+        for name, value, shape in (("c_star", c_star, (n_classes,)), ("b_star", b_star, (n, n))):
+            if value.shape != shape:
+                raise ShapeMismatch(f"{name} has shape {value.shape}, mu_star needs {shape}")
+        for name, value in (("r", r), ("a_star", a_star), ("mu_star", mu_star),
+                            ("c_star", c_star), ("b_star", b_star)):
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"model field {name} holds a non-finite value")
         if np.any(c_star <= 0.0):
-            raise ValueError("per-class c* values must be positive")
+            raise DomainError("per-class c* values must be positive")
         # Degeneracy of B* is the more informative failure, so check it first;
         # with too little data both conditions tend to trip together.
         try:
@@ -100,11 +117,6 @@ class PredictiveModel:
             raise InsufficientDof(
                 f"predictive needs a* + 1 - N > 0, got a*={a_star}, N={n}"
             )
-        class_names = self.class_names
-        if class_names is None:
-            class_names = tuple(f"class_{k}" for k in range(n_classes))
-        if len(class_names) != n_classes:
-            raise ShapeMismatch("number of class names does not match K")
         ld = linalg.logdet(chol)
         cp1 = c_star + 1.0
         log_norm = (linalg.log_gamma((a_star + 1.0) / 2.0)
@@ -300,20 +312,19 @@ def decide(posterior_probs, costs):
     return int(actions) if actions.ndim == 0 else actions
 
 
-def score_batch(model: PredictiveModel, patterns, prior, costs=None):
+def score_batch(model: PredictiveModel, patterns, prior):
     """Score a batch of patterns.
 
     Returns ``(log_unnorm, posteriors, actions)`` with one row per
-    pattern, in input order. ``costs`` defaults to zero-one costs, so
-    actions are the most probable classes.
+    pattern, in input order. The actions are the zero-one decisions, the
+    most probable classes; for other costs, pass the posteriors to
+    :func:`decide`.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if patterns.shape[1] != model.dim:
         raise DimensionMismatch(
             f"patterns have {patterns.shape[1]} features, model dimension is {model.dim}"
         )
-    if costs is None:
-        costs = zero_one_costs(model.n_classes)
     log_unnorm = _log_unnormalized(model, patterns)
     posteriors = posterior_from_scores(log_unnorm, prior)
-    return log_unnorm, posteriors, decide(posteriors, costs)
+    return log_unnorm, posteriors, decide(posteriors, zero_one_costs(model.n_classes))

@@ -434,6 +434,36 @@ class TestNonFiniteModel:
         assert report["all_pass"] is False and report["probes"] == []
 
 
+class TestNonPositiveCStarModel:
+    @pytest.mark.parametrize("value", [0.0, -0.25])
+    def test_verify_reports_and_classify_rejects(self, tmp_path, capsys, value):
+        # A model verify cannot load fails verification: exit 1 and a
+        # strict-JSON report. classify rejects it as bad input (exit 2).
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--out", model_path]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["c_star"][0] = value
+        model_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="c\\*"):
+            load_model(model_path)
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--samples", "500"]) == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        report = json.loads(last, parse_constant=reject)
+        assert report["all_pass"] is False and report["probes"] == []
+        assert "c*" in report["error"]
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n0.5\n")
+        assert run(["classify", "--model", model_path, "--data", queries,
+                    "--out", tmp_path / "scored.csv"]) == 2
+
+
 class TestGenSynth:
     def test_empty_class_in_sidecar_only(self, tmp_path):
         out = tmp_path / "synth.csv"

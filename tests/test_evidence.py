@@ -208,7 +208,7 @@ class TestTuneR:
         # Two large classes near the origin favour strong shrinkage, one
         # small far-off class favours weak shrinkage: the curve has local
         # peaks near r = 1.7 and r = 72, and the lower one is the global
-        # maximum. Golden section alone settles on the other one.
+        # maximum. A search inside one local bracket settles on the other one.
         stats = SufficientStats([1044, 595, 3], [[-0.2, -0.35, -5.2]], [[11400.0]])
         grid = np.geomspace(1e-3, 1e3, 1000)
         values = evidence_curve(stats, grid).log_evidence
@@ -221,6 +221,18 @@ class TestTuneR:
         with pytest.raises(DegenerateScatter):
             tune_r(accumulate(ds), 1e-2, 1e2, tol=1e-6)
 
+    def test_degenerate_low_end_is_skipped(self):
+        # W is singular along x1, which only the class means fill, so B*(r)
+        # fails the pivot rule for r below about 0.02: the first grid
+        # points are degenerate and the search must move past them.
+        ds = LabeledDataset(np.array([[-1e5, 1.0], [1e5, 1.0], [0.0, -1.0]]),
+                            [0, 0, 1], ("a", "b"))
+        stats = accumulate(ds)
+        grid = evidence_curve(stats, np.geomspace(1e-3, 1e3, 64)).log_evidence
+        assert np.isnan(grid[0]) and not np.isnan(grid).all()
+        tuned = tune_r(stats, 1e-3, 1e3)
+        assert log_evidence_noninformative(stats, tuned) >= np.nanmax(grid)
+
     def test_bad_range(self, worked_stats):
         with pytest.raises(DomainError):
             tune_r(worked_stats, 2.0, 1.0)
@@ -230,11 +242,15 @@ class TestTuneR:
         with pytest.raises(DomainError):
             tune_r(worked_stats, 1e-3, 1e3, tol=tol)
 
-    def test_tol_below_rounding_returns(self, worked_stats, deadline):
-        # The golden-section bracket cannot shrink below a few ulps of log r.
-        tuned = tune_r(worked_stats, 1e-2, 1e2, tol=1e-300)
+    @pytest.mark.parametrize("r_min, r_max", [(1e-2, 1e2), (0.9, 1.1)])
+    def test_tol_below_rounding_returns(self, worked_stats, deadline, r_min, r_max):
+        # The scan cells stop shrinking once they are a few floats of r
+        # wide. On (0.9, 1.1) the best point is the boundary r_min, where
+        # adjacent floats of r lie more than a few ulps of log r apart.
+        tuned = tune_r(worked_stats, r_min, r_max, tol=1e-300)
+        assert r_min <= tuned <= r_max
         assert np.log(tuned) == pytest.approx(
-            np.log(tune_r(worked_stats, 1e-2, 1e2, tol=1e-12)), abs=1e-11)
+            np.log(tune_r(worked_stats, r_min, r_max, tol=1e-12)), abs=1e-11)
 
 
 class TestEvidenceCurve:
@@ -459,3 +475,36 @@ class TestBatchedEvidence:
             # Where W is singular the N x N path runs and B* can be near
             # singular too (T = N, small r), so the floor can exceed 1e-9.
             assert abs(value - want) <= 1e-9 * abs(want) + floor
+
+    def test_rank_deficient_within_scatter_takes_the_dense_path(self):
+        # T - K' = 3 < N = 4, so W is singular, yet rounding passes its
+        # factor through the pivot rule. Whitening by that factor breaks the
+        # kernel's K' x K' factorization, so this W takes the dense path.
+        rng = np.random.default_rng(166)
+        labels = np.concatenate([np.arange(5), rng.integers(0, 5, 3)])
+        means = rng.normal(0.0, 3.0, (5, 4))
+        stats = accumulate(LabeledDataset(means[labels] + rng.normal(size=(8, 4)),
+                                          labels, tuple("abcde")))
+        curve = evidence_curve(stats, self.GRID).log_evidence
+        for r, value in zip(self.GRID, curve):
+            want, floor = dense_log_evidence(stats, r)
+            assert abs(value - want) <= 1e-9 * abs(want) + floor
+        assert np.isfinite(log_evidence_noninformative(stats, tune_r(stats, 1e-3, 1e3)))
+
+
+class TestTuneRProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(evidence_datasets())
+    def test_never_below_the_first_grid(self, ds):
+        # One search over [1e-3, 1e3] on both sides of the W switch: the
+        # tuned r stays in the bracket and scores at least every point of
+        # the first 64-point scan, or every one of them is degenerate.
+        stats = accumulate(ds)
+        grid = evidence_curve(stats, np.geomspace(1e-3, 1e3, 64)).log_evidence
+        if np.all(np.isnan(grid)):
+            with pytest.raises(DegenerateScatter):
+                tune_r(stats, 1e-3, 1e3)
+            return
+        tuned = tune_r(stats, 1e-3, 1e3)
+        assert 1e-3 <= tuned <= 1e3
+        assert log_evidence_noninformative(stats, tuned) >= np.nanmax(grid)

@@ -28,6 +28,7 @@ from gausset.errors import (
     AllZeroPrior,
     DegenerateScatter,
     DimensionMismatch,
+    DomainError,
     InsufficientDof,
     ShapeMismatch,
 )
@@ -94,6 +95,44 @@ class TestBuildModel:
         assert build_model(worked_posterior).class_names == ("class_0", "class_1")
         with pytest.raises(ShapeMismatch):
             build_model(worked_posterior, class_names=("only_one",))
+
+
+class TestModelValidation:
+    FIELDS = ("class_names", "mu_star", "c_star", "a_star", "r", "b_star")
+
+    def rebuild(self, model, **changes):
+        values = {name: getattr(model, name) for name in self.FIELDS} | changes
+        return PredictiveModel(*(values[name] for name in self.FIELDS))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["r", "a_star", "mu_star", "c_star", "b_star"])
+    def test_non_finite_field_named(self, worked_model, name, value):
+        # No non-finite value may reach the scorer, where it scores NaN.
+        if name in ("r", "a_star"):
+            changed = value
+        else:
+            changed = np.array(getattr(worked_model, name))
+            changed.flat[0] = value
+        with pytest.raises(DomainError, match=f"field {name} "):
+            self.rebuild(worked_model, **{name: changed})
+
+    @pytest.mark.parametrize("name, value", [
+        ("mu_star", np.array([4.0 / 3.0, 1.0])),
+        ("mu_star", np.zeros((0, 2))),
+        ("c_star", np.array([0.5, 0.5, 0.5])),
+        ("b_star", np.eye(2)),
+        ("b_star", np.ones(1)),
+    ])
+    def test_mis_shaped_field(self, worked_model, name, value):
+        with pytest.raises(ShapeMismatch, match=name):
+            self.rebuild(worked_model, **{name: value})
+
+    @pytest.mark.parametrize("c_first", [0.0, -0.5])
+    def test_non_positive_c_star(self, worked_model, c_first):
+        # Checked before B* is factored: this B* is degenerate too.
+        with pytest.raises(DomainError, match="c\\*"):
+            self.rebuild(worked_model, c_star=np.array([c_first, 0.5]),
+                         b_star=np.zeros((1, 1)))
 
 
 class TestLogPredictive:
