@@ -137,7 +137,8 @@ def accumulate(ds: LabeledDataset) -> SufficientStats:
     sums = np.zeros((ds.n_classes, ds.dim))
     np.add.at(sums, ds.labels, ds.patterns)
     means = sums / np.maximum(counts, 1)[:, None]
-    centred = ds.patterns - means[ds.labels]
+    centred = means[ds.labels]
+    np.subtract(ds.patterns, centred, out=centred)
     return SufficientStats(counts, means.T, symmetrize(centred.T @ centred))
 
 
@@ -221,51 +222,79 @@ def _read_table(path, label_column=None):
 # csv), NUL (a csv error before Python 3.11) and the ASCII separators
 # \x1c-\x1f, which loadtxt strips around a number and float() rejects.
 _FALLBACK_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
+_READ_BLOCK = 1 << 16  # characters _fast_table reads and parses at once
+
+
+def _whole_lines(handle):
+    """The text of ``handle`` in pieces of whole lines, read ``_READ_BLOCK``
+    characters at a time. Each piece but the last ends in ``\n``, so a
+    CRLF pair never straddles two pieces; the last may be empty."""
+    pending = []
+    for piece in iter(lambda: handle.read(_READ_BLOCK), ""):
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield "".join([*pending, piece[:cut]])
+            pending = []
+            piece = piece[cut:]
+        pending.append(piece)
+    yield "".join(pending)
 
 
 def _fast_table(path, label_column=None):
-    """What :func:`_read_table` returns, parsed by one ``np.loadtxt`` call.
+    """What :func:`_read_table` returns, parsed by ``np.loadtxt`` a block
+    of lines at a time, so the whole text is never held at once.
 
     Returns None whenever the two readers could disagree: undecodable
     bytes, a character of ``_FALLBACK_CHARS``, a line longer than csv's
     field size limit, no data rows, a row whose cell count differs from
     the header's, a cell loadtxt rejects, or a non-finite value. The
     caller then runs ``_read_table``, which gives the result or the
-    error with its line and column.
+    error with its line and column. A header without ``label_column``
+    raises the error ``_read_table`` raises for it.
     """
+    header, labels, blocks = None, [], []
+    limit = csv.field_size_limit()
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            text = handle.read()
+            for text in _whole_lines(handle):
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n")
+                if any(char in text for char in _FALLBACK_CHARS):
+                    return None
+                lines = text.split("\n")
+                if header is None:
+                    head = lines.pop(0)
+                    if not head or len(head) > limit:
+                        return None
+                    header = [h.strip() for h in head.split(",")]
+                    label_idx, features = _columns(header, label_column)
+                lines = [line for line in lines if line]   # csv skips empty lines
+                if not lines:
+                    continue
+                # loadtxt does not check row length when given usecols.
+                if (max(map(len, lines)) > limit
+                        or any(line.count(",") != len(header) - 1 for line in lines)):
+                    return None
+                try:
+                    block = np.loadtxt(lines, delimiter=",", usecols=features,
+                                       comments=None, ndmin=2, dtype=np.float64)
+                except ValueError:
+                    return None
+                if not np.isfinite(block).all():
+                    return None
+                blocks.append(block)
+                if label_idx is not None:
+                    # Splitting from the right leaves cells before the label
+                    # joined at index 0, so the label is item 1 (item 0 when
+                    # it is the first cell).
+                    cut = len(header) - label_idx
+                    labels.extend(sys.intern(line.rsplit(",", cut)[min(label_idx, 1)].strip())
+                                  for line in lines)
     except UnicodeDecodeError:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if any(char in text for char in _FALLBACK_CHARS):
+    if not blocks:
         return None
-    head, *lines = text.split("\n")
-    lines = [line for line in lines if line]   # csv skips empty lines
-    if not head or not lines or max(len(head), *map(len, lines)) > csv.field_size_limit():
-        return None
-    header = [h.strip() for h in head.split(",")]
-    label_idx, features = _columns(header, label_column)
-    # loadtxt does not check row length when given usecols.
-    if any(line.count(",") != len(header) - 1 for line in lines):
-        return None
-    try:
-        patterns = np.loadtxt(lines, delimiter=",", usecols=features, comments=None,
-                              ndmin=2, dtype=np.float64)
-    except ValueError:
-        return None
-    if not np.isfinite(patterns).all():
-        return None
-    labels = []
-    if label_idx is not None:
-        # Splitting from the right leaves cells before the label joined at
-        # index 0, so the label is item 1 (item 0 when it is the first cell).
-        cut = len(header) - label_idx
-        labels = [sys.intern(line.rsplit(",", cut)[min(label_idx, 1)].strip())
-                  for line in lines]
-    return header, labels, patterns
+    return header, labels, np.concatenate(blocks)
 
 
 def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledDataset:

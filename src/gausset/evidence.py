@@ -157,13 +157,15 @@ def log_evidence_noninformative(stats: SufficientStats, r: float) -> float:
 
     Raises
     ------
+    DomainError
+        If r is not finite and positive.
     DegenerateScatter
         If the scale matrix B*(r) is not positive definite (for example
         when T <= N).
     """
     r = float(r)
-    if not r > 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be finite and positive, got {r}")
     value = _evidence_kernel(stats)(np.array([r]))[0]
     if np.isnan(value):
         raise DegenerateScatter(
@@ -232,8 +234,8 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
     probe was degenerate.
     """
     r_min, r_max = float(r_min), float(r_max)
-    if not 0.0 < r_min < r_max:
-        raise DomainError(f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
+    if not 0.0 < r_min < r_max < math.inf:
+        raise DomainError(f"need 0 < r_min < r_max < inf, got [{r_min}, {r_max}]")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
 
@@ -286,8 +288,8 @@ def evidence_curve(stats: SufficientStats, r_grid) -> EvidenceCurve:
     r_grid = np.asarray(r_grid, dtype=np.float64)
     if r_grid.ndim != 1 or r_grid.size < 1:
         raise DomainError("grid must be a non-empty vector")
-    if np.any(r_grid <= 0.0) or np.any(np.diff(r_grid) <= 0.0):
-        raise DomainError("grid must be positive and strictly increasing")
+    if not (np.all((r_grid > 0.0) & (r_grid < np.inf)) and np.all(np.diff(r_grid) > 0.0)):
+        raise DomainError("grid must be finite, positive and strictly increasing")
     values = _evidence_kernel(stats)(r_grid)
     if np.all(np.isnan(values)):
         mode = None

@@ -27,13 +27,14 @@ input ``a = 0, B = 0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .dataset import SufficientStats
-from .errors import ShapeMismatch
+from .errors import DomainError, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class PriorHyper:
     def __post_init__(self):
         r = float(self.r)
         a = float(self.a)
-        if not r > 0.0:
-            raise ValueError(f"shrinkage precision r must be positive, got {r}")
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"shrinkage precision r must be finite and positive, got {r}")
         if not a >= 0.0:
             raise ValueError(f"degrees of freedom a must be non-negative, got {a}")
         b = self.b

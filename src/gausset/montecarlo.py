@@ -134,8 +134,16 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     logdets = 2.0 * np.sum(np.log(diag), axis=1) - model.logdet_b_star
     d = model.chol_b_star.inverse @ (x - mu_k)
     tails = np.append(np.cumsum(d[:0:-1] ** 2)[::-1], 0.0)
-    v = diag * d + np.sqrt(tails + c_k) * rng.standard_normal((n_samples, dim))
-    log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v * v, axis=1)
+    # v is built in place in diag's buffer; the one (S, N) normal draw
+    # beside it is freed before the (S,) sums.
+    v = diag
+    v *= d
+    z = rng.standard_normal((n_samples, dim))
+    z *= np.sqrt(tails + c_k)
+    v += z
+    del z
+    v *= v
+    log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v, axis=1)
 
     shift = float(np.max(log_weights))
     scaled = np.exp(log_weights - shift)

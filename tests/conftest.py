@@ -1,4 +1,5 @@
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,3 +57,19 @@ def offset_dataset(offset):
 def random_spd(rng, n, jitter=1e-3):
     g = rng.normal(size=(n, n))
     return g @ g.T + jitter * np.eye(n)
+
+
+def traced_peak(call):
+    """Peak bytes allocated while ``call()`` runs, numpy buffers included
+    (numpy reports them to tracemalloc), and its return value."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        value = call()
+        return tracemalloc.get_traced_memory()[1] - base, value
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

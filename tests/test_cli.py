@@ -102,6 +102,15 @@ class TestFit:
         assert doc["mu_star"][2] == [0.0]
         assert doc["c_star"][2] == 0.25  # 1/r
 
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_non_finite_r_exits_2(self, tmp_path, capsys, r):
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        out = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--r", r, "--out", out]) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["fit", "--data", tmp_path / "nope.csv",
                     "--out", tmp_path / "m.json"]) == 2
@@ -301,6 +310,16 @@ class TestTuneR:
         data = tmp_path / "data.csv"
         write_worked_csv(data)
         assert run(["tune-r", "--data", data, "--tol", "0"]) == 2
+
+    @pytest.mark.parametrize("bound", [["--r-max", "inf"], ["--r-min", "inf"],
+                                       ["--r-max", "nan"]])
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, bound):
+        # Numpy warnings are errors in this suite, so a warning would fail it.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        assert run(["tune-r", "--data", data, *bound]) == 2
+        captured = capsys.readouterr()
+        assert "r_max < inf" in captured.err and "tuned r" not in captured.out
 
     @pytest.mark.parametrize("grid", [None, "0", "-3"])
     def test_curve_flags_checked_before_reading(self, tmp_path, capsys, grid):

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gausset import LabeledDataset, SufficientStats, accumulate, load_csv, merge
-from gausset.dataset import _read_table, load_features
+from gausset import dataset
+from gausset.dataset import _fast_table, _read_table, load_features
 from gausset.errors import (
     EmptyDimension,
     NonFiniteValue,
@@ -12,6 +15,8 @@ from gausset.errors import (
     ShapeMismatch,
 )
 from gausset.linalg import cholesky
+
+from conftest import traced_peak
 
 
 def raw_moment_within(patterns, labels, n_classes):
@@ -61,6 +66,16 @@ class TestAccumulate:
                 stats.counts[k] * stats.means[:, k],
                 patterns[labels == k].sum(axis=0), atol=1e-12
             )
+
+    def test_peak_memory_is_one_centred_copy(self):
+        # The centred rows are formed in one (T, N) buffer. Two temporaries
+        # (the gathered means and the difference) peaked at 2.0x.
+        rng = np.random.default_rng(8)
+        ds = LabeledDataset(rng.normal(size=(20000, 10)), rng.integers(0, 5, 20000),
+                            tuple("abcde"))
+        peak, stats = traced_peak(lambda: accumulate(ds))
+        assert peak <= 1.5 * ds.patterns.nbytes
+        assert stats.counts.sum() == 20000
 
     def test_within_class_scatter_is_psd(self):
         # W equals the raw-moment form S - sum_k f_k f_k^T / T_k, and is
@@ -519,6 +534,14 @@ def _reference_dataset(path):
     return LabeledDataset(patterns, [names.index(label) for label in labels], tuple(names))
 
 
+def _same_table(got, want):
+    """Whether two ``_fast_table`` results are equal, None included."""
+    if got is None or want is None:
+        return got is want
+    return (got[:2] == want[:2] and got[2].shape == want[2].shape
+            and got[2].tobytes() == want[2].tobytes())
+
+
 class TestReaderProperties:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -527,14 +550,110 @@ class TestReaderProperties:
         data, labelled = case
         path = tmp_path_factory.getbasetemp() / "reader_property.csv"
         path.write_bytes(data)
-        if labelled:
-            want, want_error = _outcome(lambda: _fields(_reference_dataset(path)))
-            got, got_error = _outcome(lambda: _fields(load_csv(path)))
-        else:
-            want, want_error = _outcome(lambda: _read_table(path)[::-2])
-            got, got_error = _outcome(lambda: load_features(path)[::-1])
-        assert got_error == want_error
-        if want is not None:
-            assert got[0].shape == want[0].shape
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1:] == want[1:]
+        label_column = "label" if labelled else None
+        # Every generated file fits in one default block, so the default
+        # reads it whole; blocks of 1 and 7 characters cut it everywhere.
+        whole = _fast_table(path, label_column)
+        for block in (1, 7, dataset._READ_BLOCK):
+            with mock.patch.object(dataset, "_READ_BLOCK", block):
+                assert _same_table(_fast_table(path, label_column), whole), block
+                if labelled:
+                    want, want_error = _outcome(lambda: _fields(_reference_dataset(path)))
+                    got, got_error = _outcome(lambda: _fields(load_csv(path)))
+                else:
+                    want, want_error = _outcome(lambda: _read_table(path)[::-2])
+                    got, got_error = _outcome(lambda: load_features(path)[::-1])
+            assert got_error == want_error, block
+            if want is not None:
+                assert got[0].shape == want[0].shape
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1:] == want[1:]
+
+
+def _rows_text(n_rows, newline="\n"):
+    """A headed two-feature CSV of ``n_rows`` rows with labels a and b."""
+    rows = [f"{i}.5,{-i}e-3,{'ab'[i % 2]}" for i in range(n_rows)]
+    return newline.join(["x0,x1,label", *rows]) + newline
+
+
+class TestBlockwiseReader:
+    """``_fast_table`` parses a block of lines at a time; a block edge can
+    fall anywhere in the text without changing the result or its errors."""
+
+    def check_fast_path(self, path, edge):
+        """``load_csv`` on the fast path with a block edge at ``edge``
+        (characters) equals ``_read_table``'s dataset."""
+        with mock.patch.object(dataset, "_READ_BLOCK", edge):
+            assert _fast_table(path, "label") is not None
+            got = _fields(load_csv(path))
+        want = _fields(_reference_dataset(path))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
+    def test_crlf_pair_straddles_a_block_edge(self, tmp_path):
+        text = _rows_text(40, "\r\n")
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(text.encode())
+        cr = text.index("\r\n", 100)
+        self.check_fast_path(path, cr + 1)   # the edge between \r and \n
+
+    def test_multibyte_label_straddles_a_block_edge(self, tmp_path):
+        text = "x0,label\n" + "1,\u03a9\u03bc\u00e9\n2,b\n" * 20
+        path = tmp_path / "utf8.csv"
+        path.write_text(text, encoding="utf-8")
+        inside = text.index("\u03bc")   # an edge inside the first label
+        self.check_fast_path(path, inside)
+        self.check_fast_path(path, inside + 1)
+
+    @pytest.mark.parametrize("edge", [1, 5, 13, 64])
+    def test_rows_straddle_block_edges(self, tmp_path, edge):
+        path = tmp_path / "rows.csv"
+        path.write_text(_rows_text(50))
+        self.check_fast_path(path, edge)
+
+    def test_header_longer_than_a_block(self, tmp_path):
+        names = [f"feature_{i}" for i in range(30)]
+        path = tmp_path / "wide.csv"
+        path.write_text(",".join([*names, "label"]) + "\n"
+                        + "".join(",".join(["1.5"] * 30) + f",c{i}\n" for i in range(5)))
+        self.check_fast_path(path, 16)
+
+    @pytest.mark.parametrize("edge", [3, 10, 1 << 16])
+    def test_no_trailing_newline(self, tmp_path, edge):
+        path = tmp_path / "open.csv"
+        path.write_text(_rows_text(12).rstrip("\n"))
+        self.check_fast_path(path, edge)
+
+    @pytest.mark.parametrize("late, error", [
+        ('"7,5"', ParseError),     # a quote, one of _FALLBACK_CHARS
+        ("oops", ParseError),      # a cell loadtxt rejects
+        ("1e400", NonFiniteValue),
+    ])
+    @pytest.mark.parametrize("edge", [64, 1 << 16])
+    def test_late_block_failure_gives_read_table_error(self, tmp_path, late, error, edge):
+        lines = _rows_text(300).splitlines()
+        lines[281] = late + lines[281][lines[281].index(","):]
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(dataset, "_READ_BLOCK", edge):
+            assert _fast_table(path, "label") is None
+            with pytest.raises(error) as excinfo:
+                load_csv(path)
+        if error is ParseError:
+            assert type(excinfo.value) is ParseError
+        assert (excinfo.value.line, excinfo.value.column) == (282, "x0")
+
+    def test_peak_memory_is_near_the_patterns(self, tmp_path):
+        # 2.1x the patterns at the default block: the blocks and their
+        # concatenation. The whole text and its split lines peaked at 6.9x.
+        rng = np.random.default_rng(9)
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(f"x{i}" for i in range(10)) + ",label\n")
+            handle.writelines(",".join(map(repr, row)) + f",c{label}\n" for row, label
+                              in zip(rng.normal(size=(6000, 10)).tolist(), rng.integers(0, 5, 6000)))
+        assert path.stat().st_size >= 1 << 20
+        peak, ds = traced_peak(lambda: load_csv(path))
+        assert ds.patterns.shape == (6000, 10)
+        assert peak <= 2.5 * ds.patterns.nbytes + 4 * dataset._READ_BLOCK
+

@@ -79,6 +79,11 @@ class TestNoninformativeEvidence:
         with pytest.raises(DomainError):
             log_evidence_noninformative(worked_stats, 0.0)
 
+    @pytest.mark.parametrize("r", [np.inf, np.nan])
+    def test_requires_finite_r(self, worked_stats, r):
+        with pytest.raises(DomainError, match="finite"):
+            log_evidence_noninformative(worked_stats, r)
+
 
 class TestProperEvidence:
     def test_empty_data_scores_zero(self):
@@ -237,6 +242,14 @@ class TestTuneR:
         with pytest.raises(DomainError):
             tune_r(worked_stats, 2.0, 1.0)
 
+    @pytest.mark.parametrize("r_min, r_max", [(1e-3, np.inf), (np.inf, np.inf),
+                                              (1e-3, np.nan), (np.nan, 1e3)])
+    def test_non_finite_range_rejected(self, worked_stats, r_min, r_max):
+        # A geomspace to inf scores NaN past its first point, which used to
+        # return r_min with RuntimeWarnings (errors under this suite).
+        with pytest.raises(DomainError, match="< inf"):
+            tune_r(worked_stats, r_min, r_max)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_tol_must_be_finite_and_positive(self, worked_stats, deadline, tol):
         with pytest.raises(DomainError):
@@ -283,6 +296,11 @@ class TestEvidenceCurve:
             evidence_curve(worked_stats, [-1.0, 1.0])
         with pytest.raises(DomainError):
             evidence_curve(worked_stats, [])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_grid_point_rejected(self, worked_stats, bad):
+        with pytest.raises(DomainError, match="finite"):
+            evidence_curve(worked_stats, [0.5, 1.0, bad])
 
     def test_csv_with_empty_cells(self, tmp_path):
         ds = LabeledDataset(np.array([[1.0, 2.0]]), [0], ("a",))

@@ -10,7 +10,7 @@ from gausset import (
     log_evidence_proper,
     posterior,
 )
-from gausset.errors import ImproperPrior
+from gausset.errors import DomainError, ImproperPrior
 from gausset.inference import _posterior_general
 
 from conftest import random_spd
@@ -22,6 +22,11 @@ class TestPriorHyper:
             PriorHyper(r=0.0)
         with pytest.raises(ValueError):
             PriorHyper(r=-1.0)
+
+    @pytest.mark.parametrize("r", [np.inf, np.nan])
+    def test_requires_finite_r(self, r):
+        with pytest.raises(DomainError, match="finite"):
+            PriorHyper(r=r)
 
     def test_requires_nonnegative_a(self):
         with pytest.raises(ValueError):
