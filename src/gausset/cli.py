@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,6 +41,9 @@ _WRITE_BLOCK = 1024  # rows _write_rows turns into Python floats at once
 
 
 def _build_prior(args, dim: int) -> PriorHyper:
+    for flag, value in (("--a", args.a), ("--eps", args.eps)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value}")
     if args.b == "zero":
         if args.a != 0.0:
             raise DomainError("a > 0 requires --b eps-identity to stay proper")

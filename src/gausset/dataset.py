@@ -5,11 +5,14 @@ once to per-class counts, per-class means and the pooled within-class
 scatter, each pattern centred on its own class mean. Centring keeps the
 scatter free of the cancellation that raw second moments suffer under a
 large common offset. Statistics from shards of a dataset combine with
-the pairwise rule in :func:`merge`, in any order.
+the pairwise rule in :func:`merge`, in any order. A CSV is parsed into
+one array of its counted rows, and the scatter is summed a chunk of rows
+at a time, so neither step holds a second copy of the patterns.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import sys
@@ -19,6 +22,10 @@ import numpy as np
 
 from .errors import EmptyDimension, NonFiniteValue, ParseError, ShapeMismatch
 from .linalg import symmetrize
+
+# Entries per chunk of rows that accumulate centres and the scorer
+# scores, so their working memory stays flat in T.
+_BLOCK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -127,19 +134,28 @@ def accumulate(ds: LabeledDataset) -> SufficientStats:
 
     Each pattern is centred on its class mean before the scatter is
     summed, so a large offset common to all patterns does not cancel
-    away the within-class spread. Sums run in input row order, so the
-    result is deterministic for a given dataset. Raises
-    :class:`EmptyDimension` for zero feature columns.
+    away the within-class spread. The scatter is summed over chunks of
+    ``_BLOCK_ENTRIES // N`` rows, all centred on the whole dataset's
+    means, so its memory beside the patterns is flat in T and one chunk
+    gives one product's result bit for bit. (Folding chunk statistics
+    through :func:`merge` would carry each chunk mean's rounding into W
+    to first order.) Sums run in input row order, so the result is
+    deterministic. Raises :class:`EmptyDimension` for zero feature columns.
     """
     if ds.dim == 0:
         raise EmptyDimension("dataset has no feature columns")
-    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    counts = np.zeros(ds.n_classes, dtype=np.int64)
+    np.add.at(counts, ds.labels, 1)   # np.bincount would copy the read-only labels
     sums = np.zeros((ds.n_classes, ds.dim))
     np.add.at(sums, ds.labels, ds.patterns)
     means = sums / np.maximum(counts, 1)[:, None]
-    centred = means[ds.labels]
-    np.subtract(ds.patterns, centred, out=centred)
-    return SufficientStats(counts, means.T, symmetrize(centred.T @ centred))
+    rows, within = max(1, _BLOCK_ENTRIES // ds.dim), None
+    for start in range(0, max(ds.n_patterns, 1), rows):
+        centred = means[ds.labels[start:start + rows]]
+        np.subtract(ds.patterns[start:start + rows], centred, out=centred)
+        part = centred.T @ centred
+        within = part if within is None else within + part
+    return SufficientStats(counts, means.T, symmetrize(within))
 
 
 def merge(a: SufficientStats, b: SufficientStats) -> SufficientStats:
@@ -222,40 +238,59 @@ def _read_table(path, label_column=None):
 # csv), NUL (a csv error before Python 3.11) and the ASCII separators
 # \x1c-\x1f, which loadtxt strips around a number and float() rejects.
 _FALLBACK_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
-_READ_BLOCK = 1 << 16  # characters _fast_table reads and parses at once
+_READ_BLOCK = 1 << 16  # bytes _fast_table reads and parses at once
 
 
 def _whole_lines(handle):
-    """The text of ``handle`` in pieces of whole lines, read ``_READ_BLOCK``
-    characters at a time. Each piece but the last ends in ``\n``, so a
-    CRLF pair never straddles two pieces; the last may be empty."""
+    """The UTF-8 text of binary ``handle`` in pieces of whole lines, read
+    ``_READ_BLOCK`` bytes at a time. Each piece but the last ends in
+    ``\n``, so a CRLF pair never straddles two pieces; the last may be
+    empty. The decoded block is freed before its piece is yielded."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
     pending = []
-    for piece in iter(lambda: handle.read(_READ_BLOCK), ""):
+    for piece in iter(lambda: handle.read(_READ_BLOCK), b""):
+        piece = decode(piece)
         cut = piece.rfind("\n") + 1
         if cut:
-            yield "".join([*pending, piece[:cut]])
+            text, piece = "".join([*pending, piece[:cut]]), piece[cut:]
             pending = []
-            piece = piece[cut:]
+            yield text
         pending.append(piece)
-    yield "".join(pending)
+    yield "".join(pending) + decode(b"", True)
+
+
+def _count_rows(path):
+    """An upper bound on the data rows of ``path`` (blank lines count):
+    its newlines, plus an unterminated last line, less the header."""
+    ends, last = 0, b"\n"
+    with open(path, "rb") as handle:
+        for piece in iter(lambda: handle.read(_READ_BLOCK), b""):
+            ends += piece.count(b"\n")
+            last = piece[-1:]
+    return max(ends + (last != b"\n") - 1, 0)
 
 
 def _fast_table(path, label_column=None):
     """What :func:`_read_table` returns, parsed by ``np.loadtxt`` a block
     of lines at a time, so the whole text is never held at once.
 
+    Each parsed block is copied into one array of the rows
+    :func:`_count_rows` counts, trimmed to the rows read at the end.
+
     Returns None whenever the two readers could disagree: undecodable
     bytes, a character of ``_FALLBACK_CHARS``, a line longer than csv's
     field size limit, no data rows, a row whose cell count differs from
-    the header's, a cell loadtxt rejects, or a non-finite value. The
-    caller then runs ``_read_table``, which gives the result or the
-    error with its line and column. A header without ``label_column``
-    raises the error ``_read_table`` raises for it.
+    the header's, a cell loadtxt rejects, a non-finite value, or more
+    rows than were counted (the file grew). The caller then runs
+    ``_read_table``, which gives the result or the error with its line
+    and column. A header without ``label_column`` raises the error
+    ``_read_table`` raises for it.
     """
-    header, labels, blocks = None, [], []
+    rows = _count_rows(path)
+    header, labels, filled = None, [], 0
     limit = csv.field_size_limit()
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             for text in _whole_lines(handle):
                 if "\r" in text:
                     text = text.replace("\r\n", "\n")
@@ -268,11 +303,12 @@ def _fast_table(path, label_column=None):
                         return None
                     header = [h.strip() for h in head.split(",")]
                     label_idx, features = _columns(header, label_column)
+                    patterns = np.empty((rows, len(features)))
                 lines = [line for line in lines if line]   # csv skips empty lines
                 if not lines:
                     continue
                 # loadtxt does not check row length when given usecols.
-                if (max(map(len, lines)) > limit
+                if (filled + len(lines) > rows or max(map(len, lines)) > limit
                         or any(line.count(",") != len(header) - 1 for line in lines)):
                     return None
                 try:
@@ -282,7 +318,8 @@ def _fast_table(path, label_column=None):
                     return None
                 if not np.isfinite(block).all():
                     return None
-                blocks.append(block)
+                patterns[filled:filled + len(lines)] = block
+                filled += len(lines)
                 if label_idx is not None:
                     # Splitting from the right leaves cells before the label
                     # joined at index 0, so the label is item 1 (item 0 when
@@ -290,11 +327,14 @@ def _fast_table(path, label_column=None):
                     cut = len(header) - label_idx
                     labels.extend(sys.intern(line.rsplit(",", cut)[min(label_idx, 1)].strip())
                                   for line in lines)
+                text = lines = block = None   # freed before the next block is read
     except UnicodeDecodeError:
         return None
-    if not blocks:
+    if not filled:
         return None
-    return header, labels, np.concatenate(blocks)
+    # In place: no view of the array is alive, and shrinking frees its tail.
+    patterns.resize((filled, patterns.shape[1]), refcheck=False)
+    return header, labels, patterns
 
 
 def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledDataset:

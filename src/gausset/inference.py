@@ -57,11 +57,13 @@ class PriorHyper:
         a = float(self.a)
         if not 0.0 < r < math.inf:
             raise DomainError(f"shrinkage precision r must be finite and positive, got {r}")
-        if not a >= 0.0:
-            raise ValueError(f"degrees of freedom a must be non-negative, got {a}")
+        if not 0.0 <= a < math.inf:
+            raise DomainError(f"degrees of freedom a must be finite and non-negative, got {a}")
         b = self.b
         if b is not None:
             b = linalg.symmetrize(b)
+            if not np.isfinite(b).all():
+                raise DomainError("prior scale matrix B holds a non-finite value")
             b.flags.writeable = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", a)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
+from .dataset import _BLOCK_ENTRIES
 from .errors import (
     AllZeroPrior,
     DegenerateScatter,
@@ -52,7 +53,8 @@ class PredictiveModel:
     whitened centred means ``white_means`` (K x N), row k
     L^{-1}(mu*_k - centre), and for the kernel ``cp1`` (c* + 1),
     ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T) and
-    ``block_rows``, the rows per kernel block.
+    ``block_rows``, the rows per kernel block, whose (rows x K, N)
+    difference block holds about ``_BLOCK_ENTRIES`` entries.
 
     Checked in this order: ``ShapeMismatch`` if ``mu_star`` is not a
     non-empty N x K matrix, there are not K class names, ``c_star`` is
@@ -158,11 +160,6 @@ def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
     """
     return PredictiveModel(class_names, post.m_star, 1.0 / post.r_star_diag,
                            post.a_star, post.source_r, post.b_star)
-
-
-# Rows per kernel block keep each (rows x K, N) difference block near
-# this many entries, so scoring memory stays flat for any batch size.
-_BLOCK_ENTRIES = 65536
 
 
 def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:

@@ -111,6 +111,18 @@ class TestFit:
         assert "must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--a"], ["--b", "eps-identity", "--eps"]])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_prior_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        out = tmp_path / "model.json"
+        assert run(["fit", "--data", data, *flag, value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[-1]} must be finite, got {value}" in err
+        assert "_star" not in err and "Warning" not in err
+        assert not out.exists()
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["fit", "--data", tmp_path / "nope.csv",
                     "--out", tmp_path / "m.json"]) == 2

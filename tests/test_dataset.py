@@ -14,7 +14,7 @@ from gausset.errors import (
     ParseError,
     ShapeMismatch,
 )
-from gausset.linalg import cholesky
+from gausset.linalg import cholesky, symmetrize
 
 from conftest import traced_peak
 
@@ -67,15 +67,33 @@ class TestAccumulate:
                 patterns[labels == k].sum(axis=0), atol=1e-12
             )
 
-    def test_peak_memory_is_one_centred_copy(self):
-        # The centred rows are formed in one (T, N) buffer. Two temporaries
-        # (the gathered means and the difference) peaked at 2.0x.
+    def test_peak_memory_is_flat_in_the_rows(self):
+        # One chunk of about _BLOCK_ENTRIES centred entries at any T. The
+        # whole (T, N) centred copy peaked at 1.0x the patterns, so 8x the
+        # rows took 8x the memory.
         rng = np.random.default_rng(8)
-        ds = LabeledDataset(rng.normal(size=(20000, 10)), rng.integers(0, 5, 20000),
-                            tuple("abcde"))
-        peak, stats = traced_peak(lambda: accumulate(ds))
-        assert peak <= 1.5 * ds.patterns.nbytes
-        assert stats.counts.sum() == 20000
+        peaks = []
+        for n_rows in (20000, 160000):
+            ds = LabeledDataset(rng.normal(size=(n_rows, 10)), rng.integers(0, 5, n_rows),
+                                tuple("abcde"))
+            peak, stats = traced_peak(lambda: accumulate(ds))
+            assert stats.total == n_rows
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+    @pytest.mark.parametrize("n_rows, one_chunk", [(4096, True), (4097, False)])
+    def test_bit_for_bit_up_to_one_chunk(self, n_rows, one_chunk):
+        # N = 16: 4096 rows are 65536 entries, one chunk; one row more is two.
+        rng = np.random.default_rng(10)
+        ds = LabeledDataset(1e6 + rng.normal(size=(n_rows, 16)), rng.integers(0, 3, n_rows),
+                            ("a", "b", "c"))
+        got, want = accumulate(ds), one_shot_stats(ds)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.means.tobytes() == want.means.tobytes()
+        if one_chunk:
+            assert got.within.tobytes() == want.within.tobytes()
+        else:
+            assert_stats_close(got, want)
 
     def test_within_class_scatter_is_psd(self):
         # W equals the raw-moment form S - sum_k f_k f_k^T / T_k, and is
@@ -222,6 +240,89 @@ class TestMergeProperties:
         np.testing.assert_allclose(
             whole.within, raw_moment_within(ds.patterns, ds.labels, ds.n_classes),
             rtol=1e-10, atol=1e-10 * np.abs(ds.patterns).max(initial=1.0) ** 2)
+
+
+def one_shot_stats(ds):
+    """Statistics with the scatter summed as one product over every
+    centred row, the form ``accumulate`` takes for a dataset of one chunk."""
+    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    sums = np.zeros((ds.n_classes, ds.dim))
+    np.add.at(sums, ds.labels, ds.patterns)
+    means = sums / np.maximum(counts, 1)[:, None]
+    centred = ds.patterns - means[ds.labels]
+    return SufficientStats(counts, means.T, symmetrize(centred.T @ centred))
+
+
+def longdouble_stats(ds, centre=None):
+    """Counts, (N, K) means and W in ``np.longdouble`` by two passes: the
+    class means, then the scatter of each row about column k of ``centre``
+    for its class k (about the means just found if ``centre`` is None)."""
+    x = ds.patterns.astype(np.longdouble)
+    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    means = np.zeros((ds.n_classes, ds.dim), dtype=np.longdouble)
+    for k in np.flatnonzero(counts):
+        means[k] = x[ds.labels == k].sum(axis=0) / counts[k]
+    centres = means if centre is None else np.asarray(centre, dtype=np.longdouble).T
+    centred = x - centres[ds.labels]
+    return counts, means.T, centred.T @ centred
+
+
+@st.composite
+def chunked_datasets(draw):
+    """(A dataset, entries per chunk cutting it into one chunk or more).
+
+    Up to 60 rows with a common offset up to 1e10; in some examples the
+    last class is first seen in the last chunk.
+    """
+    dim = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 60))
+    entries = draw(st.integers(1, n_rows * dim))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6, 1e8, 1e10]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, n_classes, size=n_rows)
+    if n_classes > 1 and draw(st.booleans()):
+        rows = max(1, entries // dim)
+        last = (n_rows - 1) // rows * rows   # the first row of the last chunk
+        labels[:last] %= n_classes - 1
+        labels[-1] = n_classes - 1
+    patterns = (offset + rng.normal(0.0, 3.0, size=(n_classes, dim))[labels]
+                + rng.normal(size=(n_rows, dim)))
+    names = tuple(f"c{k}" for k in range(n_classes))
+    return LabeledDataset(patterns, labels, names), entries
+
+
+class TestAccumulateProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_datasets())
+    def test_matches_longdouble_reference(self, case):
+        """Means within 1e-12 of their largest entry; W within 1e-12 of its
+        largest entry of the scatter about the means returned.
+
+        A float64 mean at offset c is off by about eps * c, which moves a
+        one-shot scatter by n (eps * c)^2 (the parallel-axis term): about
+        1e-12 of W at c = 1e10 with unit noise. The second pass therefore
+        centres on the returned means. Folding chunk statistics through
+        ``merge`` fails here: its pairwise term carries each chunk mean's
+        rounding to first order.
+        """
+        ds, entries = case
+        with mock.patch.object(dataset, "_BLOCK_ENTRIES", entries):
+            got = accumulate(ds)
+        counts, means, _ = longdouble_stats(ds)
+        within = longdouble_stats(ds, got.means)[2]
+        np.testing.assert_array_equal(got.counts, counts)
+        for g, w in ((got.means, means), (got.within, within)):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(chunked_datasets())
+    def test_one_chunk_is_one_product_bit_for_bit(self, case):
+        ds, _ = case   # at most 240 entries: one chunk at the default size
+        got, want = accumulate(ds), one_shot_stats(ds)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.within.tobytes() == want.within.tobytes()
 
 
 class TestLabeledDataset:
@@ -598,12 +699,12 @@ class TestBlockwiseReader:
         self.check_fast_path(path, cr + 1)   # the edge between \r and \n
 
     def test_multibyte_label_straddles_a_block_edge(self, tmp_path):
-        text = "x0,label\n" + "1,\u03a9\u03bc\u00e9\n2,b\n" * 20
+        data = ("x0,label\n" + "1,\u03a9\u03bc\u00e9\n2,b\n" * 20).encode()
         path = tmp_path / "utf8.csv"
-        path.write_text(text, encoding="utf-8")
-        inside = text.index("\u03bc")   # an edge inside the first label
+        path.write_bytes(data)
+        inside = data.index("\u03bc".encode()) + 1   # an edge inside the bytes of mu
         self.check_fast_path(path, inside)
-        self.check_fast_path(path, inside + 1)
+        self.check_fast_path(path, inside - 1)   # between two characters of a label
 
     @pytest.mark.parametrize("edge", [1, 5, 13, 64])
     def test_rows_straddle_block_edges(self, tmp_path, edge):
@@ -623,6 +724,41 @@ class TestBlockwiseReader:
         path = tmp_path / "open.csv"
         path.write_text(_rows_text(12).rstrip("\n"))
         self.check_fast_path(path, edge)
+
+    @pytest.mark.parametrize("newline, end", [("\n", "\n"), ("\n", ""),
+                                              ("\r\n", "\r\n"), ("\r\n", "")])
+    @pytest.mark.parametrize("blanks", [0, 5])
+    @pytest.mark.parametrize("edge", [7, 1 << 16])
+    def test_row_count_bounds_the_rows(self, tmp_path, newline, end, blanks, edge):
+        # Blank lines are counted as rows; the array is trimmed to the rows read.
+        lines = _rows_text(40, newline).split(newline)[:-1]
+        path = tmp_path / "counted.csv"
+        path.write_bytes(((blanks + 1) * newline).join(lines).encode() + end.encode())
+        with mock.patch.object(dataset, "_READ_BLOCK", edge):
+            assert dataset._count_rows(path) == 40 * (blanks + 1)
+            patterns = _fast_table(path, "label")[2]
+        assert patterns.shape == (40, 2) and patterns.flags.owndata
+        self.check_fast_path(path, edge)
+
+    @pytest.mark.parametrize("edge", [7, 1 << 16])
+    def test_rows_added_after_the_count_give_read_table_result(self, tmp_path, edge):
+        path = tmp_path / "grown.csv"
+        path.write_text(_rows_text(40))
+        count = dataset._count_rows
+
+        def count_then_grow(counted):
+            rows = count(counted)
+            with open(counted, "a", encoding="utf-8") as handle:
+                handle.write("9.5,-2e-3,c\n")
+            return rows
+
+        with (mock.patch.object(dataset, "_READ_BLOCK", edge),
+              mock.patch.object(dataset, "_count_rows", count_then_grow)):
+            assert _fast_table(path, "label") is None
+            got = _fields(load_csv(path))   # the file grows again under it
+        want = _fields(_reference_dataset(path))
+        assert got[0].shape == (42, 2) and got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
 
     @pytest.mark.parametrize("late, error", [
         ('"7,5"', ParseError),     # a quote, one of _FALLBACK_CHARS
@@ -644,8 +780,10 @@ class TestBlockwiseReader:
         assert (excinfo.value.line, excinfo.value.column) == (282, "x0")
 
     def test_peak_memory_is_near_the_patterns(self, tmp_path):
-        # 2.1x the patterns at the default block: the blocks and their
-        # concatenation. The whole text and its split lines peaked at 6.9x.
+        # 1.7x the patterns at the default block: the array, filled in place,
+        # and one block of text, lines and parsed values. Holding the parsed
+        # blocks beside their concatenation peaked at 2.1x, the whole text
+        # and its split lines at 6.9x.
         rng = np.random.default_rng(9)
         path = tmp_path / "big.csv"
         with open(path, "w", encoding="utf-8") as handle:
@@ -655,5 +793,4 @@ class TestBlockwiseReader:
         assert path.stat().st_size >= 1 << 20
         peak, ds = traced_peak(lambda: load_csv(path))
         assert ds.patterns.shape == (6000, 10)
-        assert peak <= 2.5 * ds.patterns.nbytes + 4 * dataset._READ_BLOCK
-
+        assert peak <= 1.5 * ds.patterns.nbytes + 4 * dataset._READ_BLOCK

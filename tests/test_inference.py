@@ -32,6 +32,18 @@ class TestPriorHyper:
         with pytest.raises(ValueError):
             PriorHyper(r=1.0, a=-0.5)
 
+    @pytest.mark.parametrize("a", [np.inf, np.nan])
+    def test_requires_finite_a(self, a):
+        with pytest.raises(DomainError, match="finite"):
+            PriorHyper(r=1.0, a=a)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_requires_finite_b(self, bad):
+        b = np.eye(2)
+        b[0, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            PriorHyper(r=1.0, a=3.0, b=b)
+
     def test_proper_flag(self):
         stats = accumulate(LabeledDataset(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]]),
                                           np.array([0, 0, 1]), ("a", "b")))
