@@ -133,16 +133,18 @@ def cmd_tune_r(args) -> int:
 
 def cmd_verify(args) -> int:
     # Any failure while verifying, including a model file that cannot even
-    # be loaded, is a verification failure (exit 1), not an input error.
+    # be loaded or a sample count too large to allocate, is a verification
+    # failure (exit 1), not an input error.
     try:
         if args.model:
             model, _ = model_io.load_model(args.model)
             report = montecarlo.run_verification(args.seed, args.samples, model=model)
         else:
             report = montecarlo.run_verification(args.seed, args.samples)
-    except (GaussetError, OSError) as exc:
-        print(f"FAIL verification aborted: {exc}")
-        print(json.dumps({"probes": [], "all_pass": False, "error": str(exc)}))
+    except (GaussetError, OSError, MemoryError) as exc:
+        error = str(exc) or type(exc).__name__
+        print(f"FAIL verification aborted: {error}")
+        print(json.dumps({"probes": [], "all_pass": False, "error": error}))
         return EXIT_VERIFY_FAILED
     for probe in report["probes"]:
         status = "PASS" if probe["pass"] else "FAIL"
@@ -164,6 +166,9 @@ def cmd_gen_synth(args) -> int:
         raise DomainError(
             f"--per-class gives {len(counts)} counts for {args.classes} classes"
         )
+    if not (math.isfinite(args.lambda_scale) and args.lambda_scale > 0.0):
+        raise DomainError(f"--lambda-scale must be finite and positive, "
+                          f"got {args.lambda_scale}")
     rng = montecarlo.seeded_generator(args.seed)
     precision = args.lambda_scale * np.eye(args.dim)
     ds, means = montecarlo.sample_dataset(rng, args.dim, counts, args.r_true,

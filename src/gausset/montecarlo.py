@@ -26,7 +26,7 @@ import numbers
 import numpy as np
 
 from . import linalg
-from .dataset import LabeledDataset, SufficientStats, accumulate, merge
+from .dataset import _BLOCK_ENTRIES, LabeledDataset, SufficientStats, accumulate, merge
 from .errors import DomainError, NotPositiveDefinite, ShapeMismatch
 from .evidence import log_evidence_proper
 from .inference import PriorHyper, posterior
@@ -41,6 +41,12 @@ def seeded_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def _check_samples(n_samples) -> None:
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise DomainError(f"need a whole number of samples, at least one, "
+                          f"got n_samples={n_samples!r}")
+
+
 def _bartlett_diagonal(rng: np.random.Generator, a: float, dim: int, n: int) -> np.ndarray:
     """Diagonals of n Bartlett factors A, A A^T ~ Wishart(a, I), as (n, N).
 
@@ -50,8 +56,8 @@ def _bartlett_diagonal(rng: np.random.Generator, a: float, dim: int, n: int) -> 
     """
     diag = np.empty((n, dim))
     for i in range(dim):
-        diag[:, i] = np.sqrt(rng.chisquare(a - i, size=n))
-    return diag
+        diag[:, i] = rng.chisquare(a - i, size=n)
+    return np.sqrt(diag, out=diag)
 
 
 def sample_wishart(rng: np.random.Generator, a: float, b, size=None) -> np.ndarray:
@@ -116,42 +122,66 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     In the body's notation, v = A^T d - sqrt(c*) z given d has independent
     coordinates v_j = A_jj d_j + Normal(0, t_j + c*), t_j = sum_{i>j} d_i^2.
 
+    Memory is one (S, N) array, the Bartlett diagonal, plus one block of
+    ``_BLOCK_ENTRIES`` scratch entries and the (S,) log weights; the
+    normals are drawn a block of rows at a time in row-major order, so the
+    estimate is bit for bit that of one (S, N) draw.
+
     Draws come from ``rng``, any ``numpy.random.Generator``. x and k are
     checked as the scorer checks them (``DimensionMismatch``,
-    ``IndexError``). With ``n_samples = 1`` the estimate is a single
+    ``IndexError``), and ``n_samples`` must be an integer of at least 1
+    (``DomainError``). With ``n_samples = 1`` the estimate is a single
     density value and the standard error is infinite.
     """
     x = _one_row(model, x, k)[0]
     dim = model.dim
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
+    _check_samples(n_samples)
 
     mu_k, c_k = model.mu_star[:, k], float(model.c_star[k])
     diag = _bartlett_diagonal(rng, model.a_star, dim, n_samples)
+    d = model.chol_b_star.inverse @ (x - mu_k)
+    tails = np.append(np.cumsum(d[:0:-1] ** 2)[::-1], 0.0)
+    scale = np.sqrt(tails + c_k)
+    log_norm = 0.5 * dim * np.log(2.0 * np.pi)
     # Lambda = G G^T with G = L^{-T} A and B* = L L^T, so log|Lambda| is
     # 2 sum log A_jj - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
     # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = L^{-1}(x - mu_k).
-    logdets = 2.0 * np.sum(np.log(diag), axis=1) - model.logdet_b_star
-    d = model.chol_b_star.inverse @ (x - mu_k)
-    tails = np.append(np.cumsum(d[:0:-1] ** 2)[::-1], 0.0)
-    # v is built in place in diag's buffer; the one (S, N) normal draw
-    # beside it is freed before the (S,) sums.
-    v = diag
-    v *= d
-    z = rng.standard_normal((n_samples, dim))
-    z *= np.sqrt(tails + c_k)
-    v += z
-    del z
-    v *= v
-    log_weights = 0.5 * logdets - 0.5 * dim * np.log(2.0 * np.pi) - 0.5 * np.sum(v, axis=1)
+    # A block of rows at a time, the logs and the normals go through one
+    # scratch array and v is built in place in diag's rows.
+    rows = max(1, _BLOCK_ENTRIES // dim)
+    scratch = np.empty((min(rows, n_samples), dim))
+    log_weights = np.empty(n_samples)
+    for start in range(0, n_samples, rows):
+        v = diag[start:start + rows]
+        work = scratch[:len(v)]
+        weights = log_weights[start:start + len(v)]
+        np.sum(np.log(v, out=work), axis=1, out=weights)
+        weights *= 2.0
+        weights -= model.logdet_b_star  # log|Lambda|
+        weights *= 0.5
+        weights -= log_norm
+        v *= d
+        rng.standard_normal(out=work)
+        work *= scale
+        v += work
+        v *= v
+        exponent = np.sum(v, axis=1)
+        exponent *= 0.5
+        weights -= exponent
+    del diag, scratch, v, work
 
+    # The shift, the weights and their deviations, in place.
     shift = float(np.max(log_weights))
-    scaled = np.exp(log_weights - shift)
+    scaled = log_weights
+    scaled -= shift
+    np.exp(scaled, out=scaled)
     mean_scaled = float(np.mean(scaled))
     estimate = float(np.exp(shift) * mean_scaled)
     if n_samples == 1:
         return estimate, float("inf")
-    jack_var = float(np.sum((scaled - mean_scaled) ** 2) / (n_samples * (n_samples - 1)))
+    scaled -= mean_scaled
+    scaled *= scaled
+    jack_var = float(np.sum(scaled) / (n_samples * (n_samples - 1)))
     return estimate, float(np.exp(shift) * np.sqrt(jack_var))
 
 
@@ -263,11 +293,11 @@ def run_verification(seed: int, n_samples: int = 20000, model=None):
     Monte-Carlo integral, without factoring anything. Every stochastic
     probe uses the same three-standard-error rule and needs a finite
     standard error, so ``n_samples = 1`` fails every Monte-Carlo probe.
-    ``n_samples < 1`` or a seed that is not a non-negative integer raises
-    :class:`DomainError` before anything is drawn.
+    An ``n_samples`` that is not an integer of at least 1, or a seed that
+    is not a non-negative integer, raises :class:`DomainError` before
+    anything is drawn.
     """
-    if n_samples < 1:
-        raise DomainError(f"need at least one sample, got n_samples={n_samples}")
+    _check_samples(n_samples)
     rng = seeded_generator(seed)
     if model is not None:
         probes = _model_probes(rng, model, n_samples)

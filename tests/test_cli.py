@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausset import (LabeledDataset, PriorHyper, accumulate, build_model,
-                     load_features, posterior, save_model, score_batch)
+                     load_features, montecarlo, posterior, save_model, score_batch)
 from gausset.cli import _write_rows, main
 from gausset.errors import ParseError
 from gausset.model_io import load_model
@@ -422,6 +422,27 @@ class TestVerify:
         assert "sample" in report["error"]
         assert not recwarn.list
 
+    def test_allocation_failure_is_an_aborted_verification(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Stands in for a --samples too large to allocate, which would
+        # raise numpy's MemoryError from the Bartlett diagonal.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--out", model_path]) == 0
+        capsys.readouterr()
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 447. GiB for an array")
+
+        monkeypatch.setattr(montecarlo, "_bartlett_diagonal", out_of_memory)
+        assert run(["verify", "--model", model_path, "--samples", "3000000000"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL verification aborted: Unable to allocate")
+        report = json.loads(out.strip().splitlines()[-1])
+        assert report == {"probes": [], "all_pass": False,
+                          "error": "Unable to allocate 447. GiB for an array"}
+
     def test_tiny_sample_count_reports_wider_error(self, tmp_path, capsys):
         assert run(["verify", "--samples", "100", "--seed", "20260808"]) in (0, 1)
         small = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -544,6 +565,17 @@ class TestGenSynth:
     def test_bad_count_spec(self, tmp_path):
         assert run(["gen-synth", "--out", tmp_path / "x.csv", "--dim", "2",
                     "--classes", "3", "--per-class", "1,2", "--seed", "0"]) == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_bad_lambda_scale_exits_2_naming_it(self, tmp_path, capsys, value):
+        # Warnings are errors under pytest, so a passing run also shows the
+        # flag is checked before inf * 0 can warn in np.eye.
+        out = tmp_path / "x.csv"
+        assert run(["gen-synth", "--out", out, "--dim", "2", "--classes", "2",
+                    "--lambda-scale", value]) == 2
+        err = capsys.readouterr().err
+        assert f"--lambda-scale must be finite and positive, got {float(value)}" in err
+        assert not out.exists()
 
 
 class TestModelRoundTripThroughCli:

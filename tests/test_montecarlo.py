@@ -1,5 +1,10 @@
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausset import (
     PriorHyper,
@@ -14,7 +19,8 @@ from gausset import (
     sample_wishart,
     seeded_generator,
 )
-from gausset import linalg
+from gausset import linalg, montecarlo
+from gausset.dataset import _BLOCK_ENTRIES
 from gausset.errors import DomainError
 from gausset.linalg import cholesky
 from gausset.model_io import load_model, save_model
@@ -27,6 +33,25 @@ def make_posterior(seed, dim, counts, r=0.5):
     ds, _ = sample_dataset(gen, dim=dim, counts=counts, r_true=1.0)
     prior = PriorHyper(r=r, a=dim + 2.0, b=np.eye(dim))
     return posterior(accumulate(ds), prior)
+
+
+@functools.cache
+def small_model(dim):
+    return build_model(make_posterior(40 + dim, dim, [4, 5]))
+
+
+@st.composite
+def blocked_probes(draw):
+    """(dim, S, block entries, seed, k) for mc_predictive on a small model.
+
+    The block sizes cover one row, several rows with a ragged last block,
+    exactly S rows and more than S rows.
+    """
+    dim = draw(st.integers(1, 4))
+    n_samples = draw(st.integers(1, 40))
+    entries = draw(st.sampled_from([dim, 7 * dim, n_samples * dim, n_samples * dim + 1])
+                   | st.integers(1, (n_samples + 2) * dim))
+    return dim, n_samples, entries, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 1))
 
 
 class TestSeededGenerator:
@@ -238,15 +263,30 @@ class TestMcPredictive:
         got = mc_predictive(np.random.default_rng(2718), model, x, 1, 20000)
         assert repr(got) == "(0.06337774021934485, 0.00030679898423108796)"
 
-    def test_peak_memory_is_two_sample_arrays(self):
-        # The Bartlett diagonal and one normal draw, each (S, N), and little
-        # else. Out-of-place products peaked at 4.1x S N 8 bytes.
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_probes())
+    def test_block_size_does_not_change_a_bit(self, case):
+        # Blocks consume the normals in row-major order, as one (S, N) draw
+        # does, and each row's sums see the same float operations.
+        dim, n_samples, entries, seed, k = case
+        model = small_model(dim)
+        x = np.random.default_rng(seed).normal(0.0, 1.5, size=dim)
+        whole = mc_predictive(np.random.default_rng(seed), model, x, k, n_samples)
+        with mock.patch.object(montecarlo, "_BLOCK_ENTRIES", entries):
+            blocked = mc_predictive(np.random.default_rng(seed), model, x, k, n_samples)
+        assert repr(blocked) == repr(whole)
+
+    def test_peak_memory_is_one_sample_array_and_one_block(self):
+        # The (S, N) Bartlett diagonal, the (S,) log weights, and one block
+        # of scratch with its row sums: about 1.5x S N 8 bytes here, 1.25x
+        # at N = 20, and towards 1x as S grows.
         dim, n_samples = 10, 20000
         model = build_model(make_posterior(39, dim, [30, 30]))
         peak, (estimate, _) = traced_peak(lambda: mc_predictive(
             np.random.default_rng(3), model, np.zeros(dim), 0, n_samples))
         assert np.isfinite(estimate)
-        assert peak <= 2.5 * n_samples * dim * 8
+        block = _BLOCK_ENTRIES // dim * dim
+        assert peak <= (n_samples * dim + n_samples + 1.5 * block) * 8
 
     def test_reloaded_model_gives_identical_estimate(self, tmp_path):
         model = build_model(make_posterior(36, 3, [5, 4]))
@@ -263,6 +303,19 @@ class TestMcPredictive:
             mc_predictive(gen, build_model(post), np.zeros(2), 9, 10)
         with pytest.raises(DomainError):
             mc_predictive(gen, build_model(post), np.zeros(2), 0, 0)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 2.0, "20", None])
+    def test_non_integer_sample_count_draws_nothing(self, n_samples):
+        gen = np.random.default_rng(35)
+        state = gen.bit_generator.state
+        with pytest.raises(DomainError, match="whole number of samples"):
+            mc_predictive(gen, small_model(2), np.zeros(2), 0, n_samples)
+        assert gen.bit_generator.state == state
+
+    def test_numpy_integer_sample_count(self):
+        model, x = small_model(2), np.zeros(2)
+        assert (mc_predictive(np.random.default_rng(36), model, x, 0, np.int64(50))
+                == mc_predictive(np.random.default_rng(36), model, x, 0, 50))
 
 
 class TestSampleDataset:
@@ -349,6 +402,13 @@ class TestRunVerification:
         monkeypatch.setattr(linalg, "cholesky", lambda a: calls.append(a) or factor(a))
         run_verification(seed=39, n_samples=200, model=model)
         assert len(calls) == 0
+
+    @pytest.mark.parametrize("n_samples", [2.5, 1e4])
+    def test_non_integer_sample_count_is_domain_error(self, n_samples):
+        with pytest.raises(DomainError, match="whole number of samples"):
+            run_verification(seed=3, n_samples=n_samples, model=small_model(2))
+        with pytest.raises(DomainError, match="whole number of samples"):
+            run_verification(seed=3, n_samples=n_samples)
 
     def test_deterministic_report(self):
         a = run_verification(seed=42, n_samples=2000)
