@@ -31,7 +31,8 @@ from .errors import DomainError, NotPositiveDefinite, ShapeMismatch
 from .evidence import log_evidence_proper
 from .inference import PriorHyper, posterior
 from .linalg import CholeskyFactor
-from .predictive import PredictiveModel, _one_row, build_model, log_predictive
+from .predictive import (PredictiveModel, _check_finite, _one_row, build_model,
+                         log_predictive)
 
 
 def seeded_generator(seed) -> np.random.Generator:
@@ -108,7 +109,7 @@ def sample_matrix_normal(rng: np.random.Generator, m, r_diag,
 
 
 def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
-                  n_samples: int):
+                  n_samples: int, *, diagonal=None):
     """Monte-Carlo estimate of the predictive density of x under class k.
 
     Draws ``Lambda ~ Wishart(a*, B*)``, then ``mu_k ~ Normal(mu*_k,
@@ -122,56 +123,90 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     In the body's notation, v = A^T d - sqrt(c*) z given d has independent
     coordinates v_j = A_jj d_j + Normal(0, t_j + c*), t_j = sum_{i>j} d_i^2.
 
-    Memory is one (S, N) array, the Bartlett diagonal, plus one block of
+    ``diagonal`` is an (S, N) Bartlett diagonal from
+    ``_bartlett_diagonal(rng, a*, N, S)``; without it the call draws its
+    own. The diagonal depends on a* and N only, never on x or k, so probes
+    of one model can share it: their estimates are then correlated, but
+    each is unbiased with its own jackknife standard error. Passing the
+    diagonal drawn from ``rng`` just before the call gives bit for bit
+    the estimate of a call that draws it. The array is read, never
+    written, so a read-only one will do.
+
+    Memory is the (S, N) diagonal plus two half-blocks of
     ``_BLOCK_ENTRIES`` scratch entries and the (S,) log weights; the
     normals are drawn a block of rows at a time in row-major order, so the
     estimate is bit for bit that of one (S, N) draw.
 
     Draws come from ``rng``, any ``numpy.random.Generator``. x and k are
     checked as the scorer checks them (``DimensionMismatch``,
-    ``IndexError``), and ``n_samples`` must be an integer of at least 1
-    (``DomainError``). With ``n_samples = 1`` the estimate is a single
-    density value and the standard error is infinite.
+    ``IndexError``, ``ValueError`` for an inf or NaN in x), and
+    ``n_samples`` must be an integer of at least 1 (``DomainError``). An x
+    so far out that ``||d||^2`` overflows is a ``DomainError``, as is one
+    whose Gaussian exponent overflows in every sample, and a
+    ``diagonal`` of the wrong shape is a ``ShapeMismatch``, one with an
+    entry that is not finite and positive a ``DomainError``; every check
+    but the exponent's comes before anything is drawn. With
+    ``n_samples = 1`` the estimate is a single density value and the
+    standard error is infinite.
     """
-    x = _one_row(model, x, k)[0]
+    x = _one_row(model, x, k)
+    _check_finite(x)
     dim = model.dim
     _check_samples(n_samples)
 
     mu_k, c_k = model.mu_star[:, k], float(model.c_star[k])
-    diag = _bartlett_diagonal(rng, model.a_star, dim, n_samples)
-    d = model.chol_b_star.inverse @ (x - mu_k)
-    tails = np.append(np.cumsum(d[:0:-1] ** 2)[::-1], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = model.chol_b_star.inverse @ (x[0] - mu_k)
+        sums = np.cumsum(d[::-1] ** 2)[::-1]  # sum_{i>=j} d_i^2
+    if not np.isfinite(sums[0]):
+        raise DomainError(f"pattern is too far from class {k}'s mean to sample: "
+                          f"its whitened squared distance overflows")
+    tails = np.append(sums[1:], 0.0)
     scale = np.sqrt(tails + c_k)
+    if diagonal is None:
+        diagonal = _bartlett_diagonal(rng, model.a_star, dim, n_samples)
+    else:
+        diagonal = np.asarray(diagonal, dtype=np.float64)
+        if diagonal.shape != (n_samples, dim):
+            raise ShapeMismatch(f"Bartlett diagonal has shape {diagonal.shape}, "
+                                f"expected {(n_samples, dim)}")
+        if not (diagonal.min() > 0.0 and np.isfinite(diagonal.max())):
+            raise DomainError("Bartlett diagonal entries must be finite and positive")
     log_norm = 0.5 * dim * np.log(2.0 * np.pi)
     # Lambda = G G^T with G = L^{-T} A and B* = L L^T, so log|Lambda| is
     # 2 sum log A_jj - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
     # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = L^{-1}(x - mu_k).
-    # A block of rows at a time, the logs and the normals go through one
-    # scratch array and v is built in place in diag's rows.
-    rows = max(1, _BLOCK_ENTRIES // dim)
-    scratch = np.empty((min(rows, n_samples), dim))
+    # A block of rows at a time, the logs and A_jj d_j go through one
+    # half of the scratch and the scaled normals through the other; the
+    # diagonal is only read.
+    rows = max(1, _BLOCK_ENTRIES // dim // 2)
+    scratch = np.empty((2, min(rows, n_samples), dim))
     log_weights = np.empty(n_samples)
     for start in range(0, n_samples, rows):
-        v = diag[start:start + rows]
-        work = scratch[:len(v)]
-        weights = log_weights[start:start + len(v)]
-        np.sum(np.log(v, out=work), axis=1, out=weights)
+        block = diagonal[start:start + rows]
+        v, work = scratch[:, :len(block)]
+        weights = log_weights[start:start + len(block)]
+        np.sum(np.log(block, out=v), axis=1, out=weights)
         weights *= 2.0
         weights -= model.logdet_b_star  # log|Lambda|
         weights *= 0.5
         weights -= log_norm
-        v *= d
+        np.multiply(block, d, out=v)
         rng.standard_normal(out=work)
         work *= scale
         v += work
-        v *= v
-        exponent = np.sum(v, axis=1)
+        with np.errstate(over="ignore"):  # an infinite exponent is a zero weight
+            v *= v
+            exponent = np.sum(v, axis=1)
         exponent *= 0.5
         weights -= exponent
-    del diag, scratch, v, work
+    del diagonal, scratch, block, v, work
 
     # The shift, the weights and their deviations, in place.
     shift = float(np.max(log_weights))
+    if not np.isfinite(shift):
+        raise DomainError(f"pattern is too far from class {k}'s mean to sample: "
+                          f"every sample's Gaussian exponent overflows")
     scaled = log_weights
     scaled -= shift
     np.exp(scaled, out=scaled)
@@ -273,11 +308,15 @@ def _predictive_probes(rng: np.random.Generator, n_samples: int):
 
 
 def _model_probes(rng: np.random.Generator, model, n_samples: int):
-    results = []
+    # One Bartlett diagonal serves every probe, drawn where the first
+    # probe would draw its own: x_0, diagonal, z_0, x_1, z_1, x_2, z_2.
+    results, diagonal = [], None
     for k in range(min(model.n_classes, 3)):
         x = model.mu_star[:, k] + rng.normal(0.0, 1.0, size=model.dim)
+        if diagonal is None:
+            diagonal = _bartlett_diagonal(rng, model.a_star, model.dim, n_samples)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, se = mc_predictive(rng, model, x, k, n_samples)
+        estimate, se = mc_predictive(rng, model, x, k, n_samples, diagonal=diagonal)
         results.append(_probe(f"model-predictive-{model.class_names[k]}",
                               closed, estimate, se))
     return results
@@ -290,9 +329,15 @@ def run_verification(seed: int, n_samples: int = 20000, model=None):
     the analytic mean, the chain-rule evidence identity, and closed-form
     versus Monte-Carlo predictive densities on three synthetic builds.
     With a model it checks the model's own predictive scores against the
-    Monte-Carlo integral, without factoring anything. Every stochastic
-    probe uses the same three-standard-error rule and needs a finite
-    standard error, so ``n_samples = 1`` fails every Monte-Carlo probe.
+    Monte-Carlo integral, without factoring anything. Its probes (one per
+    class, at most three) share one Bartlett diagonal, that is one set of
+    Lambda draws, drawn once right after the first probe's pattern: the
+    estimates are correlated, but each is unbiased with its own jackknife
+    standard error. The default suite and the first model probe are bit
+    for bit as when every probe drew its own diagonal; the later model
+    probes are not. Every stochastic probe uses the same
+    three-standard-error rule and needs a finite standard error, so
+    ``n_samples = 1`` fails every Monte-Carlo probe.
     An ``n_samples`` that is not an integer of at least 1, or a seed that
     is not a non-negative integer, raises :class:`DomainError` before
     anything is drawn.

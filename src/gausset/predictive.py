@@ -162,6 +162,11 @@ def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
                            post.a_star, post.source_r, post.b_star)
 
 
+def _check_finite(patterns: np.ndarray) -> None:
+    if not np.isfinite(patterns).all():
+        raise ValueError("patterns must not contain infs or NaNs")
+
+
 def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
     """The (T, K) term -((a*+1)/2) log1p(q_tk / (c*_k + 1)) for T rows.
 
@@ -170,8 +175,7 @@ def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
     = L^{-1}(x - centre) - L^{-1}(mu*_k - centre): each row is whitened
     once, and q_tk is its squared distance to row k of ``white_means``.
     """
-    if not np.isfinite(patterns).all():
-        raise ValueError("patterns must not contain infs or NaNs")
+    _check_finite(patterns)
     log1p_terms = np.empty((patterns.shape[0], model.n_classes))
     step = model.block_rows
     for start in range(0, patterns.shape[0], step):

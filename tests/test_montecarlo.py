@@ -21,7 +21,7 @@ from gausset import (
 )
 from gausset import linalg, montecarlo
 from gausset.dataset import _BLOCK_ENTRIES
-from gausset.errors import DomainError
+from gausset.errors import DomainError, ShapeMismatch
 from gausset.linalg import cholesky
 from gausset.model_io import load_model, save_model
 
@@ -276,6 +276,96 @@ class TestMcPredictive:
             blocked = mc_predictive(np.random.default_rng(seed), model, x, k, n_samples)
         assert repr(blocked) == repr(whole)
 
+    @settings(max_examples=100, deadline=None)
+    @given(blocked_probes())
+    def test_block_size_does_not_change_a_bit_with_shared_diagonal(self, case):
+        # The same property when the diagonal comes in through diagonal=
+        # and v is built in scratch rather than in the diagonal's rows.
+        dim, n_samples, entries, seed, k = case
+        model = small_model(dim)
+        x = np.random.default_rng(seed).normal(0.0, 1.5, size=dim)
+
+        def shared():
+            rng = np.random.default_rng(seed)
+            diagonal = montecarlo._bartlett_diagonal(rng, model.a_star, dim, n_samples)
+            return mc_predictive(rng, model, x, k, n_samples, diagonal=diagonal)
+
+        whole = shared()
+        with mock.patch.object(montecarlo, "_BLOCK_ENTRIES", entries):
+            blocked = shared()
+        assert repr(blocked) == repr(whole)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_passed_diagonal_matches_own_draw(self, dim):
+        # Drawing the diagonal from the same stream just before the call is
+        # the call's own first draw, so the estimates agree repr for repr.
+        model, k = small_model(dim), 1
+        x = np.linspace(-0.5, 0.7, dim)
+        rng = np.random.default_rng(61)
+        diagonal = montecarlo._bartlett_diagonal(rng, model.a_star, dim, 3000)
+        shared = mc_predictive(rng, model, x, k, 3000, diagonal=diagonal)
+        own = mc_predictive(np.random.default_rng(61), model, x, k, 3000)
+        assert repr(shared) == repr(own)
+
+    def test_read_only_diagonal_is_left_unchanged(self):
+        model, x = small_model(3), np.array([0.3, -1.0, 0.8])
+        diagonal = montecarlo._bartlett_diagonal(np.random.default_rng(62), model.a_star, 3, 500)
+        before = diagonal.copy()
+        diagonal.flags.writeable = False
+        first = mc_predictive(np.random.default_rng(63), model, x, 0, 500, diagonal=diagonal)
+        second = mc_predictive(np.random.default_rng(63), model, x, 0, 500, diagonal=diagonal)
+        np.testing.assert_array_equal(diagonal, before)
+        assert np.isfinite(first).all() and first == second
+
+    @pytest.mark.parametrize("shape", [(499, 3), (500, 2), (500,), (3, 500)])
+    def test_diagonal_of_wrong_shape_draws_nothing(self, shape):
+        gen = np.random.default_rng(64)
+        state = gen.bit_generator.state
+        with pytest.raises(ShapeMismatch, match="Bartlett diagonal has shape"):
+            mc_predictive(gen, small_model(3), np.zeros(3), 0, 500, diagonal=np.ones(shape))
+        assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_diagonal_not_finite_and_positive_draws_nothing(self, bad):
+        gen = np.random.default_rng(65)
+        state = gen.bit_generator.state
+        diagonal = np.ones((500, 3))
+        diagonal[250, 1] = bad
+        with pytest.raises(DomainError, match="finite and positive"):
+            mc_predictive(gen, small_model(3), np.zeros(3), 0, 500, diagonal=diagonal)
+        assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("x", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)])
+    def test_non_finite_pattern_raises_as_scorer_does(self, x):
+        # The scorer's ValueError, before the diagonal is drawn, not (nan, nan).
+        model, gen = small_model(2), np.random.default_rng(66)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="patterns must not contain infs or NaNs"):
+            log_predictive(model, x, 0)
+        with pytest.raises(ValueError, match="patterns must not contain infs or NaNs"):
+            mc_predictive(gen, model, x, 0, 1000)
+        assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("dim, x", [(2, (1e160, 0.0)), (2, (0.0, 1e160)), (1, (1e160,))])
+    def test_overflowing_pattern_is_domain_error(self, dim, x):
+        # d or its tail sums overflow: a DomainError before any draw, with
+        # no overflow warning (warnings are errors here) and no NaN.
+        gen = np.random.default_rng(67)
+        state = gen.bit_generator.state
+        with pytest.raises(DomainError, match="too far"):
+            mc_predictive(gen, small_model(dim), x, 0, 1000)
+        assert gen.bit_generator.state == state
+
+    def test_exponent_overflow_is_a_zero_weight(self):
+        # ||d||^2 is finite at both points but (A_jj d_j)^2 overflows in
+        # some samples at 1e154 and in all of them at 3e154. An infinite
+        # exponent is a zero weight, raising no warning; when every weight
+        # is zero the call raises rather than return 0/0 = NaN.
+        model = small_model(1)
+        assert mc_predictive(np.random.default_rng(68), model, [1e154], 0, 1000) == (0.0, 0.0)
+        with pytest.raises(DomainError, match="every sample's Gaussian exponent overflows"):
+            mc_predictive(np.random.default_rng(68), model, [3e154], 0, 1000)
+
     def test_peak_memory_is_one_sample_array_and_one_block(self):
         # The (S, N) Bartlett diagonal, the (S,) log weights, and one block
         # of scratch with its row sums: about 1.5x S N 8 bytes here, 1.25x
@@ -402,6 +492,78 @@ class TestRunVerification:
         monkeypatch.setattr(linalg, "cholesky", lambda a: calls.append(a) or factor(a))
         run_verification(seed=39, n_samples=200, model=model)
         assert len(calls) == 0
+
+    def test_model_probes_share_one_bartlett_diagonal(self, monkeypatch):
+        model = build_model(make_posterior(38, 2, [4, 5, 6, 3]))
+        draws, calls = [], []
+        draw, probe = montecarlo._bartlett_diagonal, montecarlo.mc_predictive
+
+        def spy_draw(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        def spy_probe(*args, **kwargs):
+            calls.append(kwargs.get("diagonal"))
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_bartlett_diagonal", spy_draw)
+        monkeypatch.setattr(montecarlo, "mc_predictive", spy_probe)
+        report = run_verification(seed=39, n_samples=300, model=model)
+        assert len(report["probes"]) == 3 and len(draws) == 1 and len(calls) == 3
+        assert all(diagonal is draws[0] for diagonal in calls)
+
+    def test_model_draw_order(self):
+        # x_0, the diagonal, z_0, then x_1, z_1 and x_2, z_2: the first
+        # probe draws exactly what it drew when every probe drew its own.
+        model, seed, n_samples = build_model(make_posterior(38, 2, [4, 5, 6])), 39, 700
+        rng = seeded_generator(seed)
+        expected = []
+        for k in range(3):
+            x = model.mu_star[:, k] + rng.normal(0.0, 1.0, size=2)
+            if k == 0:
+                diagonal = montecarlo._bartlett_diagonal(rng, model.a_star, 2, n_samples)
+            expected.append(mc_predictive(rng, model, x, k, n_samples, diagonal=diagonal))
+        report = run_verification(seed=seed, n_samples=n_samples, model=model)
+        assert [(p["mc_estimate"], p["std_error"]) for p in report["probes"]] == expected
+
+    def test_first_model_probe_pinned_bit_for_bit(self):
+        # As it stood when every probe drew its own diagonal; the second
+        # and third probes now read the first probe's diagonal.
+        model = build_model(make_posterior(38, 2, [4, 5, 6]))
+        first = run_verification(seed=39, n_samples=2000, model=model)["probes"][0]
+        assert repr((first["mc_estimate"], first["std_error"])) == (
+            "(0.20164605583189998, 0.001483073143597268)")
+
+    def test_default_suite_pinned_bit_for_bit(self):
+        # The default suite draws a diagonal per probe, as it always has.
+        report = run_verification(seed=42, n_samples=2000)
+        assert report == {"probes": [
+            {"probe": "wishart-mean", "closed_form": -1.4285714285714284,
+             "mc_estimate": -1.4762953179146874, "std_error": 0.044123914717088146,
+             "pass": True},
+            {"probe": "evidence-chain-rule", "closed_form": -39.64870378588722,
+             "mc_estimate": -39.648703785887214, "std_error": 3.3333333333333334e-09,
+             "pass": True},
+            {"probe": "mc-predictive-N1K2", "closed_form": 0.1027393897871285,
+             "mc_estimate": 0.10330612951367198, "std_error": 0.0013612939836963743,
+             "pass": True},
+            {"probe": "mc-predictive-N2K2", "closed_form": 0.0010565863438115799,
+             "mc_estimate": 0.0010175843773472144, "std_error": 9.317024909679993e-05,
+             "pass": True},
+            {"probe": "mc-predictive-N3K1", "closed_form": 0.06425216378155107,
+             "mc_estimate": 0.060750240802500945, "std_error": 0.0017128408295890077,
+             "pass": True},
+        ], "all_pass": True}
+
+    def test_model_run_peaks_at_one_sample_array(self):
+        # Three probes share one (S, N) diagonal and hold no copy of it, so
+        # the run peaks within the bound of one mc_predictive call.
+        dim, n_samples = 10, 20000
+        model = build_model(make_posterior(39, dim, [30, 30, 30]))
+        peak, report = traced_peak(lambda: run_verification(3, n_samples, model=model))
+        assert len(report["probes"]) == 3
+        block = _BLOCK_ENTRIES // dim * dim
+        assert peak <= (n_samples * dim + n_samples + 1.5 * block) * 8
 
     @pytest.mark.parametrize("n_samples", [2.5, 1e4])
     def test_non_integer_sample_count_is_domain_error(self, n_samples):
