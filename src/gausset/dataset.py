@@ -15,7 +15,6 @@ from __future__ import annotations
 import codecs
 import csv
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,10 +201,11 @@ def _columns(header, label_column):
 
 
 def _read_table(path, label_column=None):
-    """Read a headed CSV into (header, labels, patterns), skipping blank rows.
+    """Read a headed CSV into (header, codes, names, patterns), skipping blank rows.
 
-    ``labels`` holds the stripped ``label_column`` cells, if one is named;
-    every other cell must parse to a finite float of ``patterns`` (T, F).
+    ``names`` holds the distinct stripped ``label_column`` cells by first
+    appearance, ``codes`` (T,) each row's index into it (both empty without
+    a label column). Other cells must be finite floats, ``patterns`` (T, F).
     An error names the physical line its record starts on.
     """
     with open(path, newline="", encoding="utf-8") as handle:
@@ -215,8 +215,7 @@ def _read_table(path, label_column=None):
         except StopIteration:
             raise ParseError("file is empty, expected a header row", line=1) from None
         label_idx, features = _columns(header, label_column)
-        labels = []
-        rows = []
+        names, codes, rows = {}, [], []
         end = reader.line_num
         for row in reader:
             line_no, end = end + 1, reader.line_num
@@ -227,10 +226,10 @@ def _read_table(path, label_column=None):
                     f"row has {len(row)} cells, header has {len(header)}", line_no
                 )
             if label_idx is not None:
-                # Interned: one string per distinct label, not one per row.
-                labels.append(sys.intern(row[label_idx].strip()))
+                codes.append(names.setdefault(row[label_idx].strip(), len(names)))
             rows.append([_parse_cell(row[i], line_no, header[i]) for i in features])
-    return header, labels, np.asarray(rows, dtype=np.float64).reshape(len(rows), len(features))
+    return (header, np.asarray(codes, dtype=np.int64), list(names),
+            np.asarray(rows, dtype=np.float64).reshape(len(rows), len(features)))
 
 
 # Text on which csv.reader or float() can disagree with np.loadtxt: a quote
@@ -271,11 +270,13 @@ def _count_rows(path):
 
 
 def _fast_table(path, label_column=None):
-    """What :func:`_read_table` returns, parsed by ``np.loadtxt`` a block
-    of lines at a time, so the whole text is never held at once.
+    """What :func:`_read_table` returns, parsed by one ``np.loadtxt`` call
+    per block of lines, so the whole text is never held at once.
 
-    Each parsed block is copied into one array of the rows
-    :func:`_count_rows` counts, trimmed to the rows read at the end.
+    A converter on the label column turns each stripped label into its
+    code inside the parse. loadtxt rejects a block whose rows differ in
+    cell count, and each block's width is checked against the header's.
+    Blocks are copied into arrays of the rows :func:`_count_rows` counts.
 
     Returns None whenever the two readers could disagree: undecodable
     bytes, a character of ``_FALLBACK_CHARS``, a line longer than csv's
@@ -287,13 +288,12 @@ def _fast_table(path, label_column=None):
     ``_read_table`` raises for it.
     """
     rows = _count_rows(path)
-    header, labels, filled = None, [], 0
+    header, names, filled = None, {}, 0
     limit = csv.field_size_limit()
     try:
         with open(path, "rb") as handle:
             for text in _whole_lines(handle):
-                if "\r" in text:
-                    text = text.replace("\r\n", "\n")
+                text = text.replace("\r\n", "\n")
                 if any(char in text for char in _FALLBACK_CHARS):
                     return None
                 lines = text.split("\n")
@@ -303,38 +303,36 @@ def _fast_table(path, label_column=None):
                         return None
                     header = [h.strip() for h in head.split(",")]
                     label_idx, features = _columns(header, label_column)
+                    converters = None if label_idx is None else {
+                        label_idx: lambda cell: names.setdefault(cell.strip(), len(names))}
                     patterns = np.empty((rows, len(features)))
+                    codes = np.empty(rows if converters else 0, dtype=np.int64)
                 lines = [line for line in lines if line]   # csv skips empty lines
                 if not lines:
                     continue
-                # loadtxt does not check row length when given usecols.
-                if (filled + len(lines) > rows or max(map(len, lines)) > limit
-                        or any(line.count(",") != len(header) - 1 for line in lines)):
+                end = filled + len(lines)
+                if end > rows or max(map(len, lines)) > limit:
                     return None
                 try:
-                    block = np.loadtxt(lines, delimiter=",", usecols=features,
+                    block = np.loadtxt(lines, delimiter=",", converters=converters,
                                        comments=None, ndmin=2, dtype=np.float64)
                 except ValueError:
                     return None
-                if not np.isfinite(block).all():
+                if block.shape[1] != len(header) or not np.isfinite(block).all():
                     return None
-                patterns[filled:filled + len(lines)] = block
-                filled += len(lines)
-                if label_idx is not None:
-                    # Splitting from the right leaves cells before the label
-                    # joined at index 0, so the label is item 1 (item 0 when
-                    # it is the first cell).
-                    cut = len(header) - label_idx
-                    labels.extend(sys.intern(line.rsplit(",", cut)[min(label_idx, 1)].strip())
-                                  for line in lines)
+                patterns[filled:end] = block[:, features]
+                if converters:
+                    codes[filled:end] = block[:, label_idx]
+                filled = end
                 text = lines = block = None   # freed before the next block is read
     except UnicodeDecodeError:
         return None
     if not filled:
         return None
-    # In place: no view of the array is alive, and shrinking frees its tail.
+    # In place: no view of either array is alive, and shrinking frees its tail.
     patterns.resize((filled, patterns.shape[1]), refcheck=False)
-    return header, labels, patterns
+    codes.resize(min(filled, codes.size), refcheck=False)
+    return header, codes, list(names), patterns
 
 
 def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledDataset:
@@ -343,18 +341,16 @@ def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledData
     The column named ``label_column`` holds class labels; every other
     column is a feature, in header order. Classes are indexed in order
     of first appearance, with any ``extra_classes`` not present in the
-    file appended after (their counts are zero).
+    file appended after (their counts are zero). Labels become codes in
+    the ``np.loadtxt`` pass that parses the features and checks row widths.
     """
-    _, labels, patterns = (_fast_table(path, label_column)
-                           or _read_table(path, label_column))
-    names = list(dict.fromkeys([*labels, *map(str, extra_classes)])) or ["unlabeled"]
-    index = {name: k for k, name in enumerate(names)}
-    return LabeledDataset(patterns,
-                          np.asarray([index[label] for label in labels], dtype=np.int64),
-                          tuple(names))
+    _, codes, names, patterns = (_fast_table(path, label_column)
+                                 or _read_table(path, label_column))
+    names = list(dict.fromkeys([*names, *map(str, extra_classes)])) or ["unlabeled"]
+    return LabeledDataset(patterns, codes, tuple(names))
 
 
 def load_features(path):
     """Load an unlabeled feature CSV. Returns (feature_names, patterns)."""
-    header, _, patterns = _fast_table(path) or _read_table(path)
+    header, _, _, patterns = _fast_table(path) or _read_table(path)
     return header, patterns

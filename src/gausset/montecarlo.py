@@ -34,6 +34,8 @@ from .linalg import CholeskyFactor
 from .predictive import (PredictiveModel, _check_finite, _one_row, build_model,
                          log_predictive)
 
+_BLOCK_ROWS = 2048  # mc_predictive's cap on rows a block, so small N stays small
+
 
 def seeded_generator(seed) -> np.random.Generator:
     """PCG64 generator for a user seed. Same seed, same sample stream."""
@@ -53,12 +55,13 @@ def _bartlett_diagonal(rng: np.random.Generator, a: float, dim: int, n: int) -> 
 
     Entry i is sqrt(chi-square(a - i)), drawn column by column. The
     entries below it are independent standard normals, independent of the
-    diagonal, so each caller draws only what it reads of them.
+    diagonal, so each caller draws only what it reads of them. A draw below
+    the smallest normal float (one that underflowed) is raised to it.
     """
     diag = np.empty((n, dim))
     for i in range(dim):
         diag[:, i] = rng.chisquare(a - i, size=n)
-    return np.sqrt(diag, out=diag)
+    return np.sqrt(np.maximum(diag, np.finfo(np.float64).tiny, out=diag), out=diag)
 
 
 def sample_wishart(rng: np.random.Generator, a: float, b, size=None) -> np.ndarray:
@@ -132,10 +135,10 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     the estimate of a call that draws it. The array is read, never
     written, so a read-only one will do.
 
-    Memory is the (S, N) diagonal plus two half-blocks of
-    ``_BLOCK_ENTRIES`` scratch entries and the (S,) log weights; the
-    normals are drawn a block of rows at a time in row-major order, so the
-    estimate is bit for bit that of one (S, N) draw.
+    Memory is the (S, N) diagonal, the (S,) log weights and two half-blocks
+    of ``_BLOCK_ENTRIES`` scratch entries, at most ``_BLOCK_ROWS`` rows each.
+    The normals are drawn a block of rows at a time in row-major order, so
+    the estimate is bit for bit that of one (S, N) draw.
 
     Draws come from ``rng``, any ``numpy.random.Generator``. x and k are
     checked as the scorer checks them (``DimensionMismatch``,
@@ -179,7 +182,7 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     # A block of rows at a time, the logs and A_jj d_j go through one
     # half of the scratch and the scaled normals through the other; the
     # diagonal is only read.
-    rows = max(1, _BLOCK_ENTRIES // dim // 2)
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // dim // 2))
     scratch = np.empty((2, min(rows, n_samples), dim))
     log_weights = np.empty(n_samples)
     for start in range(0, n_samples, rows):

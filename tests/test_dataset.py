@@ -568,9 +568,10 @@ ODD_CELLS = st.sampled_from([
     "", " 2.5\t", "\u00a03", "1_0", "\u0661", '"4.5"', "1 # c", "#1",
     "-inf", "1e400", "0x10", "oops", "\x1c1", "1\x1f", "1\x00", "1,5",
 ])
-LABEL_CELLS = st.sampled_from(["a", "b", " c ", "\u03a9", "a#b", "", '"a,b"', '"b"', "a\x00"])
+LABEL_CELLS = st.sampled_from(["a", "b", " c ", "\u03a9", "a#b", "", '"a,b"', '"b"',
+                               "a\x00", "1", "2.5", "-0"])
 DEFECTS = ("blank-line", "space-line", "extra-cell", "missing-cell",
-           "crlf-once", "lone-cr", "bad-utf8")
+           "crlf-once", "lone-cr", "bad-utf8", "extra-cell-every-row")
 
 
 @st.composite
@@ -606,6 +607,9 @@ def csv_files(draw):
             lines[at] = lines[at].rpartition(",")[0]
         elif defect in ("crlf-once", "lone-cr"):
             lines[at - 1] += "\r\n" if defect == "crlf-once" else "\r"
+        elif defect == "extra-cell-every-row":
+            # Every row agrees with every other, so only the header disagrees.
+            lines[1:] = [line + ",1" for line in lines[1:]]
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     data = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode()
     if "bad-utf8" in defects:
@@ -630,17 +634,17 @@ def _fields(ds):
 
 def _reference_dataset(path):
     """``load_csv`` built from ``_read_table`` alone."""
-    _, labels, patterns = _read_table(path, "label")
-    names = list(dict.fromkeys(labels)) or ["unlabeled"]
-    return LabeledDataset(patterns, [names.index(label) for label in labels], tuple(names))
+    _, codes, names, patterns = _read_table(path, "label")
+    return LabeledDataset(patterns, codes, tuple(names) or ("unlabeled",))
 
 
 def _same_table(got, want):
     """Whether two ``_fast_table`` results are equal, None included."""
     if got is None or want is None:
         return got is want
-    return (got[:2] == want[:2] and got[2].shape == want[2].shape
-            and got[2].tobytes() == want[2].tobytes())
+    return (got[0] == want[0] and got[2] == want[2]
+            and all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                    for a, b in ((got[1], want[1]), (got[3], want[3]))))
 
 
 class TestReaderProperties:
@@ -662,7 +666,7 @@ class TestReaderProperties:
                     want, want_error = _outcome(lambda: _fields(_reference_dataset(path)))
                     got, got_error = _outcome(lambda: _fields(load_csv(path)))
                 else:
-                    want, want_error = _outcome(lambda: _read_table(path)[::-2])
+                    want, want_error = _outcome(lambda: _read_table(path)[::-3])
                     got, got_error = _outcome(lambda: load_features(path)[::-1])
             assert got_error == want_error, block
             if want is not None:
@@ -736,8 +740,9 @@ class TestBlockwiseReader:
         path.write_bytes(((blanks + 1) * newline).join(lines).encode() + end.encode())
         with mock.patch.object(dataset, "_READ_BLOCK", edge):
             assert dataset._count_rows(path) == 40 * (blanks + 1)
-            patterns = _fast_table(path, "label")[2]
+            _, codes, _, patterns = _fast_table(path, "label")
         assert patterns.shape == (40, 2) and patterns.flags.owndata
+        assert codes.shape == (40,) and codes.flags.owndata
         self.check_fast_path(path, edge)
 
     @pytest.mark.parametrize("edge", [7, 1 << 16])
@@ -779,18 +784,32 @@ class TestBlockwiseReader:
             assert type(excinfo.value) is ParseError
         assert (excinfo.value.line, excinfo.value.column) == (282, "x0")
 
+    @staticmethod
+    def traced_load(path, n_rows, dim, n_classes):
+        """The traced peak of ``load_csv`` on a file of ``n_rows`` normal
+        rows of ``dim`` features and labels c0 .. c{n_classes - 1}."""
+        rng = np.random.default_rng(9)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(",".join(f"x{i}" for i in range(dim)) + ",label\n")
+            handle.writelines(",".join(map(repr, row)) + f",c{label}\n" for row, label
+                              in zip(rng.normal(size=(n_rows, dim)).tolist(),
+                                     rng.integers(0, n_classes, n_rows)))
+        assert path.stat().st_size >= 1 << 20
+        peak, ds = traced_peak(lambda: load_csv(path))
+        assert ds.patterns.shape == (n_rows, dim) and ds.n_classes == n_classes
+        return peak, ds
+
     def test_peak_memory_is_near_the_patterns(self, tmp_path):
         # 1.7x the patterns at the default block: the array, filled in place,
         # and one block of text, lines and parsed values. Holding the parsed
         # blocks beside their concatenation peaked at 2.1x, the whole text
         # and its split lines at 6.9x.
-        rng = np.random.default_rng(9)
-        path = tmp_path / "big.csv"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(f"x{i}" for i in range(10)) + ",label\n")
-            handle.writelines(",".join(map(repr, row)) + f",c{label}\n" for row, label
-                              in zip(rng.normal(size=(6000, 10)).tolist(), rng.integers(0, 5, 6000)))
-        assert path.stat().st_size >= 1 << 20
-        peak, ds = traced_peak(lambda: load_csv(path))
-        assert ds.patterns.shape == (6000, 10)
+        peak, ds = self.traced_load(tmp_path / "big.csv", 6000, 10, 5)
         assert peak <= 1.5 * ds.patterns.nbytes + 4 * dataset._READ_BLOCK
+        # At 20,000 rows the peak is LabeledDataset's finiteness check: the
+        # patterns, their codes and a mask of one byte an entry. Labels
+        # become codes as they are parsed; per-row lists of the labels and
+        # of their indices, held beside the codes, peaked 2.6 blocks higher.
+        peak, ds = self.traced_load(tmp_path / "tall.csv", 20000, 20, 10)
+        assert peak <= (ds.patterns.nbytes + ds.labels.nbytes + ds.patterns.size
+                        + 1.5 * dataset._READ_BLOCK)

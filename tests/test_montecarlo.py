@@ -1,4 +1,5 @@
 import functools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from gausset.dataset import _BLOCK_ENTRIES
 from gausset.errors import DomainError, ShapeMismatch
 from gausset.linalg import cholesky
 from gausset.model_io import load_model, save_model
+from gausset.predictive import PredictiveModel
 
 from conftest import traced_peak
 
@@ -123,6 +125,17 @@ class TestSampleWishart:
             (n, dim * (dim - 1) // 2))
         g = np.linalg.inv(np.linalg.cholesky(b)).T @ bart
         np.testing.assert_allclose(draws, g @ g.transpose(0, 2, 1), rtol=1e-12, atol=1e-14)
+
+    def test_underflowing_bartlett_draws_are_raised_to_tiny(self):
+        # chi-square(0.02) underflows to 0 now and then; such draws become
+        # the smallest normal float, and every larger draw is kept as drawn.
+        raw = np.random.default_rng(17).chisquare(0.02, size=20000)
+        diag = montecarlo._bartlett_diagonal(np.random.default_rng(17), 0.02, 1, 20000)[:, 0]
+        tiny = np.finfo(np.float64).tiny
+        keep = raw >= tiny
+        assert not keep.all()
+        np.testing.assert_array_equal(diag[keep], np.sqrt(raw[keep]))
+        assert (diag[~keep] == np.sqrt(tiny)).all()
 
     def test_size_none_is_first_of_size_one(self):
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -378,6 +391,17 @@ class TestMcPredictive:
         block = _BLOCK_ENTRIES // dim * dim
         assert peak <= (n_samples * dim + n_samples + 1.5 * block) * 8
 
+    def test_peak_memory_at_one_feature_is_two_sample_arrays(self):
+        # At N = 1 the diagonal and the log weights are each S N 8 bytes.
+        # A block holds at most _BLOCK_ROWS rows, so its scratch and row
+        # sums add about 64 KiB. Blocks of 32,768 rows added 3x S N 8 bytes.
+        n_samples = 20000
+        model = build_model(make_posterior(39, 1, [30, 30]))
+        peak, (estimate, _) = traced_peak(lambda: mc_predictive(
+            np.random.default_rng(3), model, np.zeros(1), 0, n_samples))
+        assert np.isfinite(estimate)
+        assert peak <= 2 * n_samples * 8 + 128 * 1024
+
     def test_reloaded_model_gives_identical_estimate(self, tmp_path):
         model = build_model(make_posterior(36, 3, [5, 4]))
         save_model(model, tmp_path / "model.json")
@@ -564,6 +588,21 @@ class TestRunVerification:
         assert len(report["probes"]) == 3
         block = _BLOCK_ENTRIES // dim * dim
         assert peak <= (n_samples * dim + n_samples + 1.5 * block) * 8
+
+    def test_model_with_a_star_near_its_floor_reports_every_probe(self):
+        # At a* = 1.02 and N = 2 the second Bartlett entry is
+        # sqrt(chi-square(0.02)), which underflowed to 0 in 13 of the
+        # 20,000 draws at this seed: the shared diagonal was refused as not
+        # positive, and log(0) warned of a divide by zero.
+        model = PredictiveModel(("a", "b"), np.array([[0.0, 1.0], [0.0, -1.0]]),
+                                np.array([0.5, 0.5]), 1.02, 1.0, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_verification(20260808, 20000, model=model)
+            estimate, _ = mc_predictive(np.random.default_rng(5), model, [0.5, 0.0], 0, 20000)
+        assert [p["probe"] for p in report["probes"]] == ["model-predictive-a",
+                                                           "model-predictive-b"]
+        assert report["all_pass"] and np.isfinite(estimate)
 
     @pytest.mark.parametrize("n_samples", [2.5, 1e4])
     def test_non_integer_sample_count_is_domain_error(self, n_samples):
