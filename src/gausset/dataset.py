@@ -293,7 +293,8 @@ def _fast_table(path, label_column=None):
     try:
         with open(path, "rb") as handle:
             for text in _whole_lines(handle):
-                text = text.replace("\r\n", "\n")
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n")
                 if any(char in text for char in _FALLBACK_CHARS):
                     return None
                 lines = text.split("\n")
@@ -314,8 +315,8 @@ def _fast_table(path, label_column=None):
                 if end > rows or max(map(len, lines)) > limit:
                     return None
                 try:
-                    block = np.loadtxt(lines, delimiter=",", converters=converters,
-                                       comments=None, ndmin=2, dtype=np.float64)
+                    block = np.loadtxt(lines, delimiter=",", comments=None, converters=converters,
+                                       ndmin=2, encoding=None)  # str to converters on numpy 1.x
                 except ValueError:
                     return None
                 if block.shape[1] != len(header) or not np.isfinite(block).all():

@@ -695,6 +695,17 @@ class TestBlockwiseReader:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1:] == want[1:]
 
+    def test_labels_reach_the_converter_as_text(self, tmp_path):
+        """Labels outside Latin-1 stay on the fast path and come back as
+        str, whatever loadtxt's default encoding is."""
+        path = tmp_path / "omega.csv"
+        path.write_text("x0,label\n1.5, \u03a9 \n2.5,a\n-1,\u03a9\n", encoding="utf-8")
+        header, codes, names, patterns = _fast_table(path, "label")
+        assert header == ["x0", "label"] and names == ["\u03a9", "a"]
+        assert all(type(name) is str for name in names)
+        assert codes.tolist() == [0, 1, 0]
+        assert patterns.ravel().tolist() == [1.5, 2.5, -1.0]
+
     def test_crlf_pair_straddles_a_block_edge(self, tmp_path):
         text = _rows_text(40, "\r\n")
         path = tmp_path / "crlf.csv"
