@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyDimension, NonFiniteValue, ParseError, ShapeMismatch
-from .linalg import symmetrize
+from .linalg import _freeze, symmetrize
 
 # Entries per chunk of rows that accumulate centres and the scorer
 # scores, so their working memory stays flat in T.
@@ -57,13 +57,10 @@ class LabeledDataset:
         # Unknown labels are a hard error, never silently dropped.
         if labels.size and (labels.min() < 0 or labels.max() >= len(names)):
             raise ValueError("label index out of range for the declared classes")
-        if not np.all(np.isfinite(patterns)):
+        # NaN and inf reach the extremes, and no (T, N) mask is allocated.
+        if patterns.size and not (np.isfinite(patterns.min()) and np.isfinite(patterns.max())):
             raise NonFiniteValue("dataset contains non-finite pattern values")
-        object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_names", names)
-        patterns.flags.writeable = False
-        labels.flags.writeable = False
+        _freeze(self, patterns=patterns, labels=labels, class_names=names)
 
     @property
     def dim(self) -> int:
@@ -102,12 +99,7 @@ class SufficientStats:
             raise ShapeMismatch("within-class scatter shape does not match the feature dimension")
         if np.any(counts < 0):
             raise ValueError("negative class count")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "within", within)
-        counts.flags.writeable = False
-        means.flags.writeable = False
-        within.flags.writeable = False
+        _freeze(self, counts=counts, means=means, within=within)
 
     @property
     def dim(self) -> int:

@@ -43,9 +43,10 @@ matrix with offset-sized entries is formed, so a large common offset in
 the data is never rounded into B* and cannot make B* look singular.
 ``evidence_curve`` scores its whole grid in one batch, and ``tune_r``
 searches by repeated batched scans, each one over the two cells around
-the last scan's best point. When B + W is singular (B = 0 and
-T < N + K', where W has rank at most T - K') or fails the pivot check,
-each r factors the N x N B*(r) from the shared posterior update instead.
+the last scan's best point. When B = 0 and T <= N + K' (W has rank at
+most T - K', and at T - K' = N it is often too ill-conditioned to whiten
+by) or B + W fails the pivot check, each r factors the N x N B*(r) from
+the shared posterior update instead.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     B = 0, and NaN where B*(r) is degenerate. The N x N work is done here
     once: factor B + W and whiten the offset-free means M - xbar 1^T and
     the count-weighted mean xbar. Each r then costs K' x K' work through
-    the weighted-mean split of the module docstring. If B + W is singular
-    (B = 0 and T < N + K') or fails the pivot rule, each r factors B*(r)
+    the weighted-mean split of the module docstring. If B = 0 and
+    T <= N + K', or B + W fails the pivot rule, each r factors B*(r)
     itself instead.
     """
     counts = stats.counts.astype(np.float64)
@@ -107,8 +108,10 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     if total == 0 and b is None:
         return lambda r: np.zeros(r.shape)
     # With B = 0, W has rank at most T - K', and rounding can pass such a
-    # singular W through the pivot rule, so it takes the dense path too.
-    if b is None and total - sizes.size < dim:
+    # singular W through the pivot rule, so it takes the dense path too. At
+    # T - K' = N, W is full rank but often nearly singular, and whitening by
+    # it lost up to 1e-6 of the value, so that band is dense as well.
+    if b is None and total - sizes.size <= dim:
         return dense
     try:
         chol = linalg.cholesky(linalg.symmetrize(
@@ -277,10 +280,7 @@ class EvidenceCurve:
     def __post_init__(self):
         r_values = np.asarray(self.r_values, dtype=np.float64)
         log_ev = np.asarray(self.log_evidence, dtype=np.float64)
-        r_values.flags.writeable = False
-        log_ev.flags.writeable = False
-        object.__setattr__(self, "r_values", r_values)
-        object.__setattr__(self, "log_evidence", log_ev)
+        linalg._freeze(self, r_values=r_values, log_evidence=log_ev)
 
 
 def evidence_curve(stats: SufficientStats, r_grid) -> EvidenceCurve:

@@ -64,10 +64,7 @@ class PriorHyper:
             b = linalg.symmetrize(b)
             if not np.isfinite(b).all():
                 raise DomainError("prior scale matrix B holds a non-finite value")
-            b.flags.writeable = False
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        linalg._freeze(self, r=r, a=a, b=b)
 
     @classmethod
     def noninformative(cls, r: float) -> "PriorHyper":
@@ -106,13 +103,8 @@ class PosteriorMNW:
             raise ShapeMismatch("scale matrix shape does not match dimension")
         if np.any(rd <= 0.0):
             raise ValueError("posterior column precisions must be positive")
-        for arr in (m, rd, b):
-            arr.flags.writeable = False
-        object.__setattr__(self, "m_star", m)
-        object.__setattr__(self, "r_star_diag", rd)
-        object.__setattr__(self, "b_star", b)
-        object.__setattr__(self, "a_star", float(self.a_star))
-        object.__setattr__(self, "source_r", float(self.source_r))
+        linalg._freeze(self, m_star=m, r_star_diag=rd, b_star=b,
+                       a_star=float(self.a_star), source_r=float(self.source_r))
 
     @property
     def dim(self) -> int:

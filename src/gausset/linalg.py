@@ -24,6 +24,14 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 PIVOT_RTOL = 1e-12
 
 
+def _freeze(obj, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``obj``; arrays become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class CholeskyFactor:
     """Lower-triangular factor L of an SPD matrix A, with L L^T = A."""
@@ -31,9 +39,7 @@ class CholeskyFactor:
     lower: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
-        object.__setattr__(self, "lower", lower)
-        lower.flags.writeable = False
+        _freeze(self, lower=np.asarray(self.lower, dtype=np.float64))
 
     @property
     def dim(self) -> int:

@@ -34,7 +34,7 @@ from .linalg import CholeskyFactor
 from .predictive import (PredictiveModel, _check_finite, _one_row, build_model,
                          log_predictive)
 
-_BLOCK_ROWS = 2048  # mc_predictive's cap on rows a block, so small N stays small
+_BLOCK_ROWS = 1024  # mc_predictive's cap on rows a block, so small N stays small
 
 
 def seeded_generator(seed) -> np.random.Generator:
@@ -133,12 +133,12 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     each is unbiased with its own jackknife standard error. Passing the
     diagonal drawn from ``rng`` just before the call gives bit for bit
     the estimate of a call that draws it. The array is read, never
-    written, so a read-only one will do.
+    written, so a read-only one will do; one not in C order is copied.
 
-    Memory is the (S, N) diagonal, the (S,) log weights and two half-blocks
-    of ``_BLOCK_ENTRIES`` scratch entries, at most ``_BLOCK_ROWS`` rows each.
-    The normals are drawn a block of rows at a time in row-major order, so
-    the estimate is bit for bit that of one (S, N) draw.
+    Memory is the (S, N) diagonal, the (S,) log weights and the temporaries
+    of one block of rows, an eighth of ``_BLOCK_ENTRIES`` entries and at most
+    ``_BLOCK_ROWS`` rows. The normals are drawn a block at a time in
+    row-major order, so the estimate is bit for bit that of one (S, N) draw.
 
     Draws come from ``rng``, any ``numpy.random.Generator``. x and k are
     checked as the scorer checks them (``DimensionMismatch``,
@@ -169,7 +169,8 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     if diagonal is None:
         diagonal = _bartlett_diagonal(rng, model.a_star, dim, n_samples)
     else:
-        diagonal = np.asarray(diagonal, dtype=np.float64)
+        # C order, so each row sums in the order of a drawn diagonal.
+        diagonal = np.ascontiguousarray(diagonal, dtype=np.float64)
         if diagonal.shape != (n_samples, dim):
             raise ShapeMismatch(f"Bartlett diagonal has shape {diagonal.shape}, "
                                 f"expected {(n_samples, dim)}")
@@ -179,31 +180,18 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     # Lambda = G G^T with G = L^{-T} A and B* = L L^T, so log|Lambda| is
     # 2 sum log A_jj - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
     # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = L^{-1}(x - mu_k).
-    # A block of rows at a time, the logs and A_jj d_j go through one
-    # half of the scratch and the scaled normals through the other; the
-    # diagonal is only read.
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // dim // 2))
-    scratch = np.empty((2, min(rows, n_samples), dim))
+    # A block's temporaries, about five arrays of its size, stay within
+    # _BLOCK_ENTRIES entries.
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // dim // 8))
     log_weights = np.empty(n_samples)
     for start in range(0, n_samples, rows):
         block = diagonal[start:start + rows]
-        v, work = scratch[:, :len(block)]
-        weights = log_weights[start:start + len(block)]
-        np.sum(np.log(block, out=v), axis=1, out=weights)
-        weights *= 2.0
-        weights -= model.logdet_b_star  # log|Lambda|
-        weights *= 0.5
-        weights -= log_norm
-        np.multiply(block, d, out=v)
-        rng.standard_normal(out=work)
-        work *= scale
-        v += work
+        v = block * d + scale * rng.standard_normal(block.shape)
         with np.errstate(over="ignore"):  # an infinite exponent is a zero weight
-            v *= v
-            exponent = np.sum(v, axis=1)
-        exponent *= 0.5
-        weights -= exponent
-    del diagonal, scratch, block, v, work
+            exponent = np.sum(v * v, axis=1)
+        log_weights[start:start + rows] = ((2.0 * np.sum(np.log(block), axis=1)
+                                            - model.logdet_b_star) * 0.5
+                                           - log_norm - exponent * 0.5)
 
     # The shift, the weights and their deviations, in place.
     shift = float(np.max(log_weights))

@@ -131,17 +131,12 @@ class PredictiveModel:
         total = float(np.sum(1.0 / c_star - r))
         centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
         inverse_t = chol.inverse.T
-        for name, value in (
-                ("class_names", tuple(class_names)), ("mu_star", mu_star),
-                ("c_star", c_star), ("a_star", a_star), ("r", r), ("b_star", b_star),
-                ("chol_b_star", chol), ("logdet_b_star", ld), ("log_norm", log_norm),
-                ("centre", centre), ("white_means", (mu_star.T - centre) @ inverse_t),
-                ("cp1", cp1), ("class_term", -0.5 * n * np.log(cp1)),
-                ("inverse_t", inverse_t),
-                ("block_rows", max(1, _BLOCK_ENTRIES // mu_star.size))):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        linalg._freeze(
+            self, class_names=tuple(class_names), mu_star=mu_star, c_star=c_star,
+            a_star=a_star, r=r, b_star=b_star, chol_b_star=chol, logdet_b_star=ld,
+            log_norm=log_norm, centre=centre, white_means=(mu_star.T - centre) @ inverse_t,
+            cp1=cp1, class_term=-0.5 * n * np.log(cp1), inverse_t=inverse_t,
+            block_rows=max(1, _BLOCK_ENTRIES // mu_star.size))
 
     @property
     def dim(self) -> int:
@@ -245,9 +240,8 @@ class ClassPrior:
         _checked_probs(probs)
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError(f"class prior sums to {probs.sum()!r}, expected 1")
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_log_terms", _log_prior(self, len(probs)))
+        linalg._freeze(self, probs=probs)
+        linalg._freeze(self, _log_terms=_log_prior(self, len(probs)))
 
     @classmethod
     def uniform(cls, n_classes: int) -> "ClassPrior":

@@ -123,6 +123,15 @@ class TestFit:
         assert "_star" not in err and "Warning" not in err
         assert not out.exists()
 
+    def test_positive_a_with_zero_b_exits_2(self, tmp_path, capsys):
+        # a > 0 with B = 0 is neither the non-informative nor a proper prior.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        out = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--a", "1", "--b", "zero", "--out", out]) == 2
+        assert "a > 0 requires --b eps-identity" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["fit", "--data", tmp_path / "nope.csv",
                     "--out", tmp_path / "m.json"]) == 2
@@ -223,6 +232,26 @@ class TestClassify:
             row = next(csv.DictReader(handle))
         assert float(row["posterior_a"]) == 1.0
         assert row["action"] == "a"
+
+    def test_unparsable_class_prior_exits_2(self, tmp_path, capsys):
+        model_path = self.fit_worked(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n2.0\n")
+        scored = tmp_path / "scored.csv"
+        assert run(["classify", "--model", model_path, "--data", queries,
+                    "--out", scored, "--prior", "1,half"]) == 2
+        assert "cannot parse class prior '1,half'" in capsys.readouterr().err
+        assert not scored.exists()
+
+    def test_model_file_dim_disagreeing_with_its_means_exits_2(self, tmp_path, capsys):
+        model_path = self.fit_worked(tmp_path)
+        doc = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps(doc | {"dim": 2}))
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n2.0\n")
+        assert run(["classify", "--model", model_path, "--data", queries,
+                    "--out", tmp_path / "s.csv"]) == 2
+        assert "does not match dim=2" in capsys.readouterr().err
 
     def test_bytes_match_csv_writer_for_unusual_names(self, tmp_path):
         rng = np.random.default_rng(13)

@@ -338,6 +338,20 @@ class TestLabeledDataset:
         with pytest.raises(NonFiniteValue):
             LabeledDataset(np.array([[np.nan]]), [0], ("a",))
 
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                     [np.nan, np.inf]])
+    def test_nonfinite_entry_anywhere_rejected(self, bad):
+        # The check reads the extremes: NaN reaches both, inf the maximum,
+        # -inf the minimum, and +inf beside -inf each of them.
+        patterns = np.arange(24.0).reshape(8, 3)
+        patterns.flat[[17, 5][:len(bad)]] = bad
+        with pytest.raises(NonFiniteValue):
+            LabeledDataset(patterns, np.zeros(8, dtype=int), ("a",))
+
+    def test_no_declared_class_rejected(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            LabeledDataset(np.zeros((0, 2)), [], ())
+
     def test_zero_feature_rows_keep_their_count(self):
         assert LabeledDataset(np.zeros((3, 0)), [0, 0, 0], ("a",)).patterns.shape == (3, 0)
         assert LabeledDataset([], [], ("a",)).patterns.shape == (0, 0)
@@ -345,6 +359,19 @@ class TestLabeledDataset:
     def test_label_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             LabeledDataset(np.ones((3, 1)), [0, 0], ("a",))
+
+
+class TestSufficientStats:
+    @pytest.mark.parametrize("counts, means, within, error", [
+        ([2, 1], np.zeros((1, 3)), np.zeros((1, 1)), ShapeMismatch),
+        ([[2, 1]], np.zeros((1, 2)), np.zeros((1, 1)), ShapeMismatch),
+        ([2, 1], np.zeros(2), np.zeros((1, 1)), ShapeMismatch),
+        ([2, 1], np.zeros((2, 2)), np.zeros((1, 1)), ShapeMismatch),
+        ([2, -1], np.zeros((1, 2)), np.zeros((1, 1)), ValueError),
+    ], ids=["class-count", "counts-matrix", "means-vector", "within-shape", "negative"])
+    def test_inconsistent_statistics_rejected(self, counts, means, within, error):
+        with pytest.raises(error):
+            SufficientStats(counts, means, within)
 
 
 class TestLoadCsv:
@@ -817,10 +844,9 @@ class TestBlockwiseReader:
         # and its split lines at 6.9x.
         peak, ds = self.traced_load(tmp_path / "big.csv", 6000, 10, 5)
         assert peak <= 1.5 * ds.patterns.nbytes + 4 * dataset._READ_BLOCK
-        # At 20,000 rows the peak is LabeledDataset's finiteness check: the
-        # patterns, their codes and a mask of one byte an entry. Labels
-        # become codes as they are parsed; per-row lists of the labels and
-        # of their indices, held beside the codes, peaked 2.6 blocks higher.
+        # At 20,000 rows the peak is the parse of one block beside the
+        # patterns and their codes, about 4.1 blocks. A finiteness check
+        # through a mask of one byte an entry peaked 2 blocks higher; per-row
+        # lists of the labels and of their indices, 2.6 blocks above that.
         peak, ds = self.traced_load(tmp_path / "tall.csv", 20000, 20, 10)
-        assert peak <= (ds.patterns.nbytes + ds.labels.nbytes + ds.patterns.size
-                        + 1.5 * dataset._READ_BLOCK)
+        assert peak <= ds.patterns.nbytes + ds.labels.nbytes + 5 * dataset._READ_BLOCK

@@ -509,6 +509,46 @@ class TestBatchedEvidence:
             assert abs(value - want) <= 1e-9 * abs(want) + floor
         assert np.isfinite(log_evidence_noninformative(stats, tune_r(stats, 1e-3, 1e3)))
 
+    def test_within_scatter_with_no_spare_degree_of_freedom_takes_the_dense_path(self):
+        # T - K' = 5 = N: W is full rank, but cond(W) = 8e10 here, and
+        # whitening by its factor put the value 1e-6 off (a 50-digit
+        # determinant agrees with the dense route to 5e-16).
+        labels = np.array([3, 3, 3, 0, 3, 2, 2, 3])
+        rng = np.random.default_rng(6798)
+        means = rng.normal(0, 3, (5, 5))
+        stats = accumulate(LabeledDataset(means[labels] + rng.normal(size=(8, 5)),
+                                          labels, tuple("abcde")))
+        r = 10 ** 1.5
+        want, _ = dense_log_evidence(stats, r)
+        assert log_evidence_noninformative(stats, r) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @staticmethod
+    def constant_feature_stats(levels):
+        """Three classes of 6 rows, N = 3, the last feature ``levels[k]``
+        throughout class k, so W is exactly singular although T - K' = 15."""
+        rng = np.random.default_rng(21)
+        labels = np.repeat(np.arange(3), 6)
+        patterns = np.column_stack([rng.normal(size=(18, 2)), np.take(levels, labels)])
+        return accumulate(LabeledDataset(patterns, labels, ("a", "b", "c")))
+
+    def test_within_scatter_failing_the_pivot_rule_takes_the_dense_path(self):
+        # The class means still differ in the last feature, so B*(r) is full
+        # rank for every r > 0, and the kernel falls back to factoring it.
+        stats = self.constant_feature_stats([0.0, 1.0, 2.5])
+        curve = evidence_curve(stats, self.GRID).log_evidence
+        assert np.all(np.isfinite(curve))
+        for r, value in zip(self.GRID, curve):
+            want, floor = dense_log_evidence(stats, r)
+            assert abs(value - want) <= 1e-12 * abs(want) + floor
+
+    def test_proper_evidence_of_a_singular_posterior_scale_raises(self):
+        # B = 1e-30 I passes the pivot rule alone, but beside W it does not,
+        # and B*(r) keeps a 1e-30 pivot where the last feature never varies.
+        stats = self.constant_feature_stats([0.0, 0.0, 0.0])
+        prior = PriorHyper(r=1.0, a=4.0, b=1e-30 * np.eye(3))
+        with pytest.raises(DegenerateScatter, match="posterior scale matrix is singular"):
+            log_evidence_proper(stats, prior)
+
 
 class TestTuneRProperty:
     @settings(max_examples=40, deadline=None)

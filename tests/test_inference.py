@@ -3,6 +3,7 @@ import pytest
 
 from gausset import (
     LabeledDataset,
+    PosteriorMNW,
     PriorHyper,
     accumulate,
     add_empty_class,
@@ -10,7 +11,7 @@ from gausset import (
     log_evidence_proper,
     posterior,
 )
-from gausset.errors import DomainError, ImproperPrior
+from gausset.errors import DomainError, ImproperPrior, ShapeMismatch
 from gausset.inference import _posterior_general
 
 from conftest import random_spd
@@ -123,6 +124,34 @@ class TestPosterior:
         np.testing.assert_allclose(r2, batch.r_star_diag, rtol=1e-10)
         assert a2 == pytest.approx(batch.a_star, rel=1e-10)
         np.testing.assert_allclose(b2, batch.b_star, rtol=1e-10)
+
+
+    def test_prior_scale_of_another_dimension_rejected(self, worked_stats):
+        with pytest.raises(ShapeMismatch, match="prior scale matrix has shape"):
+            posterior(worked_stats, PriorHyper(r=1.0, a=3.0, b=np.eye(2)))
+
+    @pytest.mark.parametrize("theta, r_diag, match", [
+        (0.0, np.ones(3), "per-class precision"),
+        (0.0, np.ones((1, 2)), "per-class precision"),
+        (np.zeros((1, 3)), np.ones(2), "prior location"),
+        (np.zeros(2), np.ones(2), "prior location"),
+    ])
+    def test_located_prior_of_wrong_shape_rejected(self, worked_stats, theta, r_diag, match):
+        with pytest.raises(ShapeMismatch, match=match):
+            _posterior_general(worked_stats, theta, r_diag, 0.0, None)
+
+
+class TestPosteriorMNW:
+    @pytest.mark.parametrize("m_star, r_star_diag, b_star, error", [
+        (np.zeros((1, 2)), np.ones(3), np.ones((1, 1)), ShapeMismatch),
+        (np.zeros(2), np.ones(2), np.ones((1, 1)), ShapeMismatch),
+        (np.zeros((1, 2)), np.ones((1, 2)), np.ones((1, 1)), ShapeMismatch),
+        (np.zeros((1, 2)), np.ones(2), np.ones((2, 2)), ShapeMismatch),
+        (np.zeros((1, 2)), np.array([1.0, 0.0]), np.ones((1, 1)), ValueError),
+    ], ids=["class-count", "means-vector", "precision-matrix", "scale-shape", "zero-precision"])
+    def test_inconsistent_parameters_rejected(self, m_star, r_star_diag, b_star, error):
+        with pytest.raises(error):
+            PosteriorMNW(m_star, r_star_diag, 3.0, b_star, 1.0)
 
 
 class TestAddEmptyClass:

@@ -34,6 +34,11 @@ class TestCholesky:
             factor.lower, np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]]), rtol=1e-15
         )
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (2,), (1, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
+            cholesky(np.ones(shape))
+
     def test_indefinite_rejected(self):
         # Eigenvalues of [[1,2],[2,1]] are 3 and -1.
         with pytest.raises(NotPositiveDefinite):

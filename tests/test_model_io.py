@@ -145,6 +145,10 @@ class TestLoadValidation:
                 tmp_path, lambda d: d.update(mu_star=[[0.5], [0.7]])
             ))
 
+    def test_dim_disagreeing_with_the_means(self, tmp_path):
+        with pytest.raises(ParseError, match="does not match dim=2"):
+            load_model(self.write_doc(tmp_path, lambda d: d.update(dim=2)))
+
     def test_sign_flipped_scale_matrix(self, tmp_path):
         with pytest.raises(DegenerateScatter):
             load_model(self.write_doc(

@@ -180,6 +180,16 @@ class TestSampleMatrixNormal:
             err = np.linalg.norm(cov - expected) / np.linalg.norm(expected)
             assert err < 0.05
 
+    @pytest.mark.parametrize("m, r_diag, error", [
+        (np.zeros((2, 2)), np.ones(3), ShapeMismatch),
+        (np.zeros(2), np.ones(2), ShapeMismatch),
+        (np.zeros((3, 2)), np.ones(2), ShapeMismatch),
+        (np.zeros((2, 2)), np.array([1.0, 0.0]), ValueError),
+    ], ids=["class-count", "means-vector", "dimension", "zero-precision"])
+    def test_inconsistent_arguments_rejected(self, m, r_diag, error):
+        with pytest.raises(error):
+            sample_matrix_normal(np.random.default_rng(0), m, r_diag, cholesky(np.eye(2)))
+
     def test_concentrates_at_large_precision(self):
         gen = np.random.default_rng(13)
         m = np.array([[2.0], [-1.0]])
@@ -319,6 +329,16 @@ class TestMcPredictive:
         shared = mc_predictive(rng, model, x, k, 3000, diagonal=diagonal)
         own = mc_predictive(np.random.default_rng(61), model, x, k, 3000)
         assert repr(shared) == repr(own)
+
+    def test_fortran_ordered_diagonal_gives_the_same_estimate(self):
+        # Row sums of 8 or more entries run in another order over a
+        # column-major block, which moved the estimate in the last bits.
+        model, x = small_model(9), np.linspace(-0.5, 0.7, 9)
+        diagonal = montecarlo._bartlett_diagonal(np.random.default_rng(65), model.a_star, 9, 3000)
+        rows = mc_predictive(np.random.default_rng(66), model, x, 0, 3000, diagonal=diagonal)
+        columns = mc_predictive(np.random.default_rng(66), model, x, 0, 3000,
+                                diagonal=np.asfortranarray(diagonal))
+        assert repr(columns) == repr(rows)
 
     def test_read_only_diagonal_is_left_unchanged(self):
         model, x = small_model(3), np.array([0.3, -1.0, 0.8])

@@ -316,6 +316,10 @@ class TestClassPrior:
         with pytest.raises(ValueError):
             ClassPrior(np.array([1.5, -0.5]))
 
+    def test_must_be_a_vector(self):
+        with pytest.raises(ShapeMismatch, match="must be a vector"):
+            ClassPrior(np.full((2, 2), 0.25))
+
     def test_uniform(self):
         np.testing.assert_allclose(ClassPrior.uniform(4).probs, np.full(4, 0.25))
 
