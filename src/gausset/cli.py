@@ -55,10 +55,9 @@ def _parse_class_prior(spec: str, n_classes: int):
     if spec == "uniform":
         return np.full(n_classes, 1.0 / n_classes)
     try:
-        probs = np.array([float(p) for p in spec.split(",")])
+        return np.array([float(p) for p in spec.split(",")])
     except ValueError:
         raise DomainError(f"cannot parse class prior {spec!r}") from None
-    return probs
 
 
 def _write_rows(path, header, values, names, codes) -> None:
@@ -136,11 +135,8 @@ def cmd_verify(args) -> int:
     # be loaded or a sample count too large to allocate, is a verification
     # failure (exit 1), not an input error.
     try:
-        if args.model:
-            model, _ = model_io.load_model(args.model)
-            report = montecarlo.run_verification(args.seed, args.samples, model=model)
-        else:
-            report = montecarlo.run_verification(args.seed, args.samples)
+        model = model_io.load_model(args.model)[0] if args.model else None
+        report = montecarlo.run_verification(args.seed, args.samples, model=model)
     except (GaussetError, OSError, MemoryError) as exc:
         error = str(exc) or type(exc).__name__
         print(f"FAIL verification aborted: {error}")

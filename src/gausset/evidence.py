@@ -43,10 +43,11 @@ matrix with offset-sized entries is formed, so a large common offset in
 the data is never rounded into B* and cannot make B* look singular.
 ``evidence_curve`` scores its whole grid in one batch, and ``tune_r``
 searches by repeated batched scans, each one over the two cells around
-the last scan's best point. When B = 0 and T <= N + K' (W has rank at
-most T - K', and at T - K' = N it is often too ill-conditioned to whiten
-by) or B + W fails the pivot check, each r factors the N x N B*(r) from
-the shared posterior update instead.
+the last scan's best point. When B = 0 and T < N + K' (W has rank at
+most T - K') or B + W fails the pivot check, each r factors the N x N
+B*(r) from the shared posterior update instead. At T = N + K', W is full
+rank but often too ill-conditioned to whiten by, so each r factors the
+offset-free C(r) and adds log1p(s mbar^T C^-1 mbar).
 """
 
 from __future__ import annotations
@@ -71,13 +72,26 @@ from .inference import PriorHyper, _posterior_general
 _TUNE_GRID = 64
 
 
-def _dense_log_det(stats: SufficientStats, r: float, b) -> float:
-    """log det B*(r) from the N x N matrix itself, NaN if it is degenerate."""
-    _, _, _, b_star = _posterior_general(stats, 0.0, np.full(stats.n_classes, r), 0.0, b)
+def _log_det(stats: SufficientStats, r: float, b, centred: bool) -> float:
+    """log det B*(r) from one N x N factor, NaN if that is degenerate.
+
+    The factor is of B*(r) itself, or with ``centred`` of the update about
+    the weighted mean mbar instead of 0, C(r) = B + W + sum_k w_k (m_k -
+    mbar)(m_k - mbar)^T, which has no offset-sized entry; log1p(s mbar^T
+    C^-1 mbar), s = sum_k w_k, is then added.
+    """
+    counts = stats.counts.astype(np.float64)
+    w = r * counts / (r + counts)
+    mbar = stats.means @ w / np.sum(w) if centred else np.zeros(stats.dim)
+    _, _, _, c = _posterior_general(stats, np.broadcast_to(mbar[:, None], stats.means.shape),
+                                    np.full(stats.n_classes, r), 0.0, b)
     try:
-        return linalg.logdet(linalg.cholesky(b_star))
+        chol = linalg.cholesky(c)
     except NotPositiveDefinite:
         return math.nan
+    if not centred:
+        return linalg.logdet(chol)
+    return linalg.logdet(chol) + math.log1p(np.sum(w) * linalg.quadform(chol, mbar))
 
 
 def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
@@ -89,8 +103,8 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     once: factor B + W and whiten the offset-free means M - xbar 1^T and
     the count-weighted mean xbar. Each r then costs K' x K' work through
     the weighted-mean split of the module docstring. If B = 0 and
-    T <= N + K', or B + W fails the pivot rule, each r factors B*(r)
-    itself instead.
+    T < N + K', or B + W fails the pivot rule, each r factors B*(r)
+    itself instead; if B = 0 and T = N + K', each r factors C(r).
     """
     counts = stats.counts.astype(np.float64)
     sizes = counts[counts > 0]
@@ -102,22 +116,25 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
         return 0.5 * dim * (sizes.size * np.log(r)
                             - np.sum(np.log(r[:, None] + sizes), axis=1))
 
-    def dense(r):
-        return bracket(r) - 0.5 * a_star * np.array([_dense_log_det(stats, x, b) for x in r])
+    def per_r(centred):
+        return lambda r: bracket(r) - 0.5 * a_star * np.array(
+            [_log_det(stats, x, b, centred) for x in r])
 
     if total == 0 and b is None:
         return lambda r: np.zeros(r.shape)
     # With B = 0, W has rank at most T - K', and rounding can pass such a
-    # singular W through the pivot rule, so it takes the dense path too. At
-    # T - K' = N, W is full rank but often nearly singular, and whitening by
-    # it lost up to 1e-6 of the value, so that band is dense as well.
-    if b is None and total - sizes.size <= dim:
-        return dense
+    # singular W through the pivot rule, so it takes the dense path too.
+    if b is None and total - sizes.size < dim:
+        return per_r(False)
     try:
         chol = linalg.cholesky(linalg.symmetrize(
             stats.within if b is None else b + stats.within))
     except NotPositiveDefinite:
-        return dense
+        return per_r(False)
+    # At T - K' = N, W is full rank but often nearly singular, and whitening
+    # by it lost up to 1e-6 of the value, so each r factors C(r) instead.
+    if b is None and total - sizes.size == dim:
+        return per_r(True)
 
     means = stats.means[:, counts > 0]
     xbar = means @ (sizes / total)

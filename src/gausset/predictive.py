@@ -240,8 +240,7 @@ class ClassPrior:
         _checked_probs(probs)
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError(f"class prior sums to {probs.sum()!r}, expected 1")
-        linalg._freeze(self, probs=probs)
-        linalg._freeze(self, _log_terms=_log_prior(self, len(probs)))
+        linalg._freeze(self, probs=probs, _log_terms=_log_prior(probs, len(probs)))
 
     @classmethod
     def uniform(cls, n_classes: int) -> "ClassPrior":

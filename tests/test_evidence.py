@@ -340,6 +340,15 @@ def centred_log_evidence(ds, r):
     return 0.5 * ds.dim * bracket - 0.5 * counts.sum() * logdet
 
 
+def no_spare_dof_dataset(offset):
+    """N = 5 and T = 8 rows in K' = 3 classes, so T - K' = N: W is full
+    rank but cond(W) = 8e10. A common offset is added."""
+    rng = np.random.default_rng(6798)
+    means = rng.normal(0.0, 3.0, (5, 5))
+    patterns = means[[3, 3, 3, 0, 3, 2, 2, 3]] + rng.normal(size=(8, 5))
+    return LabeledDataset(patterns + offset, [2, 2, 2, 0, 2, 1, 1, 2], ("a", "b", "c"))
+
+
 def proper_offset_dataset(offset):
     """120 rows, N = 5, K = 4 with 30 rows each, unit noise, a common offset."""
     rng = np.random.default_rng(1)
@@ -417,6 +426,15 @@ class TestLargeCommonOffset:
         want = centred_log_evidence(ds, r)
         got = log_evidence_noninformative(accumulate(ds), r)
         assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_evidence_with_no_spare_degree_of_freedom_matches_centred_reference(self):
+        # At T = N + K' each r factors an N x N matrix, which must be C, not
+        # B* with its offset-sized entries (those fail the pivot check).
+        ds = no_spare_dof_dataset(1e8)
+        curve = evidence_curve(accumulate(ds), np.geomspace(1e-3, 1e3, 7))
+        for r, value in zip(curve.r_values, curve.log_evidence):
+            want = centred_log_evidence(ds, r)
+            assert abs(value - want) <= 1e-9 * abs(want), r
 
     def test_tiny_r_posterior_builds_at_offset_1e10(self):
         stats = accumulate(offset_dataset(1e10))
@@ -509,18 +527,27 @@ class TestBatchedEvidence:
             assert abs(value - want) <= 1e-9 * abs(want) + floor
         assert np.isfinite(log_evidence_noninformative(stats, tune_r(stats, 1e-3, 1e3)))
 
-    def test_within_scatter_with_no_spare_degree_of_freedom_takes_the_dense_path(self):
-        # T - K' = 5 = N: W is full rank, but cond(W) = 8e10 here, and
-        # whitening by its factor put the value 1e-6 off (a 50-digit
-        # determinant agrees with the dense route to 5e-16).
-        labels = np.array([3, 3, 3, 0, 3, 2, 2, 3])
-        rng = np.random.default_rng(6798)
-        means = rng.normal(0, 3, (5, 5))
-        stats = accumulate(LabeledDataset(means[labels] + rng.normal(size=(8, 5)),
-                                          labels, tuple("abcde")))
+    def test_within_scatter_with_no_spare_degree_of_freedom_is_accurate(self):
+        # Whitening by this W, cond(W) = 8e10, put the value 1e-6 off.
+        stats = accumulate(no_spare_dof_dataset(0.0))
         r = 10 ** 1.5
+        got = log_evidence_noninformative(stats, r)
+        # A 50-digit mpmath determinant of B*(r) built from the rows.
+        assert got == pytest.approx(-62.380413213004672, rel=1e-12, abs=0)
         want, _ = dense_log_evidence(stats, r)
-        assert log_evidence_noninformative(stats, r) == pytest.approx(want, rel=1e-12, abs=0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_centred_scale_matrix_failing_the_pivot_rule_is_degenerate(self):
+        # T - K' = 2 = N and W = diag(1, 4e-8) passes the pivot rule, but
+        # from r ~ 0.08 on, the class means 1,000 apart make the largest
+        # entry of C(r), as of B*(r), too big beside the 4e-8 pivot.
+        x = np.array([[-500.5, 1e-4], [-499.5, -1e-4], [499.5, -1e-4], [500.5, 1e-4]])
+        stats = accumulate(LabeledDataset(x, [0, 0, 1, 1], ("a", "b")))
+        curve = evidence_curve(stats, [1e-3, 10.0]).log_evidence
+        assert curve[0] == pytest.approx(dense_log_evidence(stats, 1e-3)[0], rel=1e-12, abs=0)
+        assert np.isnan(curve[1]) and np.isnan(dense_log_evidence(stats, 10.0)[0])
+        with pytest.raises(DegenerateScatter):
+            log_evidence_noninformative(stats, 10.0)
 
     @staticmethod
     def constant_feature_stats(levels):
