@@ -100,12 +100,13 @@ def cmd_classify(args) -> int:
     _, patterns = load_features(args.data)
     prior = _parse_class_prior(args.prior, model.n_classes)
     log_unnorm, posteriors, actions = score_batch(model, patterns, prior)
+    values = np.hstack([log_unnorm, posteriors])
+    del patterns, log_unnorm, posteriors  # only the output is held while it is written
     header = ([f"logpred_{n}" for n in model.class_names]
               + [f"posterior_{n}" for n in model.class_names]
               + ["action"])
-    _write_rows(args.out, header, np.hstack([log_unnorm, posteriors]),
-                model.class_names, actions)
-    print(f"scored {patterns.shape[0]} rows into {args.out}")
+    _write_rows(args.out, header, values, model.class_names, actions)
+    print(f"scored {len(actions)} rows into {args.out}")
     return EXIT_OK
 
 

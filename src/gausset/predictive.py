@@ -19,6 +19,7 @@ set sizes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +53,11 @@ class PredictiveModel:
     constants, the count-weighted training mean ``centre`` (N,), the
     whitened centred means ``white_means`` (K x N), row k
     L^{-1}(mu*_k - centre), and for the kernel ``cp1`` (c* + 1),
-    ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T) and
+    ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T),
     ``block_rows``, the rows per kernel block, whose (rows x K, N)
-    difference block holds about ``_BLOCK_ENTRIES`` entries.
+    difference block holds about ``_BLOCK_ENTRIES`` entries, and
+    ``reach``: no q_tk overflows while every entry of x - centre is
+    within it.
 
     Checked in this order: ``ShapeMismatch`` if ``mu_star`` is not a
     non-empty N x K matrix, there are not K class names, ``c_star`` is
@@ -80,6 +83,7 @@ class PredictiveModel:
     class_term: np.ndarray = field(init=False, repr=False)
     inverse_t: np.ndarray = field(init=False, repr=False)
     block_rows: int = field(init=False, repr=False)
+    reach: float = field(init=False, repr=False)
 
     def __post_init__(self):
         # The layout a loaded model has (the file stores columns), so that BLAS
@@ -131,12 +135,16 @@ class PredictiveModel:
         total = float(np.sum(1.0 / c_star - r))
         centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
         inverse_t = chol.inverse.T
+        white_means = (mu_star.T - centre) @ inverse_t
+        # |c_j| <= reach bounds q_tk by N (reach max_i sum_j |L^-1_ij| + max|w|)^2 <= max/4.
+        reach = ((np.sqrt(sys.float_info.max / (4.0 * n)) - np.abs(white_means).max())
+                 / np.add.reduce(np.abs(inverse_t), axis=0).max())
         linalg._freeze(
             self, class_names=tuple(class_names), mu_star=mu_star, c_star=c_star,
             a_star=a_star, r=r, b_star=b_star, chol_b_star=chol, logdet_b_star=ld,
-            log_norm=log_norm, centre=centre, white_means=(mu_star.T - centre) @ inverse_t,
+            log_norm=log_norm, centre=centre, white_means=white_means,
             cp1=cp1, class_term=-0.5 * n * np.log(cp1), inverse_t=inverse_t,
-            block_rows=max(1, _BLOCK_ENTRIES // mu_star.size))
+            block_rows=max(1, _BLOCK_ENTRIES // mu_star.size), reach=float(reach))
 
     @property
     def dim(self) -> int:
@@ -158,8 +166,33 @@ def build_model(post: PosteriorMNW, class_names=None) -> PredictiveModel:
 
 
 def _check_finite(patterns: np.ndarray) -> None:
-    if not np.isfinite(patterns).all():
+    if not np.logical_and.reduce(np.isfinite(patterns), axis=None):
         raise ValueError("patterns must not contain infs or NaNs")
+
+
+def _block_tails(model: PredictiveModel, centred: np.ndarray) -> np.ndarray:
+    # A stack of (1, N) @ (N, N) products, so one row scores bit for bit
+    # as it does inside a batch.
+    diffs = centred @ model.inverse_t - model.white_means
+    return -0.5 * (model.a_star + 1.0) * np.log1p(np.add.reduce(diffs * diffs, -1) / model.cp1)
+
+
+def _block(model: PredictiveModel, rows: np.ndarray, first: int) -> np.ndarray:
+    """The tails of a block of rows from row ``first``. A block with an entry
+    farther than ``model.reach`` from the centre is checked for infs and NaNs
+    and redone with overflow allowed: a class too far away scores -inf, and
+    a row too far from every class is a ``DomainError``."""
+    centred = rows[:, None, :] - model.centre
+    if np.maximum.reduce(np.abs(centred), axis=None, initial=0.0) <= model.reach:
+        return _block_tails(model, centred)
+    _check_finite(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = _block_tails(model, centred)
+    lost = np.flatnonzero(~np.logical_or.reduce(tails > -np.inf, axis=-1))
+    if lost.size:
+        raise DomainError(f"pattern {first + lost[0]} is too far from every class to score: "
+                          f"its whitened squared distance overflows")
+    return tails
 
 
 def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
@@ -169,17 +202,13 @@ def _log_tails(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
     its class constants to this. With L the factor of B*, L^{-1}(x - mu*_k)
     = L^{-1}(x - centre) - L^{-1}(mu*_k - centre): each row is whitened
     once, and q_tk is its squared distance to row k of ``white_means``.
+    Rows that fit in one block are that block's tails.
     """
-    _check_finite(patterns)
-    log1p_terms = np.empty((patterns.shape[0], model.n_classes))
     step = model.block_rows
-    for start in range(0, patterns.shape[0], step):
-        # A stack of (1, N) @ (N, N) products, so one row scores bit for
-        # bit as it does inside a batch.
-        white = (patterns[start:start + step, None, :] - model.centre) @ model.inverse_t
-        diffs = white - model.white_means
-        log1p_terms[start:start + step] = np.log1p(np.add.reduce(diffs * diffs, -1) / model.cp1)
-    return -0.5 * (model.a_star + 1.0) * log1p_terms
+    if patterns.shape[0] <= step:
+        return _block(model, patterns, 0)
+    return np.concatenate([_block(model, patterns[start:start + step], start)
+                           for start in range(0, patterns.shape[0], step)])
 
 
 def _log_unnormalized(model: PredictiveModel, patterns: np.ndarray) -> np.ndarray:
@@ -228,7 +257,7 @@ class ClassPrior:
     """Prior probabilities over the K classes; must sum to one.
 
     ``_log_terms`` holds what the softmax adds, computed once: the mask of
-    non-zero entries and log(probs / probs.sum()).
+    non-zero entries (``None`` if none is zero) and log(probs / probs.sum()).
     """
 
     probs: np.ndarray
@@ -248,7 +277,7 @@ class ClassPrior:
 
 
 def _log_prior(prior, n_classes: int):
-    """The non-zero mask of ``prior`` and the logs of it normalized to sum to one."""
+    """``prior``'s non-zero mask (or ``None``) and its normalized logs."""
     probs = prior.probs if isinstance(prior, ClassPrior) else _checked_probs(prior)
     if probs.shape != (n_classes,):
         raise ShapeMismatch(
@@ -258,7 +287,7 @@ def _log_prior(prior, n_classes: int):
     if total == 0.0:
         raise AllZeroPrior("every class prior probability is zero")
     active = probs > 0.0
-    return active, np.log(np.where(active, probs / total, 1.0))
+    return (None if active.all() else active), np.log(np.where(active, probs / total, 1.0))
 
 
 def posterior_from_scores(log_scores, prior) -> np.ndarray:
@@ -273,9 +302,13 @@ def posterior_from_scores(log_scores, prior) -> np.ndarray:
     cached = isinstance(prior, ClassPrior) and prior.probs.shape == (n_classes,)
     active, log_probs = prior._log_terms if cached else _log_prior(prior, n_classes)
     # Masking first keeps a zero-prior class's NaN or inf score out.
-    combined = np.where(active, log_scores, -np.inf) + log_probs
-    shifted = np.exp(combined - np.maximum.reduce(combined, axis=-1, keepdims=True))
-    return shifted / np.add.reduce(shifted, axis=-1, keepdims=True)
+    if active is not None:
+        log_scores = np.where(active, log_scores, -np.inf)
+    combined = log_scores + log_probs  # a new array: the rest is in place
+    combined -= np.maximum.reduce(combined, axis=-1, keepdims=True)
+    np.exp(combined, out=combined)
+    combined /= np.add.reduce(combined, axis=-1, keepdims=True)
+    return combined
 
 
 def class_posterior(model: PredictiveModel, x, prior) -> np.ndarray:
@@ -300,9 +333,9 @@ def decide(posterior_probs, costs):
         raise ShapeMismatch(
             f"cost matrix shape {costs.shape} does not match K={posterior_probs.shape[-1]}"
         )
-    if not np.isfinite(costs).all():
+    if not np.logical_and.reduce(np.isfinite(costs), axis=None):
         raise ValueError("cost matrix entries must be finite")
-    actions = np.argmin(posterior_probs @ costs, axis=-1)
+    actions = (posterior_probs @ costs).argmin(-1)
     return int(actions) if actions.ndim == 0 else actions
 
 
@@ -311,8 +344,8 @@ def score_batch(model: PredictiveModel, patterns, prior):
 
     Returns ``(log_unnorm, posteriors, actions)`` with one row per
     pattern, in input order. The actions are the zero-one decisions, the
-    most probable classes; for other costs, pass the posteriors to
-    :func:`decide`.
+    most probable classes, ties to the lowest index; for other costs,
+    pass the posteriors to :func:`decide`.
     """
     patterns = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
     if patterns.shape[1] != model.dim:
@@ -321,4 +354,4 @@ def score_batch(model: PredictiveModel, patterns, prior):
         )
     log_unnorm = _log_unnormalized(model, patterns)
     posteriors = posterior_from_scores(log_unnorm, prior)
-    return log_unnorm, posteriors, decide(posteriors, zero_one_costs(model.n_classes))
+    return log_unnorm, posteriors, posteriors.argmax(-1)

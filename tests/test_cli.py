@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,31 @@ class TestClassify:
         assert run(["classify", "--model", model_path, "--data", queries,
                     "--out", tmp_path / "s.csv"]) == 2
         assert "does not match dim=2" in capsys.readouterr().err
+
+    def test_row_too_far_out_exits_2_naming_it(self, tmp_path, capsys):
+        model_path = self.fit_worked(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n2.0\n1e200\n")
+        scored = tmp_path / "scored.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["classify", "--model", model_path, "--data", queries,
+                        "--out", scored]) == 2
+        assert "pattern 1 is too far from every class" in capsys.readouterr().err
+        assert not scored.exists()
+
+    def test_far_row_within_range_scores(self, tmp_path):
+        model_path = self.fit_worked(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n1e150\n")
+        scored = tmp_path / "scored.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["classify", "--model", model_path, "--data", queries,
+                        "--out", scored]) == 0
+        with open(scored, newline="", encoding="utf-8") as handle:
+            row = next(csv.DictReader(handle))
+        assert all(np.isfinite(float(value)) for key, value in row.items() if key != "action")
 
     def test_bytes_match_csv_writer_for_unusual_names(self, tmp_path):
         rng = np.random.default_rng(13)

@@ -296,6 +296,30 @@ class TestClassPosterior:
         with pytest.raises(AllZeroPrior):
             posterior_from_scores([[0.0, 1.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("prior", [ClassPrior.uniform(3), ClassPrior([0.0, 0.4, 0.6]),
+                                       [0.2, 0.0, 0.6], [1.0, 2.0, 3.0]])
+    def test_scores_argument_left_unchanged(self, prior):
+        # The softmax works in place on its own array, never the caller's.
+        rng = np.random.default_rng(24)
+        for scores in (rng.normal(size=3), rng.normal(size=(5, 3))):
+            kept = scores.copy()
+            probs = posterior_from_scores(scores, prior)
+            np.testing.assert_array_equal(scores, kept)
+            assert not np.shares_memory(probs, scores)
+
+    def test_zero_free_class_prior_matches_raw_array(self, worked_model):
+        rng = np.random.default_rng(25)
+        weights = rng.uniform(0.1, 5.0, size=4)
+        raw = weights / weights.sum()
+        prior = ClassPrior(raw)
+        scores = rng.normal(0.0, 30.0, size=(50, 4))
+        assert prior._log_terms[0] is None
+        np.testing.assert_array_equal(posterior_from_scores(scores, prior),
+                                      posterior_from_scores(scores, raw))
+        for x in (-4.0, 0.3, 2.0, 9.5):
+            np.testing.assert_array_equal(class_posterior(worked_model, [x], ClassPrior([0.3, 0.7])),
+                                          class_posterior(worked_model, [x], [0.3, 0.7]))
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(16)
         for _ in range(20):
@@ -348,6 +372,32 @@ class TestDecide:
             decide([0.5, 0.5], np.array([[0.0, np.inf], [1.0, 0.0]]))
 
 
+class TestPinnedValues:
+    """Every single-pattern scorer on the worked model, as ``repr`` gives
+    it; the values are those of the scorer before the one-block kernel."""
+
+    CASES = (
+        (0.3, ("0.4819292752450065", "0.5180707247549935"),
+         ("-1.7708643064027785", "-1.6985499106147977"),
+         ("-0.3707216086703834", "-0.2984072128824024"), 1),
+        (2.0, ("0.5379099916681557", "0.4620900083318443"),
+         ("-1.6415640622971497", "-1.7934956113951273"),
+         ("-0.24142136456475444", "-0.39335291366273195"), 0),
+        (-7.5, ("0.428726869368023", "0.5712731306319769"),
+         ("-6.1042792297085064", "-5.817231845089349"),
+         ("-4.704136531976111", "-4.417089147356953"), 1),
+    )
+
+    @pytest.mark.parametrize("x, probs, normalized, unnormalized, action", CASES)
+    def test_bit_for_bit(self, worked_model, x, probs, normalized, unnormalized, action):
+        posterior = class_posterior(worked_model, [x], ClassPrior.uniform(2))
+        assert tuple(map(repr, posterior.tolist())) == probs
+        assert tuple(repr(log_predictive(worked_model, [x], k)) for k in range(2)) == normalized
+        assert tuple(repr(log_predictive_unnormalized(worked_model, [x], k))
+                     for k in range(2)) == unnormalized
+        assert decide(posterior, zero_one_costs(2)) == action
+
+
 class TestOpensetScoring:
     def test_empty_class_score_grows_with_shrinkage(self):
         # Per-class sums are exactly zero, so B* does not move with r and
@@ -389,6 +439,21 @@ class TestScoreBatch:
     def test_rejects_wrong_width(self, worked_model):
         with pytest.raises(DimensionMismatch):
             score_batch(worked_model, np.zeros((3, 2)), ClassPrior.uniform(2))
+
+    def test_empty_batch(self, worked_model):
+        log_unnorm, posteriors, actions = score_batch(worked_model, np.zeros((0, 1)),
+                                                      ClassPrior.uniform(2))
+        assert log_unnorm.shape == posteriors.shape == (0, 2)
+        assert actions.shape == (0,)
+
+    def test_exact_tie_goes_to_the_lowest_index(self):
+        # Classes 1 and 2 are the same class, and the row sits at their mean.
+        post = PosteriorMNW(np.array([[-1.0, 1.0, 1.0]]), [2.0, 2.0, 2.0], 4.0,
+                            np.array([[3.0]]), source_r=1.0)
+        model = build_model(post)
+        _, posteriors, actions = score_batch(model, [[1.0]], ClassPrior.uniform(3))
+        assert posteriors[0, 1] == posteriors[0, 2] > posteriors[0, 0]
+        assert actions[0] == decide(posteriors[0], zero_one_costs(3)) == 1
 
 
 @st.composite
@@ -437,6 +502,14 @@ class TestBatchedMatchesSingle:
             scale = max(1.0, np.abs(normalized).max(), np.abs(single).max())
             assert np.ptp(offsets) <= 1e-12 * scale
 
+    @settings(max_examples=30, deadline=None)
+    @given(scoring_cases())
+    def test_actions_are_zero_one_decisions(self, case):
+        model, patterns, _, prior = case
+        _, posteriors, actions = score_batch(model, patterns, prior)
+        np.testing.assert_array_equal(
+            actions, decide(posteriors, zero_one_costs(model.n_classes)))
+
 
 SCORERS = {
     "score_batch": lambda m, x: score_batch(m, x[None, :], ClassPrior.uniform(2)),
@@ -455,6 +528,83 @@ class TestNonFinitePatterns:
         model = build_model(posterior(accumulate(ds), PriorHyper.noninformative(1.0)))
         with pytest.raises(ValueError):
             SCORERS[scorer](model, np.array([0.5, bad]))
+
+
+def two_class_model():
+    rng = np.random.default_rng(21)
+    ds = LabeledDataset(rng.normal(size=(12, 2)), rng.integers(0, 2, 12), ("a", "b"))
+    return build_model(posterior(accumulate(ds), PriorHyper.noninformative(1.0)))
+
+
+class TestFarPatterns:
+    """A finite row whose whitened squared distance overflows for every
+    class is a ``DomainError`` naming it, never a NaN or a warning."""
+
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_too_far_for_every_class(self, scorer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="pattern 0 is too far from every class"):
+                SCORERS[scorer](two_class_model(), np.array([1e200, 1e200]))
+
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    def test_far_but_not_overflowing_still_scores(self, scorer):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = SCORERS[scorer](two_class_model(), np.array([1e150, -1e150]))
+        for values in (scores if scorer == "score_batch" else [scores]):
+            assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("scorer", sorted(SCORERS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_not_called_far(self, scorer, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            SCORERS[scorer](two_class_model(), np.array([1e200, bad]))
+
+    def test_row_named_by_its_batch_index(self):
+        model = two_class_model()
+        patterns = np.zeros((model.block_rows + 5, 2))
+        patterns[model.block_rows + 2] = [-1e300, 1e300]
+        with pytest.raises(DomainError, match=f"pattern {model.block_rows + 2} is"):
+            score_batch(model, patterns, ClassPrior.uniform(2))
+
+    def test_overflow_for_some_classes_scores_minus_inf_there(self):
+        # Centre -1e153, whitened means (1e153, 0): at x = 1.3e154 class
+        # b's q is 1.96e308, past the largest float, and class a's is not.
+        model = PredictiveModel(None, np.array([[0.0, -2e153]]), np.array([0.5, 0.5]),
+                                3.0, 1.0, np.eye(1))
+        assert model.reach < 1.4e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_unnorm, posteriors, actions = score_batch(model, [[1.3e154]],
+                                                          ClassPrior.uniform(2))
+        assert np.isfinite(log_unnorm[0, 0]) and log_unnorm[0, 1] == -np.inf
+        np.testing.assert_array_equal(posteriors, [[1.0, 0.0]])
+        assert actions[0] == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(scoring_cases())
+    def test_rows_at_the_reach_do_not_overflow(self, case):
+        # Row i of L^{-1} meets a centred row of +-reach with its own signs,
+        # the largest whitened entry any row within the reach can give.
+        model = case[0]
+        inverse = model.inverse_t.T
+        rows = model.centre + model.reach * np.where(inverse < 0.0, -1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_unnorm = score_batch(model, rows, ClassPrior.uniform(model.n_classes))[0]
+        assert np.all(np.isfinite(log_unnorm))
+
+    def test_reach_leaves_room_for_the_class_means(self):
+        # B* = I: every whitened entry of centre +- reach is reach itself,
+        # and a class mean on the far side adds its distance to each.
+        model = PredictiveModel(None, np.array([[0.0, 4.0], [-3.0, 1.0], [2.0, -6.0]]),
+                                np.array([0.5, 0.25]), 7.0, 1.0, np.eye(3))
+        rows = model.centre + model.reach * np.array([[1.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_unnorm = score_batch(model, rows, ClassPrior.uniform(2))[0]
+        assert np.all(np.isfinite(log_unnorm))
 
 
 def per_class_reference(model, patterns):
