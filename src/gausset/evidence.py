@@ -38,16 +38,15 @@ B*(r) = C + s mbar mbar^T, so
 
 log det C comes from the determinant lemma on the offset-free means
 m_k - xbar (xbar the count-weighted mean, whitened by B + W once), and
-mbar^T C^-1 mbar from Woodbury on the same K' x K' factor. No N x N
-matrix with offset-sized entries is formed, so a large common offset in
-the data is never rounded into B* and cannot make B* look singular.
-``evidence_curve`` scores its whole grid in one batch, and ``tune_r``
-searches by repeated batched scans, each one over the two cells around
-the last scan's best point. When B = 0 and T < N + K' (W has rank at
-most T - K') or B + W fails the pivot check, each r factors the N x N
-B*(r) from the shared posterior update instead. At T = N + K', W is full
-rank but often too ill-conditioned to whiten by, so each r factors the
-offset-free C(r) and adds log1p(s mbar^T C^-1 mbar).
+mbar^T C^-1 mbar from Woodbury on the same K' x K' factor;
+``evidence_curve`` and ``tune_r`` score a whole grid of r in one batch.
+Where B + W fails the pivot check, or B = 0 and T - K' <= N (W is then
+singular, or full rank but often too ill-conditioned to whiten by), each
+r factors the N x N C(r) instead and adds log1p(s mbar^T C^-1 mbar).
+B*(r) itself is factored only if C(r) fails the pivot check or B = 0 and
+T = N; with B = 0 and T < N every r is degenerate. No route but that
+last resort forms an N x N matrix with offset-sized entries, so a large
+common offset is never rounded into B* and cannot make it look singular.
 """
 
 from __future__ import annotations
@@ -72,26 +71,28 @@ from .inference import PriorHyper, _posterior_general
 _TUNE_GRID = 64
 
 
-def _log_det(stats: SufficientStats, r: float, b, centred: bool) -> float:
+def _log_det(stats: SufficientStats, r: float, b) -> float:
     """log det B*(r) from one N x N factor, NaN if that is degenerate.
 
-    The factor is of B*(r) itself, or with ``centred`` of the update about
-    the weighted mean mbar instead of 0, C(r) = B + W + sum_k w_k (m_k -
-    mbar)(m_k - mbar)^T, which has no offset-sized entry; log1p(s mbar^T
-    C^-1 mbar), s = sum_k w_k, is then added.
+    The factor is of C(r), the update about the weighted mean mbar, and
+    log1p(s mbar^T C^-1 mbar) is added. B*(r), the update about 0, is
+    factored only if C(r) fails the pivot rule, or if B = 0 and T <= N,
+    where C(r) has rank at most T - 1.
     """
-    counts = stats.counts.astype(np.float64)
-    w = r * counts / (r + counts)
-    mbar = stats.means @ w / np.sum(w) if centred else np.zeros(stats.dim)
-    _, _, _, c = _posterior_general(stats, np.broadcast_to(mbar[:, None], stats.means.shape),
-                                    np.full(stats.n_classes, r), 0.0, b)
+    w = r * stats.counts / (r + stats.counts)
+    r_diag = np.full(stats.n_classes, r)
+    if b is not None or stats.total > stats.dim:
+        mbar = stats.means @ w / np.sum(w)
+        try:
+            chol = linalg.cholesky(_posterior_general(
+                stats, mbar[:, None].repeat(stats.n_classes, 1), r_diag, 0.0, b)[3])
+            return linalg.logdet(chol) + math.log1p(np.sum(w) * linalg.quadform(chol, mbar))
+        except NotPositiveDefinite:
+            pass
     try:
-        chol = linalg.cholesky(c)
+        return linalg.logdet(linalg.cholesky(_posterior_general(stats, 0.0, r_diag, 0.0, b)[3]))
     except NotPositiveDefinite:
         return math.nan
-    if not centred:
-        return linalg.logdet(chol)
-    return linalg.logdet(chol) + math.log1p(np.sum(w) * linalg.quadform(chol, mbar))
 
 
 def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
@@ -103,8 +104,8 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     once: factor B + W and whiten the offset-free means M - xbar 1^T and
     the count-weighted mean xbar. Each r then costs K' x K' work through
     the weighted-mean split of the module docstring. If B = 0 and
-    T < N + K', or B + W fails the pivot rule, each r factors B*(r)
-    itself instead; if B = 0 and T = N + K', each r factors C(r).
+    T - K' <= N, or B + W fails the pivot rule, each r takes
+    :func:`_log_det` instead; if B = 0 and 0 < T < N, every r is NaN.
     """
     counts = stats.counts.astype(np.float64)
     sizes = counts[counts > 0]
@@ -116,25 +117,21 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
         return 0.5 * dim * (sizes.size * np.log(r)
                             - np.sum(np.log(r[:, None] + sizes), axis=1))
 
-    def per_r(centred):
-        return lambda r: bracket(r) - 0.5 * a_star * np.array(
-            [_log_det(stats, x, b, centred) for x in r])
+    def per_r(r):
+        return bracket(r) - 0.5 * a_star * np.array([_log_det(stats, x, b) for x in r])
 
-    if total == 0 and b is None:
-        return lambda r: np.zeros(r.shape)
-    # With B = 0, W has rank at most T - K', and rounding can pass such a
-    # singular W through the pivot rule, so it takes the dense path too.
-    if b is None and total - sizes.size < dim:
-        return per_r(False)
+    if b is None and total < dim:
+        # B*(r) has rank at most T: no data scores 0, too little is degenerate.
+        return lambda r: np.full(r.shape, np.nan if total else 0.0)
+    # With B = 0, W has rank at most T - K' (rounding can pass a singular W
+    # through the pivot rule), and at T - K' = N whitening by it lost 1e-6.
+    if b is None and total - sizes.size <= dim:
+        return per_r
     try:
         chol = linalg.cholesky(linalg.symmetrize(
             stats.within if b is None else b + stats.within))
     except NotPositiveDefinite:
-        return per_r(False)
-    # At T - K' = N, W is full rank but often nearly singular, and whitening
-    # by it lost up to 1e-6 of the value, so each r factors C(r) instead.
-    if b is None and total - sizes.size == dim:
-        return per_r(True)
+        return per_r
 
     means = stats.means[:, counts > 0]
     xbar = means @ (sizes / total)

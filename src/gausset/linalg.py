@@ -5,8 +5,8 @@ Monte-Carlo sampling) reduces to Cholesky factorizations, products with
 the factor's inverse, log-determinants and log-gamma sums, so those live
 here in one place, on numpy alone. Matrices are plain dense ``float64``
 arrays kept exactly symmetric by :func:`symmetrize`; factors are
-immutable :class:`CholeskyFactor` values, and every solve in the package
-is a product with :attr:`CholeskyFactor.inverse` or its transpose.
+immutable :class:`CholeskyFactor` values. Solves are products with
+:attr:`CholeskyFactor.inverse`, except :func:`quadform`'s substitution.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def quadform(factor: CholeskyFactor, d):
     """Quadratic form d^T A^{-1} d, computed as ||L^{-1} d||^2 (>= 0).
 
     ``d`` is one (N,) vector, giving a float, or an (N, M) matrix, giving
-    the M forms of its columns as an (M,) array. The scorer does not use
-    it: it whitens each pattern once against pre-whitened class means.
+    the M forms of its columns as an (M,) array, by forward substitution
+    32 rows at a time (an LU solve with all of L costs as much as factoring).
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim not in (1, 2) or d.shape[0] != factor.dim:
@@ -125,7 +125,10 @@ def quadform(factor: CholeskyFactor, d):
         )
     if not np.isfinite(d).all():
         raise ValueError("array must not contain infs or NaNs")
-    y = factor.inverse @ d
+    lower, y = factor.lower, np.empty_like(d)
+    for i in range(0, factor.dim, 32):
+        y[i:i + 32] = np.linalg.solve(lower[i:i + 32, i:i + 32],
+                                      d[i:i + 32] - lower[i:i + 32, :i] @ y[:i])
     return float(y @ y) if d.ndim == 1 else np.einsum("ij,ij->j", y, y)
 
 

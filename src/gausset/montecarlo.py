@@ -225,8 +225,8 @@ def sample_dataset(rng: np.random.Generator, dim: int, counts, r_true: float,
     counts = [int(c) for c in counts]
     if dim < 1 or not counts or any(c < 0 for c in counts):
         raise DomainError("need dim >= 1 and non-negative class counts")
-    if not float(r_true) > 0.0:
-        raise DomainError("r_true must be positive")
+    if not 0.0 < float(r_true) < np.inf:
+        raise DomainError(f"r_true must be finite and positive, got {r_true}")
     n_classes = len(counts)
     if precision is None:
         precision = np.eye(dim)

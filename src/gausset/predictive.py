@@ -62,8 +62,9 @@ class PredictiveModel:
     Checked in this order: ``ShapeMismatch`` if ``mu_star`` is not a
     non-empty N x K matrix, there are not K class names, ``c_star`` is
     not (K,) or ``b_star`` not N x N; ``DomainError`` naming the field if
-    r, a*, mu*, c* or B* holds a non-finite value, or if a c* is not
-    positive; ``DegenerateScatter`` if B* fails the Cholesky check;
+    a class name repeats, if r, a*, mu*, c* or B* holds a non-finite
+    value, if a c* is not positive or if B* is not exactly symmetric;
+    ``DegenerateScatter`` if B* fails the Cholesky check;
     ``InsufficientDof`` if a* + 1 - N <= 0 (the normalizing gamma
     argument would be non-positive).
     """
@@ -100,6 +101,8 @@ class PredictiveModel:
             class_names = tuple(f"class_{k}" for k in range(n_classes))
         if len(class_names) != n_classes:
             raise ShapeMismatch("number of class names does not match K")
+        if len(set(class_names)) != n_classes:
+            raise DomainError("model field class_names repeats a name")
         for name, value, shape in (("c_star", c_star, (n_classes,)), ("b_star", b_star, (n, n))):
             if value.shape != shape:
                 raise ShapeMismatch(f"{name} has shape {value.shape}, mu_star needs {shape}")
@@ -109,6 +112,8 @@ class PredictiveModel:
                 raise DomainError(f"model field {name} holds a non-finite value")
         if np.any(c_star <= 0.0):
             raise DomainError("per-class c* values must be positive")
+        if not (b_star == b_star.T).all():
+            raise DomainError("model field b_star is not symmetric")
         # Degeneracy of B* is the more informative failure, so check it first;
         # with too little data both conditions tend to trip together.
         try:
@@ -295,7 +300,9 @@ def posterior_from_scores(log_scores, prior) -> np.ndarray:
 
     Takes one (K,) score vector or a (T, K) block. Zero-prior classes get
     exactly zero posterior; each row sums to one and is invariant under
-    adding any constant to its scores, however large.
+    adding any constant to its scores, however large. A row with no finite
+    score among the classes of non-zero prior is a ``DomainError`` (the
+    scorer already refuses a row with no finite score at all).
     """
     log_scores = np.asarray(log_scores, dtype=np.float64)
     n_classes = log_scores.shape[-1]
@@ -304,6 +311,10 @@ def posterior_from_scores(log_scores, prior) -> np.ndarray:
     # Masking first keeps a zero-prior class's NaN or inf score out.
     if active is not None:
         log_scores = np.where(active, log_scores, -np.inf)
+        lost = np.flatnonzero(~np.logical_or.reduce(np.isfinite(log_scores), axis=-1))
+        if lost.size:
+            raise DomainError(f"row {lost[0]} has no finite score for a class of "
+                              f"non-zero prior probability")
     combined = log_scores + log_probs  # a new array: the rest is in place
     combined -= np.maximum.reduce(combined, axis=-1, keepdims=True)
     np.exp(combined, out=combined)

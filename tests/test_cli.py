@@ -571,6 +571,60 @@ class TestNonPositiveCStarModel:
                     "--out", tmp_path / "scored.csv"]) == 2
 
 
+class TestMalformedModel:
+    """Model files that parse but describe no valid model: a classify input
+    error (exit 2), and a failed verification with its report (exit 1)."""
+
+    @staticmethod
+    def fitted_doc(tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1,label\n1,0,a\n3,1,a\n2,4,b\n0,3,b\n1,1,a\n")
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--out", model_path]) == 0
+        return model_path, json.loads(model_path.read_text())
+
+    @pytest.mark.parametrize("field", ["b_star", "class_names"])
+    def test_rejected_by_load_classify_and_verify(self, tmp_path, capsys, field):
+        model_path, doc = self.fitted_doc(tmp_path)
+        if field == "b_star":
+            doc["b_star"][0][1] += 0.25
+            message = "model field b_star is not symmetric"
+        else:
+            doc["class_names"] = ["a", "a"]
+            message = "model field class_names repeats a name"
+        model_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            load_model(model_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0,x1\n0.5,0.5\n")
+        scored = tmp_path / "scored.csv"
+        capsys.readouterr()
+        assert run(["classify", "--model", model_path, "--data", queries,
+                    "--out", scored]) == 2
+        assert message in capsys.readouterr().err
+        assert not scored.exists()
+        assert run(["verify", "--model", model_path, "--samples", "500"]) == 1
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["all_pass"] is False and report["probes"] == []
+        assert message in report["error"]
+
+    def test_no_finite_score_under_the_class_prior_exits_2(self, tmp_path, capsys):
+        # Class b's q overflows at x = 1.3e154 and the prior leaves only b.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({
+            "version": 1, "dim": 1, "class_names": ["a", "b"], "r": 1.0, "a_star": 3.0,
+            "mu_star": [[0.0], [-2e153]], "c_star": [0.5, 0.5], "b_star": [[1.0]]}))
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n0.0\n1.3e154\n")
+        scored = tmp_path / "scored.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["classify", "--model", model_path, "--data", queries,
+                        "--out", scored, "--prior", "0,1"]) == 2
+        assert "row 1 has no finite score" in capsys.readouterr().err
+        assert not scored.exists()
+
+
 class TestGenSynth:
     def test_empty_class_in_sidecar_only(self, tmp_path):
         out = tmp_path / "synth.csv"
@@ -631,6 +685,18 @@ class TestGenSynth:
         err = capsys.readouterr().err
         assert f"--lambda-scale must be finite and positive, got {float(value)}" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_bad_r_true_exits_2_and_writes_nothing(self, tmp_path, capsys, value):
+        # An infinite r_true would go into the sidecar as the non-JSON Infinity.
+        out = tmp_path / "x.csv"
+        assert run(["gen-synth", "--out", out, "--dim", "2", "--classes", "2",
+                    "--r-true", value]) == 2
+        err = capsys.readouterr().err
+        assert f"r_true must be finite and positive, got {float(value)}" in err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.truth.json").exists()
 
 
 class TestModelRoundTripThroughCli:

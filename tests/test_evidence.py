@@ -515,7 +515,7 @@ class TestBatchedEvidence:
     def test_rank_deficient_within_scatter_takes_the_dense_path(self):
         # T - K' = 3 < N = 4, so W is singular, yet rounding passes its
         # factor through the pivot rule. Whitening by that factor breaks the
-        # kernel's K' x K' factorization, so this W takes the dense path.
+        # kernel's K' x K' factorization, so this W takes the per-r route.
         rng = np.random.default_rng(166)
         labels = np.concatenate([np.arange(5), rng.integers(0, 5, 3)])
         means = rng.normal(0.0, 3.0, (5, 4))
@@ -550,23 +550,38 @@ class TestBatchedEvidence:
             log_evidence_noninformative(stats, 10.0)
 
     @staticmethod
-    def constant_feature_stats(levels):
+    def constant_feature_dataset(levels, offset=0.0):
         """Three classes of 6 rows, N = 3, the last feature ``levels[k]``
-        throughout class k, so W is exactly singular although T - K' = 15."""
+        throughout class k, so W is exactly singular although T - K' = 15;
+        ``offset`` is added to every entry."""
         rng = np.random.default_rng(21)
         labels = np.repeat(np.arange(3), 6)
         patterns = np.column_stack([rng.normal(size=(18, 2)), np.take(levels, labels)])
-        return accumulate(LabeledDataset(patterns, labels, ("a", "b", "c")))
+        return LabeledDataset(patterns + offset, labels, ("a", "b", "c"))
+
+    @classmethod
+    def constant_feature_stats(cls, levels):
+        return accumulate(cls.constant_feature_dataset(levels))
 
     def test_within_scatter_failing_the_pivot_rule_takes_the_dense_path(self):
-        # The class means still differ in the last feature, so B*(r) is full
-        # rank for every r > 0, and the kernel falls back to factoring it.
+        # The class means still differ in the last feature, so B*(r) and C(r)
+        # are full rank for every r > 0, and the kernel factors C(r) per r.
         stats = self.constant_feature_stats([0.0, 1.0, 2.5])
         curve = evidence_curve(stats, self.GRID).log_evidence
         assert np.all(np.isfinite(curve))
         for r, value in zip(self.GRID, curve):
             want, floor = dense_log_evidence(stats, r)
             assert abs(value - want) <= 1e-12 * abs(want) + floor
+
+    def test_constant_feature_at_offset_1e8_is_finite_and_accurate(self):
+        # W fails the pivot rule here too, and B*(r) would carry 1e16-sized
+        # entries beside an O(1) spread; C(r) carries none.
+        ds = self.constant_feature_dataset([0.0, 1.0, 2.5], offset=1e8)
+        curve = evidence_curve(accumulate(ds), self.GRID).log_evidence
+        assert np.all(np.isfinite(curve))
+        for r, value in zip(self.GRID, curve):
+            want = centred_log_evidence(ds, r)
+            assert abs(value - want) <= 1e-10 * abs(want), r
 
     def test_proper_evidence_of_a_singular_posterior_scale_raises(self):
         # B = 1e-30 I passes the pivot rule alone, but beside W it does not,
@@ -575,6 +590,58 @@ class TestBatchedEvidence:
         prior = PriorHyper(r=1.0, a=4.0, b=1e-30 * np.eye(3))
         with pytest.raises(DegenerateScatter, match="posterior scale matrix is singular"):
             log_evidence_proper(stats, prior)
+
+
+@st.composite
+def per_r_datasets(draw):
+    """Datasets the kernel scores one N x N factor per r for: N 2-6, K 2-5
+    classes of at least one row each and N < T <= N + K', so W is singular
+    or has no spare degree of freedom; or, with T up to N + K' + 6, a last
+    feature held at a per-class level, so W fails the pivot rule."""
+    dim = draw(st.integers(2, 6))
+    n_classes = draw(st.integers(2, 5))
+    constant = draw(st.booleans())
+    low = max(dim + 1, n_classes)
+    n_rows = draw(st.integers(low, dim + n_classes + (6 if constant else 0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.concatenate(
+        [np.arange(n_classes), rng.integers(0, n_classes, n_rows - n_classes)]))
+    means = rng.normal(0.0, 3.0, (n_classes, dim))
+    patterns = means[labels] + rng.normal(size=(n_rows, dim))
+    if constant:
+        patterns[:, -1] = means[labels, -1]
+    return LabeledDataset(patterns, labels, tuple(f"c{k}" for k in range(n_classes)))
+
+
+class TestPerROffset:
+    GRID = np.geomspace(1e-3, 1e3, 13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(per_r_datasets(), st.sampled_from([0.0, 1e4, 1e6, 1e8]))
+    def test_matches_centred_reference_at_any_offset(self, ds, offset):
+        # The reference splits B* about the weighted mean, so it never rounds
+        # an offset-sized entry; the kernel must not either.
+        ds = LabeledDataset(ds.patterns + offset, ds.labels, ds.class_names)
+        curve = evidence_curve(accumulate(ds), self.GRID).log_evidence
+        reference = np.array([centred_log_evidence(ds, r) for r in self.GRID])
+        np.testing.assert_array_equal(np.isnan(curve), np.isnan(reference))
+        finite = ~np.isnan(reference)
+        np.testing.assert_allclose(curve[finite], reference[finite], rtol=1e-10, atol=0)
+
+    def test_tune_r_at_offset_1e8_with_t_between_n_and_n_plus_k(self):
+        # N = 5, K' = 4, T = 8: W has rank 4, and every N x N factor of
+        # B*(r) fails the pivot check at this offset.
+        rng = np.random.default_rng(7)
+        labels = np.array([0, 1, 2, 3, 0, 1, 2, 0])
+        x = rng.normal(0.0, 3.0, (4, 5))[labels] + rng.normal(size=(8, 5)) + 1e8
+        ds = LabeledDataset(x, labels, ("a", "b", "c", "d"))
+        stats = accumulate(ds)
+        tuned = tune_r(stats, 1e-3, 1e3)
+        assert 1e-3 <= tuned <= 1e3
+        got = log_evidence_noninformative(stats, tuned)
+        assert got == pytest.approx(centred_log_evidence(ds, tuned), rel=1e-10, abs=0)
+        grid = np.geomspace(1e-3, 1e3, 64)
+        assert got >= max(centred_log_evidence(ds, r) for r in grid) - 1e-10 * abs(got)
 
 
 class TestTuneRProperty:

@@ -127,6 +127,17 @@ class TestModelValidation:
         with pytest.raises(ShapeMismatch, match=name):
             self.rebuild(worked_model, **{name: value})
 
+    def test_repeated_class_name(self, worked_model):
+        # Two columns named alike could not be told apart in classify's output.
+        with pytest.raises(DomainError, match="field class_names repeats"):
+            self.rebuild(worked_model, class_names=("a", "a"))
+
+    def test_asymmetric_b_star(self):
+        # Named as a model field, not linalg's symmetrize() advice.
+        with pytest.raises(DomainError, match="field b_star is not symmetric"):
+            PredictiveModel(None, np.zeros((2, 2)), np.array([0.5, 0.5]), 5.0, 1.0,
+                            np.array([[2.0, 0.5], [0.25, 2.0]]))
+
     @pytest.mark.parametrize("c_first", [0.0, -0.5])
     def test_non_positive_c_star(self, worked_model, c_first):
         # Checked before B* is factored: this B* is degenerate too.
@@ -581,6 +592,21 @@ class TestFarPatterns:
         assert np.isfinite(log_unnorm[0, 0]) and log_unnorm[0, 1] == -np.inf
         np.testing.assert_array_equal(posteriors, [[1.0, 0.0]])
         assert actions[0] == 0
+
+    @pytest.mark.parametrize("prior", [np.array([0.0, 1.0]), ClassPrior(np.array([0.0, 1.0]))])
+    def test_no_finite_score_among_prior_positive_classes(self, prior):
+        # The row above under a prior on class b alone: its one finite score
+        # is masked out, and the softmax would give NaN posteriors.
+        model = PredictiveModel(None, np.array([[0.0, -2e153]]), np.array([0.5, 0.5]),
+                                3.0, 1.0, np.eye(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="row 0 has no finite score"):
+                class_posterior(model, np.array([1.3e154]), prior)
+            with pytest.raises(DomainError, match="row 1 has no finite score"):
+                score_batch(model, [[0.0], [1.3e154]], prior)
+            with pytest.raises(DomainError, match="row 0 has no finite score"):
+                posterior_from_scores([0.0, -np.inf], prior)
 
     @settings(max_examples=30, deadline=None)
     @given(scoring_cases())
