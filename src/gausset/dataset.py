@@ -12,7 +12,6 @@ at a time, so neither step holds a second copy of the patterns.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import math
 from dataclasses import dataclass
@@ -224,30 +223,11 @@ def _read_table(path, label_column=None):
             np.asarray(rows, dtype=np.float64).reshape(len(rows), len(features)))
 
 
-# Text on which csv.reader or float() can disagree with np.loadtxt: a quote
-# (csv quoting), a carriage return not ending a CRLF pair (a line end to
-# csv), NUL (a csv error before Python 3.11) and the ASCII separators
-# \x1c-\x1f, which loadtxt strips around a number and float() rejects.
-_FALLBACK_CHARS = '"\r\0\x1c\x1d\x1e\x1f'
-_READ_BLOCK = 1 << 16  # bytes _fast_table reads and parses at once
-
-
-def _whole_lines(handle):
-    """The UTF-8 text of binary ``handle`` in pieces of whole lines, read
-    ``_READ_BLOCK`` bytes at a time. Each piece but the last ends in
-    ``\n``, so a CRLF pair never straddles two pieces; the last may be
-    empty. The decoded block is freed before its piece is yielded."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    pending = []
-    for piece in iter(lambda: handle.read(_READ_BLOCK), b""):
-        piece = decode(piece)
-        cut = piece.rfind("\n") + 1
-        if cut:
-            text, piece = "".join([*pending, piece[:cut]]), piece[cut:]
-            pending = []
-            yield text
-        pending.append(piece)
-    yield "".join(pending) + decode(b"", True)
+# Text read with universal newlines (LF, CRLF or CR ends a line, as in csv) on
+# which csv.reader or float() can disagree with np.loadtxt: a quote, NUL (a csv
+# error before Python 3.11) and \x1c-\x1f, which loadtxt strips and float() rejects.
+_FALLBACK_CHARS = '"\0\x1c\x1d\x1e\x1f'
+_READ_BLOCK = 1 << 16  # bytes _count_rows reads, characters of lines _fast_table parses
 
 
 def _count_rows(path):
@@ -259,6 +239,14 @@ def _count_rows(path):
             ends += piece.count(b"\n")
             last = piece[-1:]
     return max(ends + (last != b"\n") - 1, 0)
+
+
+def _unsafe(lines):
+    """Whether a line holds one of ``_FALLBACK_CHARS`` or, less its newline,
+    is longer than csv's field size limit. Only the last may lack a newline."""
+    limit = csv.field_size_limit()
+    return (max(map(len, lines)) > limit + 1 or len(lines[-1].rstrip("\n")) > limit
+            or any(char in line for line in lines for char in _FALLBACK_CHARS))
 
 
 def _fast_table(path, label_column=None):
@@ -274,37 +262,29 @@ def _fast_table(path, label_column=None):
     bytes, a character of ``_FALLBACK_CHARS``, a line longer than csv's
     field size limit, no data rows, a row whose cell count differs from
     the header's, a cell loadtxt rejects, a non-finite value, or more
-    rows than were counted (the file grew). The caller then runs
-    ``_read_table``, which gives the result or the error with its line
-    and column. A header without ``label_column`` raises the error
-    ``_read_table`` raises for it.
+    rows than were counted (the file grew, or a lone CR ends a line).
+    The caller then runs ``_read_table``, which gives the result or the
+    error with its line and column. A header without ``label_column``
+    raises the error ``_read_table`` raises for it.
     """
-    rows = _count_rows(path)
-    header, names, filled = None, {}, 0
-    limit = csv.field_size_limit()
+    rows, names, filled = _count_rows(path), {}, 0
     try:
-        with open(path, "rb") as handle:
-            for text in _whole_lines(handle):
-                if "\r" in text:
-                    text = text.replace("\r\n", "\n")
-                if any(char in text for char in _FALLBACK_CHARS):
-                    return None
-                lines = text.split("\n")
-                if header is None:
-                    head = lines.pop(0)
-                    if not head or len(head) > limit:
-                        return None
-                    header = [h.strip() for h in head.split(",")]
-                    label_idx, features = _columns(header, label_column)
-                    converters = None if label_idx is None else {
-                        label_idx: lambda cell: names.setdefault(cell.strip(), len(names))}
-                    patterns = np.empty((rows, len(features)))
-                    codes = np.empty(rows if converters else 0, dtype=np.int64)
-                lines = [line for line in lines if line]   # csv skips empty lines
+        with open(path, encoding="utf-8") as handle:
+            head = handle.readline()
+            if head in ("", "\n") or _unsafe([head]):
+                return None
+            header = [h.strip() for h in head.rstrip("\n").split(",")]
+            label_idx, features = _columns(header, label_column)
+            converters = None if label_idx is None else {
+                label_idx: lambda cell: names.setdefault(cell.strip(), len(names))}
+            patterns = np.empty((rows, len(features)))
+            codes = np.empty(rows if converters else 0, dtype=np.int64)
+            while lines := handle.readlines(_READ_BLOCK):
+                lines = [line for line in lines if line != "\n"]   # csv skips empty lines
                 if not lines:
                     continue
                 end = filled + len(lines)
-                if end > rows or max(map(len, lines)) > limit:
+                if end > rows or _unsafe(lines):
                     return None
                 try:
                     block = np.loadtxt(lines, delimiter=",", comments=None, converters=converters,
@@ -317,7 +297,7 @@ def _fast_table(path, label_column=None):
                 if converters:
                     codes[filled:end] = block[:, label_idx]
                 filled = end
-                text = lines = block = None   # freed before the next block is read
+                lines = block = None   # freed before the next block is read
     except UnicodeDecodeError:
         return None
     if not filled:

@@ -115,9 +115,7 @@ class PosteriorMNW:
         return self.m_star.shape[1]
 
 
-def _resolve_b(b: np.ndarray | None, dim: int) -> np.ndarray:
-    if b is None:
-        return np.zeros((dim, dim))
+def _resolve_b(b, dim: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (dim, dim):
         raise ShapeMismatch(
@@ -142,7 +140,7 @@ def _posterior_general(stats: SufficientStats, theta, r_diag, a: float, b):
     counts = stats.counts.astype(np.float64)
     r_diag = np.asarray(r_diag, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    b = _resolve_b(b, stats.dim)
+    scatter = stats.within if b is None else _resolve_b(b, stats.dim) + stats.within
     if r_diag.shape != (stats.n_classes,):
         raise ShapeMismatch("per-class precision vector does not match K")
     if theta.shape not in ((), stats.means.shape):
@@ -150,7 +148,7 @@ def _posterior_general(stats: SufficientStats, theta, r_diag, a: float, b):
     r_star = r_diag + counts
     dev = stats.means - theta
     m_star = (r_diag * theta + counts * stats.means) / r_star
-    b_star = linalg.symmetrize(b + stats.within + (dev * (r_diag * counts / r_star)) @ dev.T)
+    b_star = linalg.symmetrize(scatter + (dev * (r_diag * counts / r_star)) @ dev.T)
     return m_star, r_star, a + stats.total, b_star
 
 

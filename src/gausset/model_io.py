@@ -9,6 +9,7 @@ scoring in memory.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -39,6 +40,23 @@ def save_model(model: PredictiveModel, path) -> None:
         handle.write("]}\n")
 
 
+_NUMBER = (int, float)   # what json gives for a number; bool is neither
+
+
+def _typed(doc, name, kinds, depth=0):
+    """``doc[name]``, a ParseError naming the field unless it is lists
+    nested ``depth`` deep whose entries each have a type in ``kinds``."""
+    level = [doc[name]]
+    for want in [(list,)] * depth + [kinds]:
+        found = set(map(type, level)).difference(want)
+        if found:
+            raise ParseError(f"model field {name} holds {found.pop().__name__}, "
+                             f"expected {' or '.join(kind.__name__ for kind in want)}")
+        if want is not kinds:
+            level = list(chain.from_iterable(level))
+    return doc[name]
+
+
 def load_model(path):
     """Read a model file. Returns ``(model, r)``.
 
@@ -53,17 +71,17 @@ def load_model(path):
         except json.JSONDecodeError as exc:
             raise ParseError(f"model file is not valid JSON: {exc}") from exc
     try:
-        version = doc["version"]
+        version = _typed(doc, "version", (int,))
         if version != FORMAT_VERSION:
             raise ParseError(f"unsupported model file version {version!r}")
-        dim = int(doc["dim"])
-        class_names = tuple(str(n) for n in doc["class_names"])
-        r = float(doc["r"])
-        a_star = float(doc["a_star"])
-        mu_star = np.asarray(doc["mu_star"], dtype=np.float64).T
-        c_star = np.asarray(doc["c_star"], dtype=np.float64)
-        b_star = np.asarray(doc["b_star"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = _typed(doc, "dim", (int,))
+        class_names = tuple(_typed(doc, "class_names", (str,), depth=1))
+        r = float(_typed(doc, "r", _NUMBER))
+        a_star = float(_typed(doc, "a_star", _NUMBER))
+        mu_star = np.asarray(_typed(doc, "mu_star", _NUMBER, depth=2), dtype=np.float64).T
+        c_star = np.asarray(_typed(doc, "c_star", _NUMBER, depth=1), dtype=np.float64)
+        b_star = np.asarray(_typed(doc, "b_star", _NUMBER, depth=2), dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"model file is missing or malforms a field: {exc}") from exc
     if mu_star.shape[:1] != (dim,):
         raise ParseError(f"mean matrix shape {mu_star.shape} does not match dim={dim}")

@@ -300,23 +300,33 @@ def posterior_from_scores(log_scores, prior) -> np.ndarray:
 
     Takes one (K,) score vector or a (T, K) block. Zero-prior classes get
     exactly zero posterior; each row sums to one and is invariant under
-    adding any constant to its scores, however large. A row with no finite
-    score among the classes of non-zero prior is a ``DomainError`` (the
-    scorer already refuses a row with no finite score at all).
+    adding any constant to its scores, however large. A row whose scores
+    over the classes of non-zero prior are all -inf, or include +inf or
+    NaN, is a ``DomainError`` naming the row.
     """
-    log_scores = np.asarray(log_scores, dtype=np.float64)
+    return _posterior(np.asarray(log_scores, dtype=np.float64), prior, every_row=True)
+
+
+def _posterior(log_scores, prior, every_row=False):
+    """:func:`posterior_from_scores`, checking the rows only under a zero
+    mask unless ``every_row``. The scorer's rows are finite or -inf, never
+    all -inf, so only the mask can leave one without a finite score."""
     n_classes = log_scores.shape[-1]
     cached = isinstance(prior, ClassPrior) and prior.probs.shape == (n_classes,)
     active, log_probs = prior._log_terms if cached else _log_prior(prior, n_classes)
     # Masking first keeps a zero-prior class's NaN or inf score out.
     if active is not None:
         log_scores = np.where(active, log_scores, -np.inf)
-        lost = np.flatnonzero(~np.logical_or.reduce(np.isfinite(log_scores), axis=-1))
-        if lost.size:
-            raise DomainError(f"row {lost[0]} has no finite score for a class of "
-                              f"non-zero prior probability")
     combined = log_scores + log_probs  # a new array: the rest is in place
-    combined -= np.maximum.reduce(combined, axis=-1, keepdims=True)
+    top = np.maximum.reduce(combined, axis=-1, keepdims=True)   # NaN if any is
+    if every_row or active is not None:
+        lost = np.flatnonzero(~np.isfinite(top))
+        if lost.size:
+            worst = top.flat[lost[0]]
+            found = "no finite score" if worst == -np.inf else f"a score of {worst}"
+            raise DomainError(f"row {lost[0]} has {found} for a class of "
+                              f"non-zero prior probability")
+    combined -= top
     np.exp(combined, out=combined)
     combined /= np.add.reduce(combined, axis=-1, keepdims=True)
     return combined
@@ -324,7 +334,7 @@ def posterior_from_scores(log_scores, prior) -> np.ndarray:
 
 def class_posterior(model: PredictiveModel, x, prior) -> np.ndarray:
     """Posterior probability of each class for one pattern."""
-    return posterior_from_scores(_log_unnormalized(model, _one_row(model, x)), prior)[0]
+    return _posterior(_log_unnormalized(model, _one_row(model, x)), prior)[0]
 
 
 def zero_one_costs(n_classes: int) -> np.ndarray:
@@ -364,5 +374,5 @@ def score_batch(model: PredictiveModel, patterns, prior):
             f"patterns have {patterns.shape[1]} features, model dimension is {model.dim}"
         )
     log_unnorm = _log_unnormalized(model, patterns)
-    posteriors = posterior_from_scores(log_unnorm, prior)
+    posteriors = _posterior(log_unnorm, prior)
     return log_unnorm, posteriors, posteriors.argmax(-1)

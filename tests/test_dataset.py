@@ -1,3 +1,4 @@
+import csv
 from unittest import mock
 
 import numpy as np
@@ -606,7 +607,7 @@ def csv_files(draw):
     """(bytes of a headed CSV, whether it has a label column).
 
     Up to three cells from ``ODD_CELLS`` and up to three line defects from
-    ``DEFECTS``, in LF or CRLF line endings.
+    ``DEFECTS``, in LF, CRLF or CR line endings.
     """
     labelled = draw(st.booleans())
     n_features = draw(st.integers(0 if labelled else 1, 4))
@@ -637,7 +638,7 @@ def csv_files(draw):
         elif defect == "extra-cell-every-row":
             # Every row agrees with every other, so only the header disagrees.
             lines[1:] = [line + ",1" for line in lines[1:]]
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode()
     if "bad-utf8" in defects:
         at = draw(st.integers(0, len(data)))
@@ -821,6 +822,39 @@ class TestBlockwiseReader:
         if error is ParseError:
             assert type(excinfo.value) is ParseError
         assert (excinfo.value.line, excinfo.value.column) == (282, "x0")
+
+    @staticmethod
+    def long_line(length):
+        """A two-feature row of ``length`` characters; both cells fit csv's limit."""
+        return "1," + "0" * (length - 3) + "5"
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "last-line-open"])
+    @pytest.mark.parametrize("cells", [2, 1])
+    def test_line_over_the_field_size_limit_falls_back(self, tmp_path, end, cells):
+        # One character over csv's limit: the line goes to csv, which reads
+        # two shorter cells and rejects one cell that long.
+        limit = csv.field_size_limit()
+        line = self.long_line(limit + 1) if cells == 2 else "0" * limit + "5"
+        assert len(line) == limit + 1
+        path = tmp_path / "long.csv"
+        path.write_text(f"{'x0,x1' if cells == 2 else 'x0'}\n{'1,' * (cells - 1)}2\n{line}{end}")
+        assert _fast_table(path) is None
+        if cells == 2:
+            names, patterns = load_features(path)
+            want = _read_table(path)
+            assert names == want[0] and patterns.tobytes() == want[3].tobytes()
+            assert patterns.tolist() == [[1.0, 2.0], [1.0, 5.0]]
+        else:
+            for read in (load_features, _read_table):
+                with pytest.raises(csv.Error, match="field larger than field limit"):
+                    read(path)
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "last-line-open"])
+    def test_line_at_the_field_size_limit_stays_fast(self, tmp_path, end):
+        path = tmp_path / "long.csv"
+        path.write_text(f"x0,x1\n1,2\n{self.long_line(csv.field_size_limit())}{end}")
+        header, _, _, patterns = _fast_table(path)
+        assert header == ["x0", "x1"] and patterns.tolist() == [[1.0, 2.0], [1.0, 5.0]]
 
     @staticmethod
     def traced_load(path, n_rows, dim, n_classes):

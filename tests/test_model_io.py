@@ -154,3 +154,21 @@ class TestLoadValidation:
             load_model(self.write_doc(
                 tmp_path, lambda d: d.update(b_star=[[-2.0]])
             ))
+
+    @pytest.mark.parametrize("field, value, found", [
+        ("dim", 20.7, "float"),                     # was read as 20
+        ("dim", True, "bool"),
+        ("version", True, "bool"),                  # was equal to 1
+        ("version", 1.0, "float"),
+        ("a_star", "20000", "str"),                 # was converted
+        ("r", False, "bool"),
+        ("c_star", [True], "bool"),                 # was read as 1.0
+        ("mu_star", [["0.5"]], "str"),
+        ("b_star", [[2.0, None]], "NoneType"),
+        ("b_star", [2.0], "float"),                 # a number where a row belongs
+        ("class_names", [7], "int"),                # was read as "7"
+        ("class_names", "a", "str"),
+    ])
+    def test_wrong_json_type_names_the_field(self, tmp_path, field, value, found):
+        with pytest.raises(ParseError, match=f"^model field {field} holds {found}, expected"):
+            load_model(self.write_doc(tmp_path, lambda d: d.update({field: value})))

@@ -281,6 +281,26 @@ class TestClassPosterior:
                 posterior_from_scores([[np.inf, 1.0], [2.0, 3.0]], prior),
                 [[0.0, 1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("scores, probs, found", [
+        ([-np.inf, -np.inf], [0.5, 0.5], "no finite score"),
+        ([np.inf, 0.0], [0.5, 0.5], "a score of inf"),
+        ([np.nan, 1.0], [0.5, 0.5], "a score of nan"),
+        ([1.0, np.inf, 0.0], [0.5, 0.5, 0.0], "a score of inf"),   # masked
+        ([np.nan, 1.0, np.inf], [0.5, 0.5, 0.0], "a score of nan"),
+    ])
+    @pytest.mark.parametrize("cached", [False, True], ids=["raw", "ClassPrior"])
+    def test_nonfinite_row_is_a_domain_error(self, scores, probs, found, cached):
+        # All -inf, +inf or NaN over the classes of non-zero prior: the
+        # softmax would give NaN posteriors.
+        prior = ClassPrior(probs) if cached else np.array(probs)
+        fine = np.zeros(len(scores))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"row 0 has {found} for a class"):
+                posterior_from_scores(scores, prior)
+            with pytest.raises(DomainError, match=f"row 1 has {found} for a class"):
+                posterior_from_scores([fine, scores, fine], prior)
+
     def test_class_prior_of_wrong_length(self, worked_model):
         prior = ClassPrior.uniform(3)
         with pytest.raises(ShapeMismatch):
