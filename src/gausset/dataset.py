@@ -197,28 +197,31 @@ def _read_table(path, label_column=None):
     ``names`` holds the distinct stripped ``label_column`` cells by first
     appearance, ``codes`` (T,) each row's index into it (both empty without
     a label column). Other cells must be finite floats, ``patterns`` (T, F).
-    An error names the physical line its record starts on.
+    An error names the physical line its record starts on, or for a csv
+    error (a cell over its field size limit, NUL before Python 3.11) its line.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
+            label_idx, features = _columns(header, label_column)
+            names, codes, rows = {}, [], []
+            end = reader.line_num
+            for row in reader:
+                line_no, end = end + 1, reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"row has {len(row)} cells, header has {len(header)}", line_no
+                    )
+                if label_idx is not None:
+                    codes.append(names.setdefault(row[label_idx].strip(), len(names)))
+                rows.append([_parse_cell(row[i], line_no, header[i]) for i in features])
         except StopIteration:
             raise ParseError("file is empty, expected a header row", line=1) from None
-        label_idx, features = _columns(header, label_column)
-        names, codes, rows = {}, [], []
-        end = reader.line_num
-        for row in reader:
-            line_no, end = end + 1, reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row has {len(row)} cells, header has {len(header)}", line_no
-                )
-            if label_idx is not None:
-                codes.append(names.setdefault(row[label_idx].strip(), len(names)))
-            rows.append([_parse_cell(row[i], line_no, header[i]) for i in features])
+        except csv.Error as exc:
+            raise ParseError(str(exc), reader.line_num) from None
     return (header, np.asarray(codes, dtype=np.int64), list(names),
             np.asarray(rows, dtype=np.float64).reshape(len(rows), len(features)))
 

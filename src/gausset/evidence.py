@@ -25,26 +25,26 @@ Both rest on one private kernel. For a prior (a, B) it scores
 
     B*(r) = B + W + sum_k w_k m_k m_k^T,
 
-and only the weights w_k depend on r. So it factors B + W once per
-dataset and scores every r with K' x K' work, K' the number of
-non-empty classes. With s = sum_k w_k, the weighted mean
-mbar = sum_k w_k m_k / s and
+and only the weights w_k depend on r. So it factors P = B + W once per
+dataset and scores every r with (K' + 1) x (K' + 1) work, K' the number
+of non-empty classes. With s = sum_k w_k, v = w / s, M the K' class
+means and xbar their count-weighted mean, the w-weighted mean is
+mbar = xbar + (M - xbar 1^T) v, M - mbar 1^T = (M - xbar 1^T)(I - v 1^T), and
 
-    C = B + W + sum_k w_k (m_k - mbar)(m_k - mbar)^T,
+    B*(r) = P + V V^T,   V = sqrt(s) [M - xbar 1^T, xbar] T(r),
+    T(r) = [[(I - v 1^T) diag(sqrt v), v], [0^T, 1]],
 
-B*(r) = C + s mbar mbar^T, so
-
-    log det B* = log det C + log1p(s mbar^T C^-1 mbar).
-
-log det C comes from the determinant lemma on the offset-free means
-m_k - xbar (xbar the count-weighted mean, whitened by B + W once), and
-mbar^T C^-1 mbar from Woodbury on the same K' x K' factor;
+so by the determinant lemma log det B* = log det P + log det(I + s T^T G T),
+G the Gram matrix of [M - xbar 1^T, xbar] whitened by P once. The
+offset-sized xbar column is last, so only the last pivot of that small
+Cholesky carries the cancellation of a large common offset.
 ``evidence_curve`` and ``tune_r`` score a whole grid of r in one batch.
 Where B + W fails the pivot check, or B = 0 and T - K' <= N (W is then
 singular, or full rank but often too ill-conditioned to whiten by), each
-r factors the N x N C(r) instead and adds log1p(s mbar^T C^-1 mbar).
-B*(r) itself is factored only if C(r) fails the pivot check or B = 0 and
-T = N; with B = 0 and T < N every r is degenerate. No route but that
+r factors the N x N C(r) = B*(r) - s mbar mbar^T, B + W plus the
+w-weighted spread about mbar, instead and adds log1p(s mbar^T C^-1 mbar).
+B*(r) itself is factored only if C(r) fails the pivot check or B = 0
+and T = N; with B = 0 and T < N every r is degenerate. No route but that
 last resort forms an N x N matrix with offset-sized entries, so a large
 common offset is never rounded into B* and cannot make it look singular.
 """
@@ -102,9 +102,9 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     log det B*(r) for the prior (a, B) at every r, ``b=None`` standing for
     B = 0, and NaN where B*(r) is degenerate. The N x N work is done here
     once: factor B + W and whiten the offset-free means M - xbar 1^T and
-    the count-weighted mean xbar. Each r then costs K' x K' work through
-    the weighted-mean split of the module docstring. If B = 0 and
-    T - K' <= N, or B + W fails the pivot rule, each r takes
+    the count-weighted mean xbar. Each r then costs (K' + 1) x (K' + 1)
+    work through the determinant lemma of the module docstring. If B = 0
+    and T - K' <= N, or B + W fails the pivot rule, each r takes
     :func:`_log_det` instead; if B = 0 and 0 < T < N, every r is NaN.
     """
     counts = stats.counts.astype(np.float64)
@@ -137,30 +137,25 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     xbar = means @ (sizes / total)
     white = chol.inverse @ np.column_stack([means - xbar[:, None], xbar])
     gram = white.T @ white
-    g_hat, h, alpha = gram[:-1, :-1], gram[:-1, -1], gram[-1, -1]
     logdet_bw = linalg.logdet(chol)
-    eye = np.eye(sizes.size)
+    k = sizes.size
+    eye = np.eye(k + 1)
 
     def values(r):
-        # With v = w / s, F = sqrt(s) E and E = diag(sqrt v)(I - sqrt v sqrt v^T):
-        # log det C = log det(B + W) + log det A with A = I + s E^T G E, and by
-        # Woodbury s mbar^T C^-1 mbar = s mbar^T (B + W)^-1 mbar - b^T A^-1 b
-        # with g = (M - xbar 1^T)^T (B + W)^-1 mbar = h + G v and b = s E^T g.
+        # log det B* = log det(B + W) + log det A, A = I + s T^T G T, where
+        # T = [[(I - v 1^T) diag(sqrt v), v], [0^T, 1]] and v = w / s.
         w = r[:, None] * sizes / (r[:, None] + sizes)
         s = np.sum(w, axis=1)
         v = w / s[:, None]
-        root = np.sqrt(v)
-        e_mat = root[:, :, None] * (eye - root[:, :, None] * root[:, None, :])
-        a_mat = eye + s[:, None, None] * (e_mat.transpose(0, 2, 1) @ g_hat @ e_mat)
+        t_hat = np.zeros((r.size, k + 1, k + 1))
+        t_hat[:, :k, :k] = (eye[:k, :k] - v[:, :, None]) * np.sqrt(v)[:, None, :]
+        t_hat[:, :k, k] = v
+        t_hat[:, k, k] = 1.0
         # Products stay per r (stacks of rows), so one r scores bit for bit
         # as it does inside a batch.
-        g = h + (v[:, None, :] @ g_hat)[:, 0, :]
-        b_vec = s[:, None] * (g[:, None, :] @ e_mat)[:, 0, :]
-        quad = np.sum(b_vec * np.linalg.solve(a_mat, b_vec[:, :, None])[:, :, 0], axis=1)
+        a_mat = eye + s[:, None, None] * (t_hat.transpose(0, 2, 1) @ gram @ t_hat)
         pivots = np.diagonal(np.linalg.cholesky(a_mat), axis1=1, axis2=2)
-        log_det = (logdet_bw + 2.0 * np.sum(np.log(pivots), axis=1)
-                   + np.log1p(s * (alpha + np.sum(v * (h + g), axis=1)) - quad))
-        return bracket(r) - 0.5 * a_star * log_det
+        return bracket(r) - 0.5 * a_star * (logdet_bw + 2.0 * np.sum(np.log(pivots), axis=1))
 
     return values
 

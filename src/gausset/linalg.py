@@ -61,6 +61,8 @@ class CholeskyFactor:
 def symmetrize(a) -> np.ndarray:
     """Return (A + A^T)/2 over the last two axes, a new exactly symmetric array."""
     a = np.asarray(a, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
@@ -111,15 +113,13 @@ def logdet(factor: CholeskyFactor) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(factor.lower))))
 
 
-def quadform(factor: CholeskyFactor, d):
-    """Quadratic form d^T A^{-1} d, computed as ||L^{-1} d||^2 (>= 0).
-
-    ``d`` is one (N,) vector, giving a float, or an (N, M) matrix, giving
-    the M forms of its columns as an (M,) array, by forward substitution
-    32 rows at a time (an LU solve with all of L costs as much as factoring).
+def quadform(factor: CholeskyFactor, d) -> float:
+    """Quadratic form d^T A^{-1} d for an (N,) vector, computed as
+    ||L^{-1} d||^2 (>= 0) by forward substitution 32 rows at a time
+    (an LU solve with all of L costs as much as factoring).
     """
     d = np.asarray(d, dtype=np.float64)
-    if d.ndim not in (1, 2) or d.shape[0] != factor.dim:
+    if d.shape != (factor.dim,):
         raise DimensionMismatch(
             f"vector has shape {d.shape}, factor dimension is {factor.dim}"
         )
@@ -129,7 +129,7 @@ def quadform(factor: CholeskyFactor, d):
     for i in range(0, factor.dim, 32):
         y[i:i + 32] = np.linalg.solve(lower[i:i + 32, i:i + 32],
                                       d[i:i + 32] - lower[i:i + 32, :i] @ y[:i])
-    return float(y @ y) if d.ndim == 1 else np.einsum("ij,ij->j", y, y)
+    return float(y @ y)
 
 
 def log_gamma(x: float) -> float:

@@ -39,13 +39,14 @@ _BLOCK_ROWS = 1024  # mc_predictive's cap on rows a block, so small N stays smal
 
 def seeded_generator(seed) -> np.random.Generator:
     """PCG64 generator for a user seed. Same seed, same sample stream."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 def _check_samples(n_samples) -> None:
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+    if (not isinstance(n_samples, numbers.Integral) or isinstance(n_samples, bool)
+            or n_samples < 1):
         raise DomainError(f"need a whole number of samples, at least one, "
                           f"got n_samples={n_samples!r}")
 

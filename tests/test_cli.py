@@ -142,6 +142,14 @@ class TestFit:
         data.write_text("x0,label\noops,a\n")
         assert run(["fit", "--data", data, "--out", tmp_path / "m.json"]) == 2
 
+    def test_cell_over_the_field_size_limit_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(f"x0,label\n1,a\n{'0' * csv.field_size_limit()}5,a\n")
+        out = tmp_path / "m.json"
+        assert run(["fit", "--data", data, "--out", out]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_fit_exits_3_without_nan(self, tmp_path, capsys):
         # Two collinear 2-D points leave a rank-one scatter for any r.
         data = tmp_path / "data.csv"

@@ -846,7 +846,7 @@ class TestBlockwiseReader:
             assert patterns.tolist() == [[1.0, 2.0], [1.0, 5.0]]
         else:
             for read in (load_features, _read_table):
-                with pytest.raises(csv.Error, match="field larger than field limit"):
+                with pytest.raises(ParseError, match=r"field larger than field limit .*\(line 3\)"):
                     read(path)
 
     @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "last-line-open"])

@@ -628,6 +628,18 @@ class TestPerROffset:
         finite = ~np.isnan(reference)
         np.testing.assert_allclose(curve[finite], reference[finite], rtol=1e-10, atol=0)
 
+    def test_substitution_past_one_block_matches_centred_reference(self):
+        # N = 40, K' = 3, T = 41: each r factors C(r) and takes
+        # mbar^T C^-1 mbar from a substitution of two 32-row blocks.
+        rng = np.random.default_rng(40)
+        labels = rng.permutation(np.concatenate([np.arange(3), rng.integers(0, 3, 38)]))
+        x = rng.normal(0.0, 3.0, (3, 40))[labels] + rng.normal(size=(41, 40))
+        ds = LabeledDataset(x, labels, ("a", "b", "c"))
+        stats = accumulate(ds)
+        for r in self.GRID:
+            assert log_evidence_noninformative(stats, r) == pytest.approx(
+                centred_log_evidence(ds, r), rel=1e-12, abs=0)
+
     def test_tune_r_at_offset_1e8_with_t_between_n_and_n_plus_k(self):
         # N = 5, K' = 4, T = 8: W has rank 4, and every N x N factor of
         # B*(r) fails the pivot check at this offset.

@@ -11,7 +11,7 @@ from gausset import (
     log_evidence_proper,
     posterior,
 )
-from gausset.errors import DomainError, ImproperPrior, ShapeMismatch
+from gausset.errors import DimensionMismatch, DomainError, ImproperPrior, ShapeMismatch
 from gausset.inference import _posterior_general
 
 from conftest import random_spd
@@ -44,6 +44,11 @@ class TestPriorHyper:
         b[0, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
             PriorHyper(r=1.0, a=3.0, b=b)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2,)])
+    def test_non_square_b_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="expected square matrices"):
+            PriorHyper(r=1.0, a=3.0, b=np.ones(shape))
 
     def test_proper_flag(self):
         stats = accumulate(LabeledDataset(np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]]),

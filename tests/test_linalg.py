@@ -22,6 +22,13 @@ from gausset.linalg import (
 from conftest import random_spd
 
 
+class TestSymmetrize:
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="expected square matrices"):
+            symmetrize(np.ones(shape))
+
+
 class TestCholesky:
     def test_identity(self):
         factor = cholesky(np.eye(2))
@@ -172,14 +179,15 @@ class TestQuadform:
             via_solve = float(d @ np.linalg.solve(a, d))
             assert abs(direct - via_solve) / abs(via_solve) < 1e-10
 
-    def test_matrix_gives_one_form_per_column(self):
-        rng = np.random.default_rng(7)
-        factor = cholesky(symmetrize(random_spd(rng, 4, jitter=0.1)))
-        d = rng.normal(size=(4, 9))
-        forms = quadform(factor, d)
-        assert forms.shape == (9,)
-        for j in range(9):
-            assert forms[j] == pytest.approx(quadform(factor, d[:, j]), rel=1e-12)
+    @pytest.mark.parametrize("dim", [33, 64, 100])
+    def test_agrees_with_solve_past_one_block(self, dim):
+        # Substitution runs 32 rows at a time; later blocks subtract the
+        # products with the rows already solved.
+        rng = np.random.default_rng(dim)
+        a = symmetrize(random_spd(rng, dim, jitter=0.1))
+        d = rng.normal(size=dim)
+        via_solve = float(d @ np.linalg.solve(a, d))
+        assert quadform(cholesky(a), d) == pytest.approx(via_solve, rel=1e-10, abs=0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(6)

@@ -22,7 +22,7 @@ from gausset import (
 )
 from gausset import linalg, montecarlo
 from gausset.dataset import _BLOCK_ENTRIES
-from gausset.errors import DomainError, ShapeMismatch
+from gausset.errors import DimensionMismatch, DomainError, ShapeMismatch
 from gausset.linalg import cholesky
 from gausset.model_io import load_model, save_model
 from gausset.predictive import PredictiveModel
@@ -64,6 +64,11 @@ class TestSeededGenerator:
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_rejects_negative_or_fractional_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            seeded_generator(seed)
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_rejects_bool_seed(self, seed):
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             seeded_generator(seed)
 
@@ -136,6 +141,10 @@ class TestSampleWishart:
         assert not keep.all()
         np.testing.assert_array_equal(diag[keep], np.sqrt(raw[keep]))
         assert (diag[~keep] == np.sqrt(tiny)).all()
+
+    def test_vector_scale_rejected(self):
+        with pytest.raises(DimensionMismatch, match="expected square matrices"):
+            sample_wishart(np.random.default_rng(18), 3.0, np.ones(2))
 
     def test_size_none_is_first_of_size_one(self):
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -630,6 +639,10 @@ class TestRunVerification:
             run_verification(seed=3, n_samples=n_samples, model=small_model(2))
         with pytest.raises(DomainError, match="whole number of samples"):
             run_verification(seed=3, n_samples=n_samples)
+
+    def test_bool_sample_count_is_domain_error(self):
+        with pytest.raises(DomainError, match="whole number of samples"):
+            run_verification(0, True)
 
     def test_deterministic_report(self):
         a = run_verification(seed=42, n_samples=2000)
