@@ -145,9 +145,10 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY_FAILED
     for probe in report["probes"]:
         status = "PASS" if probe["pass"] else "FAIL"
+        ess = f" ess={probe['ess']:.1f}" if "ess" in probe else ""
         print(f"{status} {probe['probe']}: closed_form={probe['closed_form']:.6g} "
               f"mc_estimate={probe['mc_estimate']:.6g} "
-              f"std_error={probe['std_error']:.3g}")
+              f"std_error={probe['std_error']:.3g}{ess}")
     # RFC 8259 JSON has no Infinity or NaN, so those values go out as null.
     probes = [{key: None if isinstance(value, float) and not np.isfinite(value) else value
                for key, value in probe.items()} for probe in report["probes"]]

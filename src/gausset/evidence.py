@@ -43,6 +43,8 @@ Where B + W fails the pivot check, or B = 0 and T - K' <= N (W is then
 singular, or full rank but often too ill-conditioned to whiten by), each
 r factors the N x N C(r) = B*(r) - s mbar mbar^T, B + W plus the
 w-weighted spread about mbar, instead and adds log1p(s mbar^T C^-1 mbar).
+So does each r of a batch whose small Cholesky fails: class means far
+apart relative to W round the identity away in I + s T^T G T.
 B*(r) itself is factored only if C(r) fails the pivot check or B = 0
 and T = N; with B = 0 and T < N every r is degenerate. No route but that
 last resort forms an N x N matrix with offset-sized entries, so a large
@@ -105,7 +107,8 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     the count-weighted mean xbar. Each r then costs (K' + 1) x (K' + 1)
     work through the determinant lemma of the module docstring. If B = 0
     and T - K' <= N, or B + W fails the pivot rule, each r takes
-    :func:`_log_det` instead; if B = 0 and 0 < T < N, every r is NaN.
+    :func:`_log_det` instead, and so does a batch whose small Cholesky
+    LAPACK refuses; if B = 0 and 0 < T < N, every r is NaN.
     """
     counts = stats.counts.astype(np.float64)
     sizes = counts[counts > 0]
@@ -154,7 +157,12 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
         # Products stay per r (stacks of rows), so one r scores bit for bit
         # as it does inside a batch.
         a_mat = eye + s[:, None, None] * (t_hat.transpose(0, 2, 1) @ gram @ t_hat)
-        pivots = np.diagonal(np.linalg.cholesky(a_mat), axis1=1, axis2=2)
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(a_mat), axis1=1, axis2=2)
+        except np.linalg.LinAlgError:
+            # Class means far apart relative to W round the identity away in
+            # A, and one r that fails fails the batch: score it per r.
+            return per_r(r)
         return bracket(r) - 0.5 * a_star * (logdet_bw + 2.0 * np.sum(np.log(pivots), axis=1))
 
     return values

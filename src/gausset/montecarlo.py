@@ -26,15 +26,13 @@ import numbers
 import numpy as np
 
 from . import linalg
-from .dataset import _BLOCK_ENTRIES, LabeledDataset, SufficientStats, accumulate, merge
+from .dataset import LabeledDataset, SufficientStats, accumulate, merge
 from .errors import DomainError, NotPositiveDefinite, ShapeMismatch
 from .evidence import log_evidence_proper
 from .inference import PriorHyper, posterior
 from .linalg import CholeskyFactor
 from .predictive import (PredictiveModel, _check_finite, _one_row, build_model,
                          log_predictive)
-
-_BLOCK_ROWS = 1024  # mc_predictive's cap on rows a block, so small N stays small
 
 
 def seeded_generator(seed) -> np.random.Generator:
@@ -112,93 +110,29 @@ def sample_matrix_normal(rng: np.random.Generator, m, r_diag,
     return m + (chol_precision.inverse.T @ z) / np.sqrt(r_diag)[None, :]
 
 
-def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
-                  n_samples: int, *, diagonal=None):
-    """Monte-Carlo estimate of the predictive density of x under class k.
+def _bartlett_log_det(rng: np.random.Generator, a: float, dim: int, n: int) -> np.ndarray:
+    """sum_j log A_jj of n Bartlett factors A, A A^T ~ Wishart(a, I), as (n,).
 
-    Draws ``Lambda ~ Wishart(a*, B*)``, then ``mu_k ~ Normal(mu*_k,
-    c*_k Lambda^{-1})``, and averages the Gaussian density
-    ``Normal(x | mu_k, Lambda^{-1})``; B* enters only as the model's
-    log|B*| and L^{-1}, so nothing is factored. The average is accumulated
-    in the log domain (shift by the max log weight) and returned in the
-    linear domain with its jackknife standard error, which for a plain
-    mean reduces to ``sqrt(sum (w_i - mean)^2 / (n (n - 1)))``.
-
-    In the body's notation, v = A^T d - sqrt(c*) z given d has independent
-    coordinates v_j = A_jj d_j + Normal(0, t_j + c*), t_j = sum_{i>j} d_i^2.
-
-    ``diagonal`` is an (S, N) Bartlett diagonal from
-    ``_bartlett_diagonal(rng, a*, N, S)``; without it the call draws its
-    own. The diagonal depends on a* and N only, never on x or k, so probes
-    of one model can share it: their estimates are then correlated, but
-    each is unbiased with its own jackknife standard error. Passing the
-    diagonal drawn from ``rng`` just before the call gives bit for bit
-    the estimate of a call that draws it. The array is read, never
-    written, so a read-only one will do; one not in C order is copied.
-
-    Memory is the (S, N) diagonal, the (S,) log weights and the temporaries
-    of one block of rows, an eighth of ``_BLOCK_ENTRIES`` entries and at most
-    ``_BLOCK_ROWS`` rows. The normals are drawn a block at a time in
-    row-major order, so the estimate is bit for bit that of one (S, N) draw.
-
-    Draws come from ``rng``, any ``numpy.random.Generator``. x and k are
-    checked as the scorer checks them (``DimensionMismatch``,
-    ``IndexError``, ``ValueError`` for an inf or NaN in x), and
-    ``n_samples`` must be an integer of at least 1 (``DomainError``). An x
-    so far out that ``||d||^2`` overflows is a ``DomainError``, as is one
-    whose Gaussian exponent overflows in every sample, and a
-    ``diagonal`` of the wrong shape is a ``ShapeMismatch``, one with an
-    entry that is not finite and positive a ``DomainError``; every check
-    but the exponent's comes before anything is drawn. With
-    ``n_samples = 1`` the estimate is a single density value and the
-    standard error is infinite.
+    Draws the entries of :func:`_bartlett_diagonal`, in its order and with
+    its floor, and folds the log of each column into one (n,) sum as it is
+    drawn, so no (n, N) array is held.
     """
-    x = _one_row(model, x, k)
-    _check_finite(x)
-    dim = model.dim
-    _check_samples(n_samples)
+    total = np.zeros(n)
+    for i in range(dim):
+        column = rng.chisquare(a - i, size=n)
+        np.maximum(column, np.finfo(np.float64).tiny, out=column)
+        total += np.log(np.sqrt(column, out=column), out=column)
+        del column  # before the next one is drawn
+    return total
 
-    mu_k, c_k = model.mu_star[:, k], float(model.c_star[k])
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = model.chol_b_star.inverse @ (x[0] - mu_k)
-        sums = np.cumsum(d[::-1] ** 2)[::-1]  # sum_{i>=j} d_i^2
-    if not np.isfinite(sums[0]):
-        raise DomainError(f"pattern is too far from class {k}'s mean to sample: "
-                          f"its whitened squared distance overflows")
-    tails = np.append(sums[1:], 0.0)
-    scale = np.sqrt(tails + c_k)
-    if diagonal is None:
-        diagonal = _bartlett_diagonal(rng, model.a_star, dim, n_samples)
-    else:
-        # C order, so each row sums in the order of a drawn diagonal.
-        diagonal = np.ascontiguousarray(diagonal, dtype=np.float64)
-        if diagonal.shape != (n_samples, dim):
-            raise ShapeMismatch(f"Bartlett diagonal has shape {diagonal.shape}, "
-                                f"expected {(n_samples, dim)}")
-        if not (diagonal.min() > 0.0 and np.isfinite(diagonal.max())):
-            raise DomainError("Bartlett diagonal entries must be finite and positive")
-    log_norm = 0.5 * dim * np.log(2.0 * np.pi)
-    # Lambda = G G^T with G = L^{-T} A and B* = L L^T, so log|Lambda| is
-    # 2 sum log A_jj - log|B*|. With mu = mu_k + sqrt(c) G^{-T} z the
-    # Gaussian exponent is ||A^T d - sqrt(c) z||^2, d = L^{-1}(x - mu_k).
-    # A block's temporaries, about five arrays of its size, stay within
-    # _BLOCK_ENTRIES entries.
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // dim // 8))
-    log_weights = np.empty(n_samples)
-    for start in range(0, n_samples, rows):
-        block = diagonal[start:start + rows]
-        v = block * d + scale * rng.standard_normal(block.shape)
-        with np.errstate(over="ignore"):  # an infinite exponent is a zero weight
-            exponent = np.sum(v * v, axis=1)
-        log_weights[start:start + rows] = ((2.0 * np.sum(np.log(block), axis=1)
-                                            - model.logdet_b_star) * 0.5
-                                           - log_norm - exponent * 0.5)
 
-    # The shift, the weights and their deviations, in place.
+def _mean_and_error(log_weights: np.ndarray):
+    """Mean of exp(log_weights) and its jackknife standard error, which for
+    a mean is ``sqrt(sum (w_i - mean)^2 / (n (n - 1)))`` and infinite at
+    n = 1. Shifted by the largest log weight; ``log_weights`` is overwritten.
+    """
+    n_samples = log_weights.size
     shift = float(np.max(log_weights))
-    if not np.isfinite(shift):
-        raise DomainError(f"pattern is too far from class {k}'s mean to sample: "
-                          f"every sample's Gaussian exponent overflows")
     scaled = log_weights
     scaled -= shift
     np.exp(scaled, out=scaled)
@@ -210,6 +144,112 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     scaled *= scaled
     jack_var = float(np.sum(scaled) / (n_samples * (n_samples - 1)))
     return estimate, float(np.exp(shift) * np.sqrt(jack_var))
+
+
+def _effective_size(log_det: np.ndarray) -> float:
+    """(sum w)^2 / sum w^2 for weights proportional to exp(log_det)."""
+    weights = log_det - np.max(log_det)
+    np.exp(weights, out=weights)
+    return float(np.sum(weights) ** 2 / np.dot(weights, weights))
+
+
+def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
+                  n_samples: int, *, log_det=None):
+    """Importance-sampled estimate of the predictive density of x under class k.
+
+    With mu integrated out, the density is the average over Lambda ~
+    Wishart(a*, B*) of Normal(x | mu*_k, (1 + c*_k) Lambda^{-1}). Its
+    exponent -e^T Lambda e / 2, e = (x - mu*_k) / sqrt(1 + c*_k), moves
+    the Wishart to Wishart(a*, B* + e e^T) at the cost of the factor
+    (1 + q)^{-a*/2}, q = ||L^{-1} e||^2 with B* = L L^T. So Lambda is drawn
+    from that updated Wishart, and sample s weighs
+
+        (2 pi (1 + c*_k))^{-N/2} (1 + q)^{-a*/2} |Lambda_s|^{1/2},
+        log|Lambda_s| = 2 sum_j log A_jj,s - log|B*| - log(1 + q),
+
+    A_s the Bartlett factor of the draw. The weight reads only the Bartlett
+    diagonal, whose law depends on a* and N alone: no normal is drawn and
+    nothing is factored, as log|B*| and L^{-1} are the model's own. It
+    returns the estimate and its jackknife standard error, infinite when
+    ``n_samples = 1``.
+
+    ``log_det`` is an (S,) draw of sum_j log A_jj from
+    ``_bartlett_log_det(rng, a*, N, S)``; without it the call draws its
+    own. As it depends on neither x nor k, the probes of one model can
+    share one draw: their estimates are then correlated, but each is
+    unbiased with its own standard error. A draw made from ``rng`` just
+    before the call gives bit for bit the estimate of a call that draws
+    it. The array is read, never written.
+
+    Cost: one O(S N) draw, then per call an O(N^2) product with L^{-1} and
+    O(S) for the weights. Memory: (S,) arrays only. What it checks: the
+    closed form's normalizing constant, and its exponent in q, against the
+    Bartlett moments of the Wishart. What it does not: its x-dependence is
+    algebra, (1 + q)^{-(a*+1)/2} in every sample, so only the plain
+    estimator of the default ``verify`` suite simulates that.
+
+    Draws come from ``rng``, any ``numpy.random.Generator``. x and k are
+    checked as the scorer checks them (``DimensionMismatch``,
+    ``IndexError``, ``ValueError`` for an inf or NaN in x), and
+    ``n_samples`` must be an integer of at least 1 (``DomainError``). An x
+    so far out that q overflows is a ``DomainError``, a ``log_det`` of the
+    wrong shape a ``ShapeMismatch`` and one with an entry that is not
+    finite a ``DomainError``; each check comes before anything is drawn.
+    """
+    x = _one_row(model, x, k)
+    _check_finite(x)
+    _check_samples(n_samples)
+    c_k = float(model.c_star[k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = model.chol_b_star.inverse @ (x[0] - model.mu_star[:, k])
+        q = float(d @ d) / (1.0 + c_k)
+    if not q < np.inf:
+        raise DomainError(f"pattern is too far from class {k}'s mean to sample: "
+                          f"its whitened squared distance overflows")
+    if log_det is None:
+        log_det = _bartlett_log_det(rng, model.a_star, model.dim, n_samples)
+    else:
+        log_det = np.asarray(log_det, dtype=np.float64)
+        if log_det.shape != (n_samples,):
+            raise ShapeMismatch(f"Bartlett log-determinant has shape {log_det.shape}, "
+                                f"expected {(n_samples,)}")
+        if not (np.isfinite(log_det.min()) and np.isfinite(log_det.max())):
+            raise DomainError("Bartlett log-determinant entries must be finite")
+    log1p_q = np.log1p(q)
+    offset = -0.5 * (model.dim * np.log(2.0 * np.pi * (1.0 + c_k))
+                     + model.a_star * log1p_q + model.logdet_b_star + log1p_q)
+    return _mean_and_error(log_det + offset)
+
+
+def _mc_plain(rng: np.random.Generator, model: PredictiveModel, x: np.ndarray, k: int,
+              n_samples: int):
+    """Plain Monte-Carlo estimate of the predictive density of a finite (N,) x.
+
+    Draws ``Lambda ~ Wishart(a*, B*)`` and ``mu_k ~ Normal(mu*_k,
+    c*_k Lambda^{-1})`` and averages ``Normal(x | mu_k, Lambda^{-1})``, so
+    unlike :func:`mc_predictive` it simulates x's place in the integrand.
+    It backs the default ``verify`` suite's probes at N <= 3 and holds a
+    few (S, N) arrays. With B* = L L^T and A the Bartlett factor,
+    log|Lambda| = 2 sum log A_jj - log|B*|, and the Gaussian exponent is
+    ||v||^2, v_j = A_jj d_j + Normal(0, t_j + c*), d = L^{-1}(x - mu*_k),
+    t_j = sum_{i>j} d_i^2. An x whose exponent overflows in every sample
+    is a ``DomainError``.
+    """
+    dim = model.dim
+    mu_k, c_k = model.mu_star[:, k], float(model.c_star[k])
+    d = model.chol_b_star.inverse @ (x - mu_k)
+    tails = np.append(np.cumsum(d[::-1] ** 2)[::-1][1:], 0.0)  # sum_{i>j} d_i^2
+    scale = np.sqrt(tails + c_k)
+    diagonal = _bartlett_diagonal(rng, model.a_star, dim, n_samples)
+    v = diagonal * d + scale * rng.standard_normal(diagonal.shape)
+    with np.errstate(over="ignore"):  # an infinite exponent is a zero weight
+        exponent = np.sum(v * v, axis=1)
+    log_weights = ((2.0 * np.sum(np.log(diagonal), axis=1) - model.logdet_b_star) * 0.5
+                   - 0.5 * dim * np.log(2.0 * np.pi) - exponent * 0.5)
+    if not np.isfinite(np.max(log_weights)):
+        raise DomainError(f"pattern is too far from class {k}'s mean to sample: "
+                          f"every sample's Gaussian exponent overflows")
+    return _mean_and_error(log_weights)
 
 
 def sample_dataset(rng: np.random.Generator, dim: int, counts, r_true: float,
@@ -294,23 +334,25 @@ def _predictive_probes(rng: np.random.Generator, n_samples: int):
         k = int(rng.integers(0, n_classes))
         x = rng.normal(0.0, 1.5, size=dim)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, se = mc_predictive(rng, model, x, k, n_samples)
+        estimate, se = _mc_plain(rng, model, x, k, n_samples)
         results.append(_probe(f"mc-predictive-N{dim}K{n_classes}", closed, estimate, se))
     return results
 
 
 def _model_probes(rng: np.random.Generator, model, n_samples: int):
-    # One Bartlett diagonal serves every probe, drawn where the first
-    # probe would draw its own: x_0, diagonal, z_0, x_1, z_1, x_2, z_2.
-    results, diagonal = [], None
+    # One Bartlett log-determinant serves every probe, drawn where the first
+    # probe would draw its own: x_0, log_det, x_1, x_2. Every probe's weights
+    # are proportional to exp(log_det), so they share one effective size.
+    results, log_det = [], None
     for k in range(min(model.n_classes, 3)):
         x = model.mu_star[:, k] + rng.normal(0.0, 1.0, size=model.dim)
-        if diagonal is None:
-            diagonal = _bartlett_diagonal(rng, model.a_star, model.dim, n_samples)
+        if log_det is None:
+            log_det = _bartlett_log_det(rng, model.a_star, model.dim, n_samples)
+            ess = _effective_size(log_det)
         closed = float(np.exp(log_predictive(model, x, k)))
-        estimate, se = mc_predictive(rng, model, x, k, n_samples, diagonal=diagonal)
-        results.append(_probe(f"model-predictive-{model.class_names[k]}",
-                              closed, estimate, se))
+        estimate, se = mc_predictive(rng, model, x, k, n_samples, log_det=log_det)
+        results.append({**_probe(f"model-predictive-{model.class_names[k]}",
+                                 closed, estimate, se), "ess": ess})
     return results
 
 
@@ -320,14 +362,14 @@ def run_verification(seed: int, n_samples: int = 20000, model=None):
     Without a model this checks the Wishart sampling convention against
     the analytic mean, the chain-rule evidence identity, and closed-form
     versus Monte-Carlo predictive densities on three synthetic builds.
-    With a model it checks the model's own predictive scores against the
-    Monte-Carlo integral, without factoring anything. Its probes (one per
-    class, at most three) share one Bartlett diagonal, that is one set of
-    Lambda draws, drawn once right after the first probe's pattern: the
-    estimates are correlated, but each is unbiased with its own jackknife
-    standard error. The default suite and the first model probe are bit
-    for bit as when every probe drew its own diagonal; the later model
-    probes are not. Every stochastic probe uses the same
+    Those three use the plain estimator. With a model it checks the
+    model's own predictive scores against the importance-sampled integral
+    of :func:`mc_predictive`, without factoring anything. Its probes (one
+    per class, at most three) share one (S,) Bartlett log-determinant,
+    drawn once right after the first probe's pattern: the estimates are
+    correlated, but each is unbiased with its own jackknife standard
+    error, and each reports the effective sample size ``ess`` of the
+    shared weights. Every stochastic probe uses the same
     three-standard-error rule and needs a finite standard error, so
     ``n_samples = 1`` fails every Monte-Carlo probe.
     An ``n_samples`` that is not an integer of at least 1, or a seed that

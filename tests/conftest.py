@@ -54,6 +54,16 @@ def offset_dataset(offset):
     return LabeledDataset(x, labels, ("a", "b", "c", "d"))
 
 
+def separated_dataset(seed):
+    """N = 2, K = 3, 5 rows per class: class means drawn from
+    Normal(0, (1e4)^2), noise 1e-6, so the means lie 1e10 noise widths apart."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(3), 5)
+    means = rng.normal(0.0, 1e4, size=(3, 2))
+    x = means[labels] + 1e-6 * rng.normal(size=(15, 2))
+    return LabeledDataset(x, labels, ("a", "b", "c"))
+
+
 def random_spd(rng, n, jitter=1e-3):
     g = rng.normal(size=(n, n))
     return g @ g.T + jitter * np.eye(n)

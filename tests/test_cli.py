@@ -15,6 +15,8 @@ from gausset.errors import ParseError
 from gausset.model_io import load_model
 from gausset.montecarlo import sample_dataset, seeded_generator
 
+from conftest import separated_dataset
+
 
 def write_worked_csv(path):
     path.write_text("x0,label\n1,a\n3,a\n2,b\n")
@@ -345,6 +347,20 @@ class TestTuneR:
         data.write_text("x0,x1,label\n1,2,a\n")
         assert run(["tune-r", "--data", data]) == 3
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_far_separated_class_means_exit_0(self, tmp_path, capsys, seed):
+        # These files made tune-r exit 2 with numpy's "Matrix is not
+        # positive definite"; fit succeeded on them.
+        ds = separated_dataset(seed)
+        data = tmp_path / "separated.csv"
+        _write_rows(data, ["x0", "x1", "label"], ds.patterns, ds.class_names, ds.labels)
+        curve_path = tmp_path / "curve.csv"
+        assert run(["tune-r", "--data", data, "--grid", "13", "--out", curve_path]) == 0
+        assert "tuned r = " in capsys.readouterr().out
+        with open(curve_path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 13 and all(np.isfinite(float(value)) for _, value in rows)
+
     def test_reports_finite_r_and_matching_grid_mode(self, tmp_path, capsys):
         synth = tmp_path / "synth.csv"
         assert run(["gen-synth", "--out", synth, "--dim", "2", "--classes", "6",
@@ -446,6 +462,24 @@ class TestVerify:
         assert run(["fit", "--data", data, "--out", model_path]) == 0
         assert run(["verify", "--model", model_path, "--samples", "20000"]) == 0
 
+    def test_model_probes_report_their_ess(self, tmp_path, capsys):
+        # Each model probe's line and JSON entry carry its effective sample
+        # size; the default suite's entries do not (test_default_run_passes).
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--out", model_path]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--model", model_path, "--samples", "2000"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        report = json.loads(lines[-1])
+        assert len(lines) == len(report["probes"]) + 1 == 3
+        for line, probe in zip(lines, report["probes"]):
+            assert set(probe) == {"probe", "closed_form", "mc_estimate", "std_error",
+                                  "pass", "ess"}
+            assert 1.0 <= probe["ess"] <= 2000
+            assert line.endswith(f" ess={probe['ess']:.1f}")
+
     def test_single_sample_cannot_pass(self, tmp_path, capsys):
         # One sample has an infinite standard error, which would accept
         # any estimate under the three-standard-error rule.
@@ -488,18 +522,23 @@ class TestVerify:
     def test_allocation_failure_is_an_aborted_verification(self, tmp_path, capsys,
                                                           monkeypatch):
         # Stands in for a --samples too large to allocate, which would
-        # raise numpy's MemoryError from the Bartlett diagonal.
+        # raise numpy's MemoryError from the Bartlett log-determinant, the
+        # one draw verify --model makes. Unpatched, this count would try to
+        # allocate 24 GB, so the spy asserts that it is the function called.
         data = tmp_path / "data.csv"
         write_worked_csv(data)
         model_path = tmp_path / "model.json"
         assert run(["fit", "--data", data, "--out", model_path]) == 0
         capsys.readouterr()
+        calls = []
 
         def out_of_memory(*args):
+            calls.append(args[1:])
             raise MemoryError("Unable to allocate 447. GiB for an array")
 
-        monkeypatch.setattr(montecarlo, "_bartlett_diagonal", out_of_memory)
+        monkeypatch.setattr(montecarlo, "_bartlett_log_det", out_of_memory)
         assert run(["verify", "--model", model_path, "--samples", "3000000000"]) == 1
+        assert calls == [(3.0, 1, 3000000000)]
         out = capsys.readouterr().out
         assert out.startswith("FAIL verification aborted: Unable to allocate")
         report = json.loads(out.strip().splitlines()[-1])

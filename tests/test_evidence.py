@@ -22,11 +22,11 @@ from gausset import (
     tune_r,
     write_curve_csv,
 )
-from gausset import linalg
+from gausset import evidence, linalg
 from gausset.errors import DegenerateScatter, DomainError, ImproperPrior
 from gausset.montecarlo import sample_dataset
 
-from conftest import offset_dataset
+from conftest import offset_dataset, separated_dataset
 
 
 def sequential_log_predictive(ds, prior, order):
@@ -548,6 +548,21 @@ class TestBatchedEvidence:
         assert np.isnan(curve[1]) and np.isnan(dense_log_evidence(stats, 10.0)[0])
         with pytest.raises(DegenerateScatter):
             log_evidence_noninformative(stats, 10.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_far_separated_class_means_take_the_per_r_route(self, seed):
+        # The means' Gram matrix rounds the identity away in A(r), and
+        # LAPACK refused A's batched Cholesky with a raw LinAlgError. Such
+        # a batch is scored per r, where every point here is finite.
+        stats = accumulate(separated_dataset(seed))
+        counts = stats.counts.astype(np.float64)
+        per_r = (0.5 * 2 * (3 * np.log(self.GRID)
+                            - np.sum(np.log(self.GRID[:, None] + counts), axis=1))
+                 - 0.5 * 15 * np.array([evidence._log_det(stats, r, None) for r in self.GRID]))
+        curve = evidence_curve(stats, self.GRID).log_evidence
+        assert np.all(np.isfinite(curve))
+        np.testing.assert_allclose(curve, per_r, rtol=1e-15, atol=0.0)
+        assert np.isfinite(log_evidence_noninformative(stats, tune_r(stats, 1e-3, 1e3)))
 
     @staticmethod
     def constant_feature_dataset(levels, offset=0.0):

@@ -1,11 +1,9 @@
 import functools
+import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gausset import (
     PriorHyper,
@@ -21,7 +19,6 @@ from gausset import (
     seeded_generator,
 )
 from gausset import linalg, montecarlo
-from gausset.dataset import _BLOCK_ENTRIES
 from gausset.errors import DimensionMismatch, DomainError, ShapeMismatch
 from gausset.linalg import cholesky
 from gausset.model_io import load_model, save_model
@@ -42,18 +39,14 @@ def small_model(dim):
     return build_model(make_posterior(40 + dim, dim, [4, 5]))
 
 
-@st.composite
-def blocked_probes(draw):
-    """(dim, S, block entries, seed, k) for mc_predictive on a small model.
-
-    The block sizes cover one row, several rows with a ragged last block,
-    exactly S rows and more than S rows.
-    """
-    dim = draw(st.integers(1, 4))
-    n_samples = draw(st.integers(1, 40))
-    entries = draw(st.sampled_from([dim, 7 * dim, n_samples * dim, n_samples * dim + 1])
-                   | st.integers(1, (n_samples + 2) * dim))
-    return dim, n_samples, entries, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 1))
+@functools.cache
+def wrong_form_model(shape):
+    """A model of the benchmark's `tall` or `wide` size, noise 0.2, and its S."""
+    dim, counts, n_samples = {"tall": (20, [2000] * 10, 20000),
+                              "wide": (200, [100] * 6, 200)}[shape]
+    ds, _ = sample_dataset(np.random.default_rng(70), dim, counts, 1.0,
+                           precision=25.0 * np.eye(dim))
+    return build_model(posterior(accumulate(ds), PriorHyper.noninformative(1.0))), n_samples
 
 
 class TestSeededGenerator:
@@ -141,6 +134,26 @@ class TestSampleWishart:
         assert not keep.all()
         np.testing.assert_array_equal(diag[keep], np.sqrt(raw[keep]))
         assert (diag[~keep] == np.sqrt(tiny)).all()
+
+    @pytest.mark.parametrize("a, dim", [(3.5, 1), (14.0, 3), (40.0, 20), (20022.0, 20)])
+    def test_bartlett_log_det_folds_the_diagonal(self, a, dim):
+        # The same chi-square columns as _bartlett_diagonal, in its order,
+        # summed as they are drawn: the generator ends in the same state.
+        # (Near a = N - 1 the entries' logs cancel, and at N = 200 numpy's
+        # pairwise row sums differ from the running sum by up to 1.7e-15.)
+        folded, whole = np.random.default_rng(19), np.random.default_rng(19)
+        log_det = montecarlo._bartlett_log_det(folded, a, dim, 5000)
+        reference = np.log(montecarlo._bartlett_diagonal(whole, a, dim, 5000)).sum(axis=1)
+        np.testing.assert_allclose(log_det, reference, rtol=1e-15, atol=0.0)
+        assert folded.bit_generator.state == whole.bit_generator.state
+
+    def test_bartlett_log_det_holds_no_sample_matrix(self):
+        # The running sum and one column, where the (S, N) diagonal is ten.
+        dim, n_samples, gen = 10, 20000, np.random.default_rng(20)
+        peak, log_det = traced_peak(lambda: montecarlo._bartlett_log_det(
+            gen, 15.0, dim, n_samples))
+        assert log_det.shape == (n_samples,)
+        assert peak <= 2 * n_samples * 8 + 64 * 1024
 
     def test_vector_scale_rejected(self):
         with pytest.raises(DimensionMismatch, match="expected square matrices"):
@@ -288,93 +301,78 @@ class TestMcPredictive:
         assert first == second
 
     def test_estimate_pinned_bit_for_bit(self):
-        # The estimate and its error for one seed and model, as they stood
-        # before v was built in place: same draws, same float operations.
+        # The default suite's plain estimator, as it stood when it was the
+        # public one and drew its normals a block at a time: same draws,
+        # same float operations.
+        model = build_model(make_posterior(38, 3, [5, 4]))
+        x = np.array([0.3, -1.0, 0.8])
+        got = montecarlo._mc_plain(np.random.default_rng(2718), model, x, 1, 20000)
+        assert repr(got) == "(0.06337774021934485, 0.00030679898423108796)"
+
+    def test_importance_sampled_estimate_pinned_bit_for_bit(self):
         model = build_model(make_posterior(38, 3, [5, 4]))
         x = np.array([0.3, -1.0, 0.8])
         got = mc_predictive(np.random.default_rng(2718), model, x, 1, 20000)
-        assert repr(got) == "(0.06337774021934485, 0.00030679898423108796)"
+        assert repr(got) == "(0.0631010805452056, 0.00015742967323379757)"
 
-    @settings(max_examples=150, deadline=None)
-    @given(blocked_probes())
-    def test_block_size_does_not_change_a_bit(self, case):
-        # Blocks consume the normals in row-major order, as one (S, N) draw
-        # does, and each row's sums see the same float operations.
-        dim, n_samples, entries, seed, k = case
-        model = small_model(dim)
-        x = np.random.default_rng(seed).normal(0.0, 1.5, size=dim)
-        whole = mc_predictive(np.random.default_rng(seed), model, x, k, n_samples)
-        with mock.patch.object(montecarlo, "_BLOCK_ENTRIES", entries):
-            blocked = mc_predictive(np.random.default_rng(seed), model, x, k, n_samples)
-        assert repr(blocked) == repr(whole)
-
-    @settings(max_examples=100, deadline=None)
-    @given(blocked_probes())
-    def test_block_size_does_not_change_a_bit_with_shared_diagonal(self, case):
-        # The same property when the diagonal comes in through diagonal=
-        # and v is built in scratch rather than in the diagonal's rows.
-        dim, n_samples, entries, seed, k = case
-        model = small_model(dim)
-        x = np.random.default_rng(seed).normal(0.0, 1.5, size=dim)
-
-        def shared():
-            rng = np.random.default_rng(seed)
-            diagonal = montecarlo._bartlett_diagonal(rng, model.a_star, dim, n_samples)
-            return mc_predictive(rng, model, x, k, n_samples, diagonal=diagonal)
-
-        whole = shared()
-        with mock.patch.object(montecarlo, "_BLOCK_ENTRIES", entries):
-            blocked = shared()
-        assert repr(blocked) == repr(whole)
+    def test_draws_only_the_bartlett_chi_squares(self):
+        # N chi-square columns and no normal: a passed log_det leaves the
+        # generator untouched, and without one the call consumes exactly
+        # what _bartlett_log_det draws.
+        model, x = small_model(3), np.array([0.3, -1.0, 0.8])
+        gen = np.random.default_rng(69)
+        state = gen.bit_generator.state
+        mc_predictive(gen, model, x, 0, 500, log_det=np.zeros(500))
+        assert gen.bit_generator.state == state
+        mc_predictive(gen, model, x, 0, 500)
+        ref = np.random.default_rng(69)
+        montecarlo._bartlett_log_det(ref, model.a_star, 3, 500)
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_passed_diagonal_matches_own_draw(self, dim):
-        # Drawing the diagonal from the same stream just before the call is
-        # the call's own first draw, so the estimates agree repr for repr.
+        # The shared Bartlett diagonal comes in folded, as its (S,)
+        # log-determinant. Drawing it from the same stream just before the
+        # call is the call's own draw, so the estimates agree repr for repr.
         model, k = small_model(dim), 1
         x = np.linspace(-0.5, 0.7, dim)
         rng = np.random.default_rng(61)
-        diagonal = montecarlo._bartlett_diagonal(rng, model.a_star, dim, 3000)
-        shared = mc_predictive(rng, model, x, k, 3000, diagonal=diagonal)
+        log_det = montecarlo._bartlett_log_det(rng, model.a_star, dim, 3000)
+        shared = mc_predictive(rng, model, x, k, 3000, log_det=log_det)
         own = mc_predictive(np.random.default_rng(61), model, x, k, 3000)
         assert repr(shared) == repr(own)
 
-    def test_fortran_ordered_diagonal_gives_the_same_estimate(self):
-        # Row sums of 8 or more entries run in another order over a
-        # column-major block, which moved the estimate in the last bits.
-        model, x = small_model(9), np.linspace(-0.5, 0.7, 9)
-        diagonal = montecarlo._bartlett_diagonal(np.random.default_rng(65), model.a_star, 9, 3000)
-        rows = mc_predictive(np.random.default_rng(66), model, x, 0, 3000, diagonal=diagonal)
-        columns = mc_predictive(np.random.default_rng(66), model, x, 0, 3000,
-                                diagonal=np.asfortranarray(diagonal))
-        assert repr(columns) == repr(rows)
-
     def test_read_only_diagonal_is_left_unchanged(self):
         model, x = small_model(3), np.array([0.3, -1.0, 0.8])
-        diagonal = montecarlo._bartlett_diagonal(np.random.default_rng(62), model.a_star, 3, 500)
-        before = diagonal.copy()
-        diagonal.flags.writeable = False
-        first = mc_predictive(np.random.default_rng(63), model, x, 0, 500, diagonal=diagonal)
-        second = mc_predictive(np.random.default_rng(63), model, x, 0, 500, diagonal=diagonal)
-        np.testing.assert_array_equal(diagonal, before)
+        log_det = montecarlo._bartlett_log_det(np.random.default_rng(62), model.a_star, 3, 500)
+        before = log_det.copy()
+        log_det.flags.writeable = False
+        first = mc_predictive(np.random.default_rng(63), model, x, 0, 500, log_det=log_det)
+        second = mc_predictive(np.random.default_rng(63), model, x, 0, 500, log_det=log_det)
+        np.testing.assert_array_equal(log_det, before)
         assert np.isfinite(first).all() and first == second
 
-    @pytest.mark.parametrize("shape", [(499, 3), (500, 2), (500,), (3, 500)])
+    @pytest.mark.parametrize("shape", [(500, 3), (499,), (501,), (1, 500)])
     def test_diagonal_of_wrong_shape_draws_nothing(self, shape):
+        # log_det is (S,), so an (S, N) Bartlett diagonal is refused too.
         gen = np.random.default_rng(64)
         state = gen.bit_generator.state
-        with pytest.raises(ShapeMismatch, match="Bartlett diagonal has shape"):
-            mc_predictive(gen, small_model(3), np.zeros(3), 0, 500, diagonal=np.ones(shape))
+        with pytest.raises(ShapeMismatch, match="Bartlett log-determinant has shape"):
+            mc_predictive(gen, small_model(3), np.zeros(3), 0, 500, log_det=np.ones(shape))
         assert gen.bit_generator.state == state
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_diagonal_not_finite_and_positive_draws_nothing(self, bad):
+        # A diagonal entry that is not finite and positive has a log that
+        # is not finite, and the log-determinant that holds it is refused.
         gen = np.random.default_rng(65)
         state = gen.bit_generator.state
         diagonal = np.ones((500, 3))
         diagonal[250, 1] = bad
-        with pytest.raises(DomainError, match="finite and positive"):
-            mc_predictive(gen, small_model(3), np.zeros(3), 0, 500, diagonal=diagonal)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_det = np.log(diagonal).sum(axis=1)
+        with pytest.raises(DomainError, match="must be finite"):
+            mc_predictive(gen, small_model(3), np.zeros(3), 0, 500, log_det=log_det)
         assert gen.bit_generator.state == state
 
     @pytest.mark.parametrize("x", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)])
@@ -403,27 +401,25 @@ class TestMcPredictive:
         # some samples at 1e154 and in all of them at 3e154. An infinite
         # exponent is a zero weight, raising no warning; when every weight
         # is zero the call raises rather than return 0/0 = NaN.
-        model = small_model(1)
-        assert mc_predictive(np.random.default_rng(68), model, [1e154], 0, 1000) == (0.0, 0.0)
+        # The default suite's plain estimator is the one with that exponent.
+        model, plain = small_model(1), montecarlo._mc_plain
+        assert plain(np.random.default_rng(68), model, np.array([1e154]), 0, 1000) == (0.0, 0.0)
         with pytest.raises(DomainError, match="every sample's Gaussian exponent overflows"):
-            mc_predictive(np.random.default_rng(68), model, [3e154], 0, 1000)
+            plain(np.random.default_rng(68), model, np.array([3e154]), 0, 1000)
 
-    def test_peak_memory_is_one_sample_array_and_one_block(self):
-        # The (S, N) Bartlett diagonal, the (S,) log weights, and one block
-        # of scratch with its row sums: about 1.5x S N 8 bytes here, 1.25x
-        # at N = 20, and towards 1x as S grows.
+    def test_peak_memory_is_a_few_sample_vectors(self):
+        # The (S,) log-determinant, then the (S,) log weights beside it: no
+        # (S, N) array, which here would be ten of them.
         dim, n_samples = 10, 20000
         model = build_model(make_posterior(39, dim, [30, 30]))
         peak, (estimate, _) = traced_peak(lambda: mc_predictive(
             np.random.default_rng(3), model, np.zeros(dim), 0, n_samples))
         assert np.isfinite(estimate)
-        block = _BLOCK_ENTRIES // dim * dim
-        assert peak <= (n_samples * dim + n_samples + 1.5 * block) * 8
+        assert peak <= 2 * n_samples * 8 + 64 * 1024
 
     def test_peak_memory_at_one_feature_is_two_sample_arrays(self):
-        # At N = 1 the diagonal and the log weights are each S N 8 bytes.
-        # A block holds at most _BLOCK_ROWS rows, so its scratch and row
-        # sums add about 64 KiB. Blocks of 32,768 rows added 3x S N 8 bytes.
+        # At N = 1 the log-determinant and the log weights are each
+        # S N 8 bytes.
         n_samples = 20000
         model = build_model(make_posterior(39, 1, [30, 30]))
         peak, (estimate, _) = traced_peak(lambda: mc_predictive(
@@ -547,45 +543,61 @@ class TestRunVerification:
         assert len(calls) == 0
 
     def test_model_probes_share_one_bartlett_diagonal(self, monkeypatch):
+        # One (S,) log-determinant for every probe, and no (S, N) diagonal.
         model = build_model(make_posterior(38, 2, [4, 5, 6, 3]))
         draws, calls = [], []
-        draw, probe = montecarlo._bartlett_diagonal, montecarlo.mc_predictive
+        draw, probe = montecarlo._bartlett_log_det, montecarlo.mc_predictive
 
         def spy_draw(*args):
             draws.append(draw(*args))
             return draws[-1]
 
         def spy_probe(*args, **kwargs):
-            calls.append(kwargs.get("diagonal"))
+            calls.append(kwargs.get("log_det"))
             return probe(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "_bartlett_diagonal", spy_draw)
+        def no_diagonal(*args):
+            raise AssertionError("a model run draws no Bartlett diagonal")
+
+        monkeypatch.setattr(montecarlo, "_bartlett_log_det", spy_draw)
+        monkeypatch.setattr(montecarlo, "_bartlett_diagonal", no_diagonal)
         monkeypatch.setattr(montecarlo, "mc_predictive", spy_probe)
         report = run_verification(seed=39, n_samples=300, model=model)
         assert len(report["probes"]) == 3 and len(draws) == 1 and len(calls) == 3
-        assert all(diagonal is draws[0] for diagonal in calls)
+        assert draws[0].shape == (300,)
+        assert all(log_det is draws[0] for log_det in calls)
 
     def test_model_draw_order(self):
-        # x_0, the diagonal, z_0, then x_1, z_1 and x_2, z_2: the first
-        # probe draws exactly what it drew when every probe drew its own.
+        # x_0, the log-determinant, then x_1 and x_2: the probes draw no
+        # normals of their own.
         model, seed, n_samples = build_model(make_posterior(38, 2, [4, 5, 6])), 39, 700
         rng = seeded_generator(seed)
         expected = []
         for k in range(3):
             x = model.mu_star[:, k] + rng.normal(0.0, 1.0, size=2)
             if k == 0:
-                diagonal = montecarlo._bartlett_diagonal(rng, model.a_star, 2, n_samples)
-            expected.append(mc_predictive(rng, model, x, k, n_samples, diagonal=diagonal))
+                log_det = montecarlo._bartlett_log_det(rng, model.a_star, 2, n_samples)
+            expected.append(mc_predictive(rng, model, x, k, n_samples, log_det=log_det))
         report = run_verification(seed=seed, n_samples=n_samples, model=model)
         assert [(p["mc_estimate"], p["std_error"]) for p in report["probes"]] == expected
 
     def test_first_model_probe_pinned_bit_for_bit(self):
-        # As it stood when every probe drew its own diagonal; the second
-        # and third probes now read the first probe's diagonal.
         model = build_model(make_posterior(38, 2, [4, 5, 6]))
         first = run_verification(seed=39, n_samples=2000, model=model)["probes"][0]
-        assert repr((first["mc_estimate"], first["std_error"])) == (
-            "(0.20164605583189998, 0.001483073143597268)")
+        assert repr((first["mc_estimate"], first["std_error"], first["ess"])) == (
+            "(0.2002108000016143, 0.0010305985271989414, 1899.3922385060919)")
+
+    def test_every_model_probe_reports_the_shared_ess(self):
+        # Every probe's weights are exp(log_det) times a constant of its
+        # own, so all share (sum w)^2 / sum w^2 of the one draw.
+        model, n_samples = build_model(make_posterior(38, 2, [4, 5, 6])), 700
+        rng = seeded_generator(39)
+        rng.normal(0.0, 1.0, size=2)
+        weights = np.exp(montecarlo._bartlett_log_det(rng, model.a_star, 2, n_samples))
+        report = run_verification(seed=39, n_samples=n_samples, model=model)
+        assert [p["ess"] for p in report["probes"]] == pytest.approx(
+            [weights.sum() ** 2 / (weights @ weights)] * 3, rel=1e-12)
+        assert all(1.0 <= p["ess"] <= n_samples for p in report["probes"])
 
     def test_default_suite_pinned_bit_for_bit(self):
         # The default suite draws a diagonal per probe, as it always has.
@@ -609,14 +621,13 @@ class TestRunVerification:
         ], "all_pass": True}
 
     def test_model_run_peaks_at_one_sample_array(self):
-        # Three probes share one (S, N) diagonal and hold no copy of it, so
-        # the run peaks within the bound of one mc_predictive call.
+        # Three probes share one (S,) log-determinant and hold no copy of
+        # it: a few (S,) arrays, where one (S, N) array is ten of them.
         dim, n_samples = 10, 20000
         model = build_model(make_posterior(39, dim, [30, 30, 30]))
         peak, report = traced_peak(lambda: run_verification(3, n_samples, model=model))
         assert len(report["probes"]) == 3
-        block = _BLOCK_ENTRIES // dim * dim
-        assert peak <= (n_samples * dim + n_samples + 1.5 * block) * 8
+        assert peak <= 3 * n_samples * 8 + 64 * 1024
 
     def test_model_with_a_star_near_its_floor_reports_every_probe(self):
         # At a* = 1.02 and N = 2 the second Bartlett entry is
@@ -632,6 +643,36 @@ class TestRunVerification:
         assert [p["probe"] for p in report["probes"]] == ["model-predictive-a",
                                                            "model-predictive-b"]
         assert report["all_pass"] and np.isfinite(estimate)
+
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    @pytest.mark.parametrize("c_shift, a_shift", [(0.0, 0), (1.0, 1), (1.0, -1)],
+                             ids=["c-star", "a-star-plus-1", "a-star-minus-1"])
+    def test_wrong_closed_form_fails_every_model_probe(self, monkeypatch, shape, c_shift,
+                                                       a_shift):
+        # The closed form with c* in place of c* + 1, or with a* off by one,
+        # fails every probe of a model the size of the benchmark's. The
+        # probes sit at mu*_k + Normal(0, I). Under unit noise that is a
+        # typical point, where a* off by one moves log p by
+        # (psi((a*+1)/2) - psi((a*+1-N)/2) - log(1 + q)) / 2, near 0, and
+        # 3 SE hides it; so the data's noise is 0.2 and the probes sit
+        # five noise widths out, where that difference is large.
+        model, n_samples = wrong_form_model(shape)
+
+        def closed_form(model, x, k, c_shift, a_shift):
+            a, dim, scale = model.a_star + a_shift, model.dim, model.c_star[k] + c_shift
+            d = model.chol_b_star.inverse @ (x - model.mu_star[:, k])
+            return (math.lgamma((a + 1.0) / 2.0) - math.lgamma((a + 1.0 - dim) / 2.0)
+                    - dim / 2.0 * math.log(math.pi * scale) - model.logdet_b_star / 2.0
+                    - (a + 1.0) / 2.0 * math.log1p(d @ d / scale))
+
+        x = model.mu_star[:, 1] + 0.1
+        assert closed_form(model, x, 1, 1.0, 0) == pytest.approx(
+            log_predictive(model, x, 1), rel=1e-12)
+        monkeypatch.setattr(montecarlo, "log_predictive",
+                            functools.partial(closed_form, c_shift=c_shift, a_shift=a_shift))
+        report = run_verification(20260808, n_samples, model=model)
+        assert len(report["probes"]) == 3
+        assert not any(p["pass"] for p in report["probes"])
 
     @pytest.mark.parametrize("n_samples", [2.5, 1e4])
     def test_non_integer_sample_count_is_domain_error(self, n_samples):
