@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDimension, NonFiniteValue, ParseError, ShapeMismatch
+from .errors import DomainError, EmptyDimension, NonFiniteValue, ParseError, ShapeMismatch
 from .linalg import _freeze, symmetrize
 
 # Entries per chunk of rows that accumulate centres and the scorer
@@ -98,6 +98,9 @@ class SufficientStats:
             raise ShapeMismatch("within-class scatter shape does not match the feature dimension")
         if np.any(counts < 0):
             raise ValueError("negative class count")
+        for name, value in (("means", means), ("within", within)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"sufficient statistics field {name!r} is not finite")
         _freeze(self, counts=counts, means=means, within=within)
 
     @property

@@ -34,17 +34,19 @@ mbar = xbar + (M - xbar 1^T) v, M - mbar 1^T = (M - xbar 1^T)(I - v 1^T), and
     B*(r) = P + V V^T,   V = sqrt(s) [M - xbar 1^T, xbar] T(r),
     T(r) = [[(I - v 1^T) diag(sqrt v), v], [0^T, 1]],
 
-so by the determinant lemma log det B* = log det P + log det(I + s T^T G T),
-G the Gram matrix of [M - xbar 1^T, xbar] whitened by P once. The
-offset-sized xbar column is last, so only the last pivot of that small
-Cholesky carries the cancellation of a large common offset.
+so by the determinant lemma log det B* = log det P + log det A,
+A = I + s T^T G T, G = R0^T R0 with R0 the R factor of a QR of
+[M - xbar 1^T, xbar] whitened by P once. A is never formed: the QR of
+[sqrt(s) R0 T(r); I], identity rows last so that Householder takes the
+large rows first, has an R that factors A to rounding however far apart
+the means lie, with every |R_jj| >= 1. The offset-sized xbar column is
+last, so only the last column of that small QR carries the cancellation
+of a large common offset.
 ``evidence_curve`` and ``tune_r`` score a whole grid of r in one batch.
 Where B + W fails the pivot check, or B = 0 and T - K' <= N (W is then
 singular, or full rank but often too ill-conditioned to whiten by), each
 r factors the N x N C(r) = B*(r) - s mbar mbar^T, B + W plus the
 w-weighted spread about mbar, instead and adds log1p(s mbar^T C^-1 mbar).
-So does each r of a batch whose small Cholesky fails: class means far
-apart relative to W round the identity away in I + s T^T G T.
 B*(r) itself is factored only if C(r) fails the pivot check or B = 0
 and T = N; with B = 0 and T < N every r is degenerate. No route but that
 last resort forms an N x N matrix with offset-sized entries, so a large
@@ -103,12 +105,12 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
     ``values`` gives (N/2) [K log r - sum_k log(r + T_k)] - ((a + T)/2)
     log det B*(r) for the prior (a, B) at every r, ``b=None`` standing for
     B = 0, and NaN where B*(r) is degenerate. The N x N work is done here
-    once: factor B + W and whiten the offset-free means M - xbar 1^T and
-    the count-weighted mean xbar. Each r then costs (K' + 1) x (K' + 1)
-    work through the determinant lemma of the module docstring. If B = 0
+    once: factor B + W, whiten the offset-free means M - xbar 1^T and the
+    count-weighted mean xbar, and take the R factor of their QR. Each r
+    then costs one QR of a (2K' + 2) x (K' + 1) stack at most, through the
+    determinant lemma of the module docstring, which cannot fail. If B = 0
     and T - K' <= N, or B + W fails the pivot rule, each r takes
-    :func:`_log_det` instead, and so does a batch whose small Cholesky
-    LAPACK refuses; if B = 0 and 0 < T < N, every r is NaN.
+    :func:`_log_det` instead; if B = 0 and 0 < T < N, every r is NaN.
     """
     counts = stats.counts.astype(np.float64)
     sizes = counts[counts > 0]
@@ -138,15 +140,16 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
 
     means = stats.means[:, counts > 0]
     xbar = means @ (sizes / total)
-    white = chol.inverse @ np.column_stack([means - xbar[:, None], xbar])
-    gram = white.T @ white
+    # root^T root is the whitened means' Gram matrix; root has min(N, K'+1) rows.
+    root = np.linalg.qr(chol.inverse @ np.column_stack([means - xbar[:, None], xbar]),
+                        mode="r")
     logdet_bw = linalg.logdet(chol)
     k = sizes.size
     eye = np.eye(k + 1)
 
     def values(r):
-        # log det B* = log det(B + W) + log det A, A = I + s T^T G T, where
-        # T = [[(I - v 1^T) diag(sqrt v), v], [0^T, 1]] and v = w / s.
+        # log det B* = log det(B + W) + log det A, and the R of the QR of
+        # [sqrt(s) root T(r); I] factors A = I + s T^T G T up to row signs.
         w = r[:, None] * sizes / (r[:, None] + sizes)
         s = np.sum(w, axis=1)
         v = w / s[:, None]
@@ -156,13 +159,9 @@ def _evidence_kernel(stats: SufficientStats, a: float = 0.0, b=None):
         t_hat[:, k, k] = 1.0
         # Products stay per r (stacks of rows), so one r scores bit for bit
         # as it does inside a batch.
-        a_mat = eye + s[:, None, None] * (t_hat.transpose(0, 2, 1) @ gram @ t_hat)
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(a_mat), axis1=1, axis2=2)
-        except np.linalg.LinAlgError:
-            # Class means far apart relative to W round the identity away in
-            # A, and one r that fails fails the batch: score it per r.
-            return per_r(r)
+        stack = np.concatenate([np.sqrt(s)[:, None, None] * root @ t_hat,
+                                np.broadcast_to(eye, t_hat.shape)], axis=1)
+        pivots = np.abs(np.diagonal(np.linalg.qr(stack, mode="r"), axis1=1, axis2=2))
         return bracket(r) - 0.5 * a_star * (logdet_bw + 2.0 * np.sum(np.log(pivots), axis=1))
 
     return values

@@ -34,12 +34,24 @@ def _freeze(obj, **fields) -> None:
 
 @dataclass(frozen=True)
 class CholeskyFactor:
-    """Lower-triangular factor L of an SPD matrix A, with L L^T = A."""
+    """Lower-triangular factor L of an SPD matrix A, with L L^T = A.
+
+    ``lower`` must be a non-empty square matrix (else
+    :class:`DimensionMismatch`), finite, zero above the diagonal and
+    positive on it (else :class:`NotPositiveDefinite`).
+    """
 
     lower: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, lower=np.asarray(self.lower, dtype=np.float64))
+        lower = np.asarray(self.lower, dtype=np.float64)
+        if lower.ndim != 2 or lower.shape[0] != lower.shape[1] or lower.shape[0] < 1:
+            raise DimensionMismatch(f"expected a non-empty square factor, got shape {lower.shape}")
+        diagonal = lower.diagonal()
+        if np.triu(lower, 1).any() or not (np.isfinite(lower).all() and np.all(diagonal > 0)):
+            raise NotPositiveDefinite(
+                "factor must be finite and lower-triangular with a positive diagonal")
+        _freeze(self, lower=lower)
 
     @property
     def dim(self) -> int:
@@ -50,12 +62,24 @@ class CholeskyFactor:
         """L^{-1}, exactly lower-triangular and read-only, formed on first use.
 
         Products with it and its transpose stand in for triangular
-        solves, which numpy lacks. LU pivoting inside ``np.linalg.inv``
-        can leave rounding noise above the diagonal, so that is cut off.
+        solves, which numpy lacks. LU pivoting inside the solve can leave
+        rounding noise above the diagonal, so that is cut off.
         """
-        inverse = np.tril(np.linalg.inv(self.lower))
+        inverse = np.tril(_solve(self.lower, np.eye(self.dim)))
         inverse.flags.writeable = False
         return inverse
+
+
+def _solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` for a triangular factor with a positive diagonal.
+
+    Its LU can still round a pivot to zero (tiny diagonal entries beside
+    large ones below them), which is reported as :class:`NotPositiveDefinite`.
+    """
+    try:
+        return np.linalg.solve(lower, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"factor is numerically singular: {exc}") from exc
 
 
 def symmetrize(a) -> np.ndarray:
@@ -127,8 +151,8 @@ def quadform(factor: CholeskyFactor, d) -> float:
         raise ValueError("array must not contain infs or NaNs")
     lower, y = factor.lower, np.empty_like(d)
     for i in range(0, factor.dim, 32):
-        y[i:i + 32] = np.linalg.solve(lower[i:i + 32, i:i + 32],
-                                      d[i:i + 32] - lower[i:i + 32, :i] @ y[:i])
+        y[i:i + 32] = _solve(lower[i:i + 32, i:i + 32],
+                             d[i:i + 32] - lower[i:i + 32, :i] @ y[:i])
     return float(y @ y)
 
 

@@ -49,18 +49,24 @@ def _check_samples(n_samples) -> None:
                           f"got n_samples={n_samples!r}")
 
 
+def _bartlett_column(rng: np.random.Generator, a: float, i: int, n: int) -> np.ndarray:
+    """Entry i of n Bartlett diagonals, sqrt(chi-square(a - i)), as (n,). A
+    draw below the smallest normal float (one that underflowed) is raised to it."""
+    column = rng.chisquare(a - i, size=n)
+    return np.sqrt(np.maximum(column, np.finfo(np.float64).tiny, out=column), out=column)
+
+
 def _bartlett_diagonal(rng: np.random.Generator, a: float, dim: int, n: int) -> np.ndarray:
     """Diagonals of n Bartlett factors A, A A^T ~ Wishart(a, I), as (n, N).
 
-    Entry i is sqrt(chi-square(a - i)), drawn column by column. The
-    entries below it are independent standard normals, independent of the
-    diagonal, so each caller draws only what it reads of them. A draw below
-    the smallest normal float (one that underflowed) is raised to it.
+    Drawn column by column with :func:`_bartlett_column`. The entries
+    below the diagonal are independent standard normals, independent of
+    it, so each caller draws only what it reads of them.
     """
     diag = np.empty((n, dim))
     for i in range(dim):
-        diag[:, i] = rng.chisquare(a - i, size=n)
-    return np.sqrt(np.maximum(diag, np.finfo(np.float64).tiny, out=diag), out=diag)
+        diag[:, i] = _bartlett_column(rng, a, i, n)
+    return diag
 
 
 def sample_wishart(rng: np.random.Generator, a: float, b, size=None) -> np.ndarray:
@@ -71,8 +77,8 @@ def sample_wishart(rng: np.random.Generator, a: float, b, size=None) -> np.ndarr
     U^{-1} is formed, never B^{-1}.
     """
     b = linalg.symmetrize(b)
-    if not float(a) > len(b) - 1:
-        raise DomainError(f"Wishart needs a > N - 1, got a={a}, N={len(b)}")
+    if not len(b) - 1 < float(a) < np.inf:
+        raise DomainError(f"Wishart needs a finite a > N - 1, got a={a}, N={len(b)}")
     try:
         chol_b = linalg.cholesky(b)
     except NotPositiveDefinite as exc:
@@ -104,8 +110,10 @@ def sample_matrix_normal(rng: np.random.Generator, m, r_diag,
         raise ShapeMismatch("mean matrix and column precisions disagree in K")
     if m.shape[0] != chol_precision.dim:
         raise ShapeMismatch("mean matrix rows do not match the precision dimension")
-    if np.any(r_diag <= 0.0):
-        raise ValueError("column precisions must be positive")
+    if not np.isfinite(m).all():
+        raise DomainError("mean matrix must be finite")
+    if not np.all((r_diag > 0.0) & (r_diag < np.inf)):
+        raise DomainError("column precisions must be finite and positive")
     z = rng.standard_normal(m.shape)
     return m + (chol_precision.inverse.T @ z) / np.sqrt(r_diag)[None, :]
 
@@ -113,15 +121,14 @@ def sample_matrix_normal(rng: np.random.Generator, m, r_diag,
 def _bartlett_log_det(rng: np.random.Generator, a: float, dim: int, n: int) -> np.ndarray:
     """sum_j log A_jj of n Bartlett factors A, A A^T ~ Wishart(a, I), as (n,).
 
-    Draws the entries of :func:`_bartlett_diagonal`, in its order and with
-    its floor, and folds the log of each column into one (n,) sum as it is
-    drawn, so no (n, N) array is held.
+    Draws the columns of :func:`_bartlett_diagonal`, in its order, and
+    folds the log of each into one (n,) sum as it is drawn, so no (n, N)
+    array is held.
     """
     total = np.zeros(n)
     for i in range(dim):
-        column = rng.chisquare(a - i, size=n)
-        np.maximum(column, np.finfo(np.float64).tiny, out=column)
-        total += np.log(np.sqrt(column, out=column), out=column)
+        column = _bartlett_column(rng, a, i, n)
+        total += np.log(column, out=column)
         del column  # before the next one is drawn
     return total
 

@@ -356,6 +356,8 @@ def decide(posterior_probs, costs):
         )
     if not np.logical_and.reduce(np.isfinite(costs), axis=None):
         raise ValueError("cost matrix entries must be finite")
+    if not np.logical_and.reduce(np.isfinite(posterior_probs), axis=None):
+        raise ValueError("posterior probabilities must be finite")
     actions = (posterior_probs @ costs).argmin(-1)
     return int(actions) if actions.ndim == 0 else actions
 

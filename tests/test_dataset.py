@@ -10,6 +10,7 @@ from gausset import LabeledDataset, SufficientStats, accumulate, load_csv, merge
 from gausset import dataset
 from gausset.dataset import _fast_table, _read_table, load_features
 from gausset.errors import (
+    DomainError,
     EmptyDimension,
     NonFiniteValue,
     ParseError,
@@ -373,6 +374,16 @@ class TestSufficientStats:
     def test_inconsistent_statistics_rejected(self, counts, means, within, error):
         with pytest.raises(error):
             SufficientStats(counts, means, within)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_means_rejected(self, bad):
+        with pytest.raises(DomainError, match="means"):
+            SufficientStats([2, 1], [[0.0, bad]], [[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_within_rejected(self, bad):
+        with pytest.raises(DomainError, match="within"):
+            SufficientStats([2, 1], [[0.0, 1.0]], [[bad]])
 
 
 class TestLoadCsv:

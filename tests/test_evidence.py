@@ -22,7 +22,7 @@ from gausset import (
     tune_r,
     write_curve_csv,
 )
-from gausset import evidence, linalg
+from gausset import linalg
 from gausset.errors import DegenerateScatter, DomainError, ImproperPrior
 from gausset.montecarlo import sample_dataset
 
@@ -371,23 +371,64 @@ def exact_log_det(matrix):
     return math.log(det.numerator) - math.log(det.denominator)
 
 
-def exact_log_evidence_proper(ds, prior):
-    """The documented proper log evidence with both log dets taken exactly.
-
-    B* = B + S - sum_k f_k f_k^T / (r + T_k) is formed from the rows as
-    Fractions, so none of its offset-sized entries is rounded.
-    """
-    n, t, r = ds.dim, ds.n_patterns, Fraction(prior.r)
-    b_star = [[Fraction(v) for v in row] for row in prior.b]
-    logdet_b = exact_log_det(b_star)
-    counts = []
+def exact_scale_matrix(ds, r, start):
+    """B*(r) = start + S - sum_k f_k f_k^T / (r + T_k) as Fractions, formed
+    from the rows so that none of its offset-sized entries is rounded, and
+    the class counts. ``start`` is a matrix of Fractions, updated in place."""
+    n, r, counts = ds.dim, Fraction(r), []
     for k in range(ds.n_classes):
         rows = [[Fraction(v) for v in x] for x in ds.patterns[ds.labels == k]]
         f = [sum(column) for column in zip(*rows)]
         for i in range(n):
             for j in range(n):
-                b_star[i][j] += sum(x[i] * x[j] for x in rows) - f[i] * f[j] / (r + len(rows))
+                start[i][j] += sum(x[i] * x[j] for x in rows) - f[i] * f[j] / (r + len(rows))
         counts.append(len(rows))
+    return start, counts
+
+
+def exact_log_evidence_noninformative(ds, r):
+    """The non-informative log evidence with log det B*(r) taken exactly."""
+    b_star, counts = exact_scale_matrix(ds, r, [[Fraction(0)] * ds.dim for _ in range(ds.dim)])
+    bracket = ds.n_classes * math.log(r) - sum(math.log(r + c) for c in counts)
+    return 0.5 * ds.dim * bracket - 0.5 * sum(counts) * exact_log_det(b_star)
+
+
+def exact_log_evidence_of_stats(stats, r):
+    """The non-informative log evidence of ``stats`` as given, exactly:
+    B*(r) = W + sum_k w_k m_k m_k^T in Fractions of their float entries."""
+    r, n = Fraction(r), stats.dim
+    w = [r * int(t) / (r + int(t)) for t in stats.counts]
+    means = [[Fraction(v) for v in row] for row in stats.means]
+    b_star = [[Fraction(stats.within[i, j])
+               + sum(wk * means[i][k] * means[j][k] for k, wk in enumerate(w))
+               for j in range(n)] for i in range(n)]
+    bracket = stats.n_classes * math.log(r) - sum(math.log(r + int(t)) for t in stats.counts)
+    return 0.5 * n * bracket - 0.5 * stats.total * exact_log_det(b_star)
+
+
+def mean_rounding_bound(ds, stats):
+    """A bound on how far the rounding of accumulate's class means d_k moves
+    the non-informative log evidence, at any r. With lam the least
+    eigenvalue of W, B*(r) >= W >= lam I and w_k m_k m_k^T <= B*(r). The
+    rounding adds T_k d_k d_k^T to W and w_k (m_k d_k^T + d_k m_k^T +
+    d_k d_k^T) to B*, w_k <= T_k, so to first order log det B* moves by
+    at most sum_k 2 sqrt(T_k) |d_k| / sqrt(lam) + 2 T_k |d_k|^2 / lam."""
+    lam = np.linalg.eigvalsh(stats.within)[0]
+    moved = 0.0
+    for k in range(ds.n_classes):
+        rows = ds.patterns[ds.labels == k]
+        exact = [sum(map(Fraction, column)) / len(rows) for column in rows.T]
+        d = math.hypot(*(float(Fraction(m) - e) for m, e in zip(stats.means[:, k], exact)))
+        moved += 2.0 * math.sqrt(len(rows)) * d / math.sqrt(lam) + 2.0 * len(rows) * d * d / lam
+    return 0.5 * ds.n_patterns * moved
+
+
+def exact_log_evidence_proper(ds, prior):
+    """The documented proper log evidence with both log dets taken exactly."""
+    n, t = ds.dim, ds.n_patterns
+    b = [[Fraction(v) for v in row] for row in prior.b]
+    logdet_b = exact_log_det(b)
+    b_star, counts = exact_scale_matrix(ds, prior.r, b)
     a, a_star = prior.a, prior.a + t
     bracket = ds.n_classes * math.log(prior.r) - sum(math.log(prior.r + c) for c in counts)
     return (-0.5 * t * n * math.log(2.0 * math.pi)
@@ -550,18 +591,16 @@ class TestBatchedEvidence:
             log_evidence_noninformative(stats, 10.0)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_far_separated_class_means_take_the_per_r_route(self, seed):
-        # The means' Gram matrix rounds the identity away in A(r), and
-        # LAPACK refused A's batched Cholesky with a raw LinAlgError. Such
-        # a batch is scored per r, where every point here is finite.
-        stats = accumulate(separated_dataset(seed))
-        counts = stats.counts.astype(np.float64)
-        per_r = (0.5 * 2 * (3 * np.log(self.GRID)
-                            - np.sum(np.log(self.GRID[:, None] + counts), axis=1))
-                 - 0.5 * 15 * np.array([evidence._log_det(stats, r, None) for r in self.GRID]))
+    def test_far_separated_class_means_take_the_k_route_accurately(self, seed):
+        # The whitened means are 1e10 wide beside A(r)'s unit directions, and
+        # LAPACK refused a Cholesky of the formed A. The QR of the stacked
+        # factor, identity rows last, keeps every point to rounding.
+        ds = separated_dataset(seed)
+        stats = accumulate(ds)
         curve = evidence_curve(stats, self.GRID).log_evidence
         assert np.all(np.isfinite(curve))
-        np.testing.assert_allclose(curve, per_r, rtol=1e-15, atol=0.0)
+        want = [exact_log_evidence_noninformative(ds, r) for r in self.GRID]
+        np.testing.assert_allclose(curve, want, rtol=1e-12, atol=0.0)
         assert np.isfinite(log_evidence_noninformative(stats, tune_r(stats, 1e-3, 1e3)))
 
     @staticmethod
@@ -605,6 +644,44 @@ class TestBatchedEvidence:
         prior = PriorHyper(r=1.0, a=4.0, b=1e-30 * np.eye(3))
         with pytest.raises(DegenerateScatter, match="posterior scale matrix is singular"):
             log_evidence_proper(stats, prior)
+
+
+@st.composite
+def k_route_datasets(draw):
+    """Datasets the kernel scores through its K' route: N 1-4, K 2-4
+    classes of at least one row each and N + K' < T <= N + K' + 3, unit
+    noise, and class means drawn 10^0 to 10^12 noise widths apart."""
+    dim = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    n_rows = draw(st.integers(dim + n_classes + 1, dim + n_classes + 3))
+    scale = 10.0 ** draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.concatenate(
+        [np.arange(n_classes), rng.integers(0, n_classes, n_rows - n_classes)]))
+    means = rng.normal(0.0, scale, (n_classes, dim))
+    patterns = means[labels] + rng.normal(size=(n_rows, dim))
+    return LabeledDataset(patterns, labels, tuple(f"c{k}" for k in range(n_classes)))
+
+
+class TestKRouteExactReference:
+    GRID = np.geomspace(1e-3, 1e3, 5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k_route_datasets(), st.sampled_from([0.0, 1e6]))
+    def test_curve_matches_exact_references(self, ds, offset):
+        # The kernel matches the exact evidence of the statistics it is given
+        # to 1e-12, and the rows' exact evidence to 1e-12 plus what rounding
+        # accumulate's class means can move it by. That share measured up to
+        # 7e-12 relative at offset 1e6 with means a few noise widths apart,
+        # and 2e-9 with means 1e12 apart, where W alone fills N - K' directions.
+        ds = LabeledDataset(ds.patterns + offset, ds.labels, ds.class_names)
+        stats = accumulate(ds)
+        curve = evidence_curve(stats, self.GRID).log_evidence
+        given_stats = [exact_log_evidence_of_stats(stats, r) for r in self.GRID]
+        np.testing.assert_allclose(curve, given_stats, rtol=1e-12, atol=0)
+        rows = np.array([exact_log_evidence_noninformative(ds, r) for r in self.GRID])
+        bound = 1e-12 * np.abs(rows) + mean_rounding_bound(ds, stats)
+        assert np.all(np.abs(curve - rows) <= bound)
 
 
 @st.composite

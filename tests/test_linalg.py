@@ -11,6 +11,7 @@ import gausset
 
 from gausset.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from gausset.linalg import (
+    CholeskyFactor,
     cholesky,
     log_gamma,
     log_multivariate_gamma,
@@ -117,6 +118,42 @@ class TestInverse:
         factor = cholesky(a)
         np.testing.assert_allclose(factor.lower @ factor.inverse, np.eye(30),
                                    rtol=0.0, atol=1e-12)
+
+
+class TestCholeskyFactorInput:
+    @pytest.mark.parametrize("lower", [np.ones(2), np.ones((2, 3)), np.ones((0, 0)),
+                                       np.ones((1, 2, 2))],
+                             ids=["vector", "non-square", "empty", "stack"])
+    def test_not_a_square_matrix_rejected(self, lower):
+        with pytest.raises(DimensionMismatch):
+            CholeskyFactor(lower)
+
+    @pytest.mark.parametrize("lower", [
+        [[1.0, 0.5], [0.0, 1.0]],
+        [[1.0, 0.0], [1.0, 0.0]],
+        [[-1.0, 0.0], [0.5, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [np.nan, 1.0]],
+    ], ids=["upper-entry", "zero-pivot", "negative-pivot", "inf-pivot", "nan-pivot",
+            "nan-below"])
+    def test_not_a_factor_rejected(self, lower):
+        with pytest.raises(NotPositiveDefinite):
+            CholeskyFactor(lower)
+
+    def test_cholesky_output_passes_unchanged(self):
+        rng = np.random.default_rng(45)
+        factor = cholesky(symmetrize(random_spd(rng, 5)))
+        again = CholeskyFactor(factor.lower)
+        assert again.lower is factor.lower
+
+    def test_pivot_rounded_to_zero_in_the_solve_is_structured(self):
+        # A valid factor whose pivoted LU rounds a 1e-300 pivot to zero.
+        factor = CholeskyFactor([[1e-300, 0.0], [1.0, 1e-300]])
+        with pytest.raises(NotPositiveDefinite):
+            factor.inverse
+        with pytest.raises(NotPositiveDefinite):
+            quadform(factor, np.ones(2))
 
 
 def test_import_loads_no_scipy():

@@ -172,6 +172,9 @@ class TestSampleWishart:
             sample_wishart(gen, 1.0, np.eye(2))  # needs a > N - 1
         with pytest.raises(DomainError):
             sample_wishart(gen, 5.0, np.zeros((2, 2)))
+        for a in (np.inf, np.nan):
+            with pytest.raises(DomainError):
+                sample_wishart(gen, a, np.eye(2))
 
 
 class TestSampleMatrixNormal:
@@ -206,8 +209,13 @@ class TestSampleMatrixNormal:
         (np.zeros((2, 2)), np.ones(3), ShapeMismatch),
         (np.zeros(2), np.ones(2), ShapeMismatch),
         (np.zeros((3, 2)), np.ones(2), ShapeMismatch),
-        (np.zeros((2, 2)), np.array([1.0, 0.0]), ValueError),
-    ], ids=["class-count", "means-vector", "dimension", "zero-precision"])
+        (np.zeros((2, 2)), np.array([1.0, 0.0]), DomainError),
+        (np.array([[np.nan, 0.0], [0.0, 0.0]]), np.ones(2), DomainError),
+        (np.array([[0.0, 0.0], [np.inf, 0.0]]), np.ones(2), DomainError),
+        (np.zeros((2, 2)), np.array([np.nan, 1.0]), DomainError),
+        (np.zeros((2, 2)), np.array([1.0, np.inf]), DomainError),
+    ], ids=["class-count", "means-vector", "dimension", "zero-precision", "nan-mean",
+            "inf-mean", "nan-precision", "inf-precision"])
     def test_inconsistent_arguments_rejected(self, m, r_diag, error):
         with pytest.raises(error):
             sample_matrix_normal(np.random.default_rng(0), m, r_diag, cholesky(np.eye(2)))

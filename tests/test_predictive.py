@@ -402,6 +402,12 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide([0.5, 0.5], np.array([[0.0, np.inf], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5], [[0.5, 0.5], [np.inf, 0.0]]],
+                             ids=["nan", "inf-in-block"])
+    def test_nonfinite_posterior_rejected(self, probs):
+        with pytest.raises(ValueError, match="posterior"):
+            decide(probs, zero_one_costs(2))
+
 
 class TestPinnedValues:
     """Every single-pattern scorer on the worked model, as ``repr`` gives
