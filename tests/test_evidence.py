@@ -22,7 +22,7 @@ from gausset import (
     tune_r,
     write_curve_csv,
 )
-from gausset import linalg
+from gausset import evidence, linalg
 from gausset.errors import DegenerateScatter, DomainError, ImproperPrior
 from gausset.montecarlo import sample_dataset
 
@@ -589,6 +589,21 @@ class TestBatchedEvidence:
         assert np.isnan(curve[1]) and np.isnan(dense_log_evidence(stats, 10.0)[0])
         with pytest.raises(DegenerateScatter):
             log_evidence_noninformative(stats, 10.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_far_separated_class_means_take_the_per_r_route(self, seed):
+        # LAPACK refused these curves a batched Cholesky of the formed A(r),
+        # and they were scored per r. The K' route now scores them, and must
+        # agree with the per-r log determinant at every point.
+        stats = accumulate(separated_dataset(seed))
+        counts = stats.counts.astype(np.float64)
+        per_r = (0.5 * 2 * (3 * np.log(self.GRID)
+                            - np.sum(np.log(self.GRID[:, None] + counts), axis=1))
+                 - 0.5 * 15 * np.array([evidence._log_det(stats, r, None) for r in self.GRID]))
+        curve = evidence_curve(stats, self.GRID).log_evidence
+        assert np.all(np.isfinite(curve))
+        np.testing.assert_allclose(curve, per_r, rtol=1e-15, atol=0.0)
+        assert np.isfinite(log_evidence_noninformative(stats, tune_r(stats, 1e-3, 1e3)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_far_separated_class_means_take_the_k_route_accurately(self, seed):
