@@ -48,6 +48,8 @@ def _build_prior(args, dim: int) -> PriorHyper:
         if args.a != 0.0:
             raise DomainError("a > 0 requires --b eps-identity to stay proper")
         return PriorHyper.noninformative(args.r)
+    if not args.eps > 0.0:
+        raise DomainError(f"--eps must be positive, got {args.eps}")
     return PriorHyper(r=args.r, a=args.a, b=args.eps * np.eye(dim))
 
 

@@ -69,7 +69,7 @@ from .errors import (
     ImproperPrior,
     NotPositiveDefinite,
 )
-from .inference import PriorHyper, _posterior_general
+from .inference import PriorHyper, _scale_matrix
 
 # Points of each of tune_r's batched scans.
 _TUNE_GRID = 64
@@ -84,17 +84,15 @@ def _log_det(stats: SufficientStats, r: float, b) -> float:
     where C(r) has rank at most T - 1.
     """
     w = r * stats.counts / (r + stats.counts)
-    r_diag = np.full(stats.n_classes, r)
     if b is not None or stats.total > stats.dim:
         mbar = stats.means @ w / np.sum(w)
         try:
-            chol = linalg.cholesky(_posterior_general(
-                stats, mbar[:, None].repeat(stats.n_classes, 1), r_diag, 0.0, b)[3])
+            chol = linalg.cholesky(_scale_matrix(stats, stats.means - mbar[:, None], w, b))
             return linalg.logdet(chol) + math.log1p(np.sum(w) * linalg.quadform(chol, mbar))
         except NotPositiveDefinite:
             pass
     try:
-        return linalg.logdet(linalg.cholesky(_posterior_general(stats, 0.0, r_diag, 0.0, b)[3]))
+        return linalg.logdet(linalg.cholesky(_scale_matrix(stats, stats.means, w, b)))
     except NotPositiveDefinite:
         return math.nan
 

@@ -115,40 +115,40 @@ class PosteriorMNW:
         return self.m_star.shape[1]
 
 
-def _resolve_b(b, dim: int) -> np.ndarray:
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (dim, dim):
+def _scale_matrix(stats: SufficientStats, dev, w, b) -> np.ndarray:
+    """Symmetrized B + W + sum_k w_k dev_k dev_k^T, ``b=None`` standing for B = 0.
+
+    B* has dev = M - theta; the evidence's C(r) has dev = M - mbar 1^T.
+    """
+    if b is not None and np.shape(b) != (stats.dim, stats.dim):
         raise ShapeMismatch(
-            f"prior scale matrix has shape {b.shape}, data dimension is {dim}"
-        )
-    return b
+            f"prior scale matrix has shape {np.shape(b)}, data dimension is {stats.dim}")
+    scatter = stats.within if b is None else np.asarray(b, dtype=np.float64) + stats.within
+    return linalg.symmetrize(scatter + (dev * w) @ dev.T)
 
 
 def _posterior_general(stats: SufficientStats, theta, r_diag, a: float, b):
-    """Conjugate update for a located prior; the one place B* is formed.
+    """Conjugate update for a located prior.
 
     Mean column k has prior Normal(theta_k, Lambda^{-1} / r_k), so a
     posterior can be re-used as the prior for more data. ``theta`` is
-    (N, K) or a scalar; ``posterior`` and the evidence pass 0. With
-    dev_k = m_k - theta_k:
+    (N, K) or a scalar; ``posterior`` passes 0. With dev_k = m_k - theta_k:
 
         R*  = r_diag + T_k
         M*  = (r_k theta_k + T_k m_k) / R*_k
         a*  = a + T
-        B*  = B + W + sum_k (r_k T_k / R*_k) dev_k dev_k^T
+        B*  = B + W + sum_k (r_k T_k / R*_k) dev_k dev_k^T   (:func:`_scale_matrix`)
     """
     counts = stats.counts.astype(np.float64)
     r_diag = np.asarray(r_diag, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
-    scatter = stats.within if b is None else _resolve_b(b, stats.dim) + stats.within
     if r_diag.shape != (stats.n_classes,):
         raise ShapeMismatch("per-class precision vector does not match K")
     if theta.shape not in ((), stats.means.shape):
         raise ShapeMismatch("prior location shape does not match (N, K)")
     r_star = r_diag + counts
-    dev = stats.means - theta
     m_star = (r_diag * theta + counts * stats.means) / r_star
-    b_star = linalg.symmetrize(scatter + (dev * (r_diag * counts / r_star)) @ dev.T)
+    b_star = _scale_matrix(stats, stats.means - theta, r_diag * counts / r_star, b)
     return m_star, r_star, a + stats.total, b_star
 
 

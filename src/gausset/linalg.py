@@ -25,9 +25,14 @@ PIVOT_RTOL = 1e-12
 
 
 def _freeze(obj, **fields) -> None:
-    """Set ``fields`` on the frozen dataclass ``obj``; arrays become read-only."""
+    """Set ``fields`` on the frozen dataclass ``obj``.
+
+    A writable array is stored as a read-only view of itself, so the
+    caller's array stays writable; a read-only array is stored as it is.
+    """
     for name, value in fields.items():
-        if isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            value = value.view()
             value.flags.writeable = False
         object.__setattr__(obj, name, value)
 
@@ -114,10 +119,10 @@ def cholesky(a) -> CholeskyFactor:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
-    if not (a == a.T).all():
-        raise ValueError("matrix is not symmetric; apply symmetrize() first")
     if not np.isfinite(a).all():
         raise NotPositiveDefinite("matrix has a non-finite entry")
+    if not (a == a.T).all():
+        raise ValueError("matrix is not symmetric; apply symmetrize() first")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
@@ -129,7 +134,9 @@ def cholesky(a) -> CholeskyFactor:
         raise NotPositiveDefinite(
             f"pivot {pivots[j]:.3e} at index {j} is <= tolerance {tol:.3e}"
         )
-    return CholeskyFactor(lower)
+    # The checks above imply CholeskyFactor's own, which are not run again.
+    _freeze(factor := object.__new__(CholeskyFactor), lower=lower)
+    return factor
 
 
 def logdet(factor: CholeskyFactor) -> float:

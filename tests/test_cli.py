@@ -126,6 +126,19 @@ class TestFit:
         assert "_star" not in err and "Warning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("a", ["0", "5"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "-100"])
+    def test_non_positive_eps_exits_2_naming_it(self, tmp_path, capsys, a, eps):
+        # -1 with a = 5 gave a negative-definite prior scale and exit 0, 0 the
+        # improper a > 0, B = 0 prior, and -100 exit 3 for too few patterns.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        out = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--a", a, "--b", "eps-identity",
+                    "--eps", eps, "--out", out]) == 2
+        assert f"--eps must be positive, got {float(eps)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_positive_a_with_zero_b_exits_2(self, tmp_path, capsys):
         # a > 0 with B = 0 is neither the non-informative nor a proper prior.
         data = tmp_path / "data.csv"

@@ -22,7 +22,7 @@ from gausset import (
     tune_r,
     write_curve_csv,
 )
-from gausset import evidence, linalg
+from gausset import evidence, inference, linalg
 from gausset.errors import DegenerateScatter, DomainError, ImproperPrior
 from gausset.montecarlo import sample_dataset
 
@@ -641,6 +641,22 @@ class TestBatchedEvidence:
         for r, value in zip(self.GRID, curve):
             want, floor = dense_log_evidence(stats, r)
             assert abs(value - want) <= 1e-12 * abs(want) + floor
+
+    def test_per_r_route_forms_its_matrices_without_the_posterior_update(self, monkeypatch):
+        # Each r forms C(r) (and B*(r) if C(r) fails) by the one B* formula,
+        # not through the located-prior update and its M*, R* and shape checks.
+        def refuse(*args):
+            raise AssertionError("the per-r route called _posterior_general")
+
+        formed = []
+        scale_matrix = evidence._scale_matrix
+        monkeypatch.setattr(inference, "_posterior_general", refuse)
+        monkeypatch.setattr(evidence, "_posterior_general", refuse, raising=False)
+        monkeypatch.setattr(evidence, "_scale_matrix",
+                            lambda *args: formed.append(1) or scale_matrix(*args))
+        stats = self.constant_feature_stats([0.0, 1.0, 2.5])
+        assert np.all(np.isfinite(evidence_curve(stats, self.GRID).log_evidence))
+        assert len(formed) == self.GRID.size
 
     def test_constant_feature_at_offset_1e8_is_finite_and_accurate(self):
         # W fails the pivot rule here too, and B*(r) would carry 1e16-sized

@@ -72,6 +72,14 @@ class TestCholesky:
             with pytest.raises(NotPositiveDefinite):
                 cholesky(a)
 
+    @pytest.mark.parametrize("a", [[[np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
+                                   [[1.0, np.nan], [0.0, 1.0]]],
+                             ids=["scalar", "symmetric", "one-sided"])
+    def test_nan_entry_is_non_finite_not_asymmetric(self, a):
+        # NaN != NaN, so a symmetry test first would call this asymmetric.
+        with pytest.raises(NotPositiveDefinite, match="non-finite entry"):
+            cholesky(a)
+
     def test_factor_is_c_contiguous(self):
         rng = np.random.default_rng(41)
         factor = cholesky(symmetrize(random_spd(rng, 5)))
@@ -141,6 +149,18 @@ class TestCholeskyFactorInput:
         with pytest.raises(NotPositiveDefinite):
             CholeskyFactor(lower)
 
+    def test_cholesky_runs_no_factor_check(self, monkeypatch):
+        # LAPACK's factor passes cholesky's own checks, which imply these.
+        calls = []
+        check = CholeskyFactor.__post_init__
+        monkeypatch.setattr(CholeskyFactor, "__post_init__",
+                            lambda self: calls.append(1) or check(self))
+        factor = cholesky(symmetrize(random_spd(np.random.default_rng(46), 4)))
+        assert calls == []
+        assert not factor.lower.flags.writeable
+        CholeskyFactor(factor.lower)
+        assert calls == [1]
+
     def test_cholesky_output_passes_unchanged(self):
         rng = np.random.default_rng(45)
         factor = cholesky(symmetrize(random_spd(rng, 5)))
@@ -154,6 +174,48 @@ class TestCholeskyFactorInput:
             factor.inverse
         with pytest.raises(NotPositiveDefinite):
             quadform(factor, np.ones(2))
+
+
+def frozen_value(name):
+    """A value of the frozen type ``name`` built from fresh writable arrays,
+    and the ``(caller's array, field name)`` pairs it was given."""
+    a, b, c = np.ones((2, 1)), np.ones(1), np.eye(2)
+    if name == "LabeledDataset":
+        return gausset.LabeledDataset(a, [0, 1], ("p", "q")), [(a, "patterns")]
+    if name == "SufficientStats":
+        counts = np.array([1])
+        return (gausset.SufficientStats(counts, a, c),
+                [(counts, "counts"), (a, "means"), (c, "within")])
+    if name == "CholeskyFactor":
+        return CholeskyFactor(c), [(c, "lower")]
+    if name == "PriorHyper":
+        return gausset.PriorHyper(1.0, 3.0, c), [(c, "b")]
+    if name == "PosteriorMNW":
+        return (gausset.PosteriorMNW(a, b, 3.0, c, 1.0),
+                [(a, "m_star"), (b, "r_star_diag"), (c, "b_star")])
+    if name == "PredictiveModel":
+        return (gausset.PredictiveModel(None, a, b, 3.0, 1.0, c),
+                [(a, "mu_star"), (b, "c_star"), (c, "b_star")])
+    if name == "ClassPrior":
+        return gausset.ClassPrior(b), [(b, "probs")]
+    grid = np.ones(2)
+    return gausset.EvidenceCurve(grid, b, None), [(grid, "r_values"), (b, "log_evidence")]
+
+
+@pytest.mark.parametrize("name", [
+    "LabeledDataset", "SufficientStats", "CholeskyFactor", "PriorHyper",
+    "PosteriorMNW", "PredictiveModel", "ClassPrior", "EvidenceCurve"])
+def test_frozen_values_leave_the_callers_arrays_writable(name):
+    value, fields = frozen_value(name)
+    assert type(value).__name__ == name
+    for array, field in fields:
+        own = getattr(value, field)
+        with pytest.raises(ValueError, match="read-only"):
+            own.flat[0] = 2.0
+        assert array.flags.writeable
+        array.flat[0] = 2.0
+        # Read-only views, not copies; PriorHyper symmetrizes B into a new array.
+        assert np.shares_memory(own, array) == (field != "b")
 
 
 def test_import_loads_no_scipy():

@@ -19,7 +19,7 @@ from gausset import (
     seeded_generator,
 )
 from gausset import linalg, montecarlo
-from gausset.errors import DimensionMismatch, DomainError, ShapeMismatch
+from gausset.errors import DimensionMismatch, DomainError, NotPositiveDefinite, ShapeMismatch
 from gausset.linalg import cholesky
 from gausset.model_io import load_model, save_model
 from gausset.predictive import PredictiveModel
@@ -175,6 +175,11 @@ class TestSampleWishart:
         for a in (np.inf, np.nan):
             with pytest.raises(DomainError):
                 sample_wishart(gen, a, np.eye(2))
+
+    def test_nan_scale_entry_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="not positive definite") as caught:
+            sample_wishart(np.random.default_rng(10), 3.0, [[np.nan, 0.0], [0.0, 1.0]])
+        assert "non-finite entry" in str(caught.value.__cause__)
 
 
 class TestSampleMatrixNormal:
@@ -515,6 +520,11 @@ class TestSampleDataset:
             sample_dataset(gen, 2, [3], 0.0)
         with pytest.raises(DomainError):
             sample_dataset(gen, 2, [-1], 1.0)
+
+    def test_nan_precision_is_not_positive_definite(self):
+        with pytest.raises(NotPositiveDefinite, match="non-finite entry"):
+            sample_dataset(np.random.default_rng(53), 2, [3], 1.0,
+                           precision=[[1.0, 0.0], [0.0, np.nan]])
 
 
 class TestRunVerification:
