@@ -42,11 +42,11 @@ _WRITE_BLOCK = 1024  # rows _write_rows turns into Python floats at once
 
 def _build_prior(args, dim: int) -> PriorHyper:
     for flag, value in (("--a", args.a), ("--eps", args.eps)):
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value}")
-    if args.b == "zero":
+    if args.eps is None:
         if args.a != 0.0:
-            raise DomainError("a > 0 requires --b eps-identity to stay proper")
+            raise DomainError("a > 0 requires --eps to stay proper")
         return PriorHyper.noninformative(args.r)
     if not args.eps > 0.0:
         raise DomainError(f"--eps must be positive, got {args.eps}")
@@ -195,10 +195,8 @@ def _add_prior_flags(parser):
                         help="mean-shrinkage precision (default 1.0)")
     parser.add_argument("--a", type=float, default=0.0,
                         help="prior degrees of freedom (default 0)")
-    parser.add_argument("--b", choices=["zero", "eps-identity"], default="zero",
-                        help="prior scale matrix form (default zero)")
-    parser.add_argument("--eps", type=float, default=1e-6,
-                        help="epsilon for --b eps-identity")
+    parser.add_argument("--eps", type=float, help="prior scale B = eps * I, eps > 0 "
+                        "(without it B = 0 and --a must be 0)")
 
 
 def _add_data_flags(parser):

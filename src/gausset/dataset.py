@@ -249,10 +249,14 @@ def _count_rows(path):
 
 def _unsafe(lines):
     """Whether a line holds one of ``_FALLBACK_CHARS`` or, less its newline,
-    is longer than csv's field size limit. Only the last may lack a newline."""
-    limit = csv.field_size_limit()
+    is longer than csv's field size limit. Only the last may lack a newline.
+    The characters are sought in each quarter of the lines, joined: one
+    string scans fast, and a quarter's copy stays below the parse's peak
+    memory, which a copy of the whole block would exceed."""
+    limit, step = csv.field_size_limit(), len(lines) // 4 + 1
+    quarters = ("".join(lines[start:start + step]) for start in range(0, len(lines), step))
     return (max(map(len, lines)) > limit + 1 or len(lines[-1].rstrip("\n")) > limit
-            or any(char in line for line in lines for char in _FALLBACK_CHARS))
+            or any(char in text for text in quarters for char in _FALLBACK_CHARS))
 
 
 def _fast_table(path, label_column=None):

@@ -43,30 +43,29 @@ from .linalg import CholeskyFactor
 class PredictiveModel:
     """Frozen per-class scoring parameters.
 
-    Built from the six values a model file stores: the class names
-    (``None`` gives ``class_0`` ...), the per-class location ``mu_star``
-    (N x K), the per-class scale inflation ``c_star`` (c*_k = 1/(r + T_k)),
-    the shared degrees of freedom ``a_star``, the shrinkage ``r`` and the
-    shared scale matrix ``b_star``. Everything else is derived from those
-    once per model, so no model can disagree with itself: the Cholesky
-    factor L of B* and its log-determinant, the per-class log normalization
-    constants, the count-weighted training mean ``centre`` (N,), the
-    whitened centred means ``white_means`` (K x N), row k
+    Built from the six values a model file stores: the class names (each
+    made a ``str``; ``None`` gives ``class_0`` ...), the per-class location
+    ``mu_star`` (N x K), the per-class scale inflation ``c_star`` (c*_k =
+    1/(r + T_k)), the shared degrees of freedom ``a_star``, the shrinkage
+    ``r`` and the shared scale matrix ``b_star``. Everything else is derived
+    from those once per model, so no model can disagree with itself: the
+    Cholesky factor L of B* and its log-determinant, the per-class log
+    normalization constants, the count-weighted training mean ``centre``
+    (N,), the whitened centred means ``white_means`` (K x N), row k
     L^{-1}(mu*_k - centre), and for the kernel ``cp1`` (c* + 1),
     ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T),
     ``block_rows``, the rows per kernel block, whose (rows x K, N)
-    difference block holds about ``_BLOCK_ENTRIES`` entries, and
-    ``reach``: no q_tk overflows while every entry of x - centre is
-    within it.
+    difference block holds about ``_BLOCK_ENTRIES`` entries, and ``reach``:
+    no q_tk overflows while every entry of x - centre is within it.
 
     Checked in this order: ``ShapeMismatch`` if ``mu_star`` is not a
-    non-empty N x K matrix, there are not K class names, ``c_star`` is
-    not (K,) or ``b_star`` not N x N; ``DomainError`` naming the field if
-    a class name repeats, if r, a*, mu*, c* or B* holds a non-finite
-    value, if a c* is not positive or if B* is not exactly symmetric;
-    ``DegenerateScatter`` if B* fails the Cholesky check;
-    ``InsufficientDof`` if a* + 1 - N <= 0 (the normalizing gamma
-    argument would be non-positive).
+    non-empty N x K matrix, there are not K class names, ``c_star`` is not
+    (K,) or ``b_star`` not N x N; ``DomainError`` naming the field if two
+    class names are the same ``str``, if r, a*, mu*, c* or B* holds a
+    non-finite value, if a c* is not positive or if B* is not exactly
+    symmetric; ``DegenerateScatter`` if B* fails the Cholesky check;
+    ``InsufficientDof`` if a* + 1 - N <= 0 (the normalizing gamma argument
+    would be non-positive).
     """
 
     class_names: tuple | None
@@ -96,9 +95,8 @@ class PredictiveModel:
         if mu_star.ndim != 2 or mu_star.size == 0:
             raise ShapeMismatch(f"mu_star has shape {mu_star.shape}, not N x K with N, K >= 1")
         n, n_classes = mu_star.shape
-        class_names = self.class_names
-        if class_names is None:
-            class_names = tuple(f"class_{k}" for k in range(n_classes))
+        class_names = (tuple(f"class_{k}" for k in range(n_classes)) if self.class_names is None
+                       else tuple(map(str, self.class_names)))
         if len(class_names) != n_classes:
             raise ShapeMismatch("number of class names does not match K")
         if len(set(class_names)) != n_classes:
@@ -145,7 +143,7 @@ class PredictiveModel:
         reach = ((np.sqrt(sys.float_info.max / (4.0 * n)) - np.abs(white_means).max())
                  / np.add.reduce(np.abs(inverse_t), axis=0).max())
         linalg._freeze(
-            self, class_names=tuple(class_names), mu_star=mu_star, c_star=c_star,
+            self, class_names=class_names, mu_star=mu_star, c_star=c_star,
             a_star=a_star, r=r, b_star=b_star, chol_b_star=chol, logdet_b_star=ld,
             log_norm=log_norm, centre=centre, white_means=white_means,
             cp1=cp1, class_term=-0.5 * n * np.log(cp1), inverse_t=inverse_t,
@@ -262,7 +260,8 @@ class ClassPrior:
     """Prior probabilities over the K classes; must sum to one.
 
     ``_log_terms`` holds what the softmax adds, computed once: the mask of
-    non-zero entries (``None`` if none is zero) and log(probs / probs.sum()).
+    non-zero entries (``None`` if none is zero) and log(probs / probs.sum()),
+    both read-only.
     """
 
     probs: np.ndarray
@@ -274,7 +273,10 @@ class ClassPrior:
         _checked_probs(probs)
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError(f"class prior sums to {probs.sum()!r}, expected 1")
-        linalg._freeze(self, probs=probs, _log_terms=_log_prior(probs, len(probs)))
+        active, log_probs = _log_prior(probs, len(probs))
+        for term in (log_probs,) if active is None else (active, log_probs):
+            term.flags.writeable = False
+        linalg._freeze(self, probs=probs, _log_terms=(active, log_probs))
 
     @classmethod
     def uniform(cls, n_classes: int) -> "ClassPrior":

@@ -84,8 +84,7 @@ class TestFit:
         data.write_text("x0,x1,label\n")
         model_path = tmp_path / "model.json"
         code = run(["fit", "--data", data, "--out", model_path,
-                    "--label-col", "label", "--r", "2.0", "--a", "4.0",
-                    "--b", "eps-identity", "--eps", "1.0",
+                    "--label-col", "label", "--r", "2.0", "--a", "4.0", "--eps", "1.0",
                     "--declare-class", "a", "--declare-class", "b"])
         assert code == 0
         doc = json.loads(model_path.read_text())
@@ -114,7 +113,7 @@ class TestFit:
         assert "must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", [["--a"], ["--b", "eps-identity", "--eps"]])
+    @pytest.mark.parametrize("flag", [["--a"], ["--eps"]])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_prior_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
         data = tmp_path / "data.csv"
@@ -134,8 +133,7 @@ class TestFit:
         data = tmp_path / "data.csv"
         write_worked_csv(data)
         out = tmp_path / "model.json"
-        assert run(["fit", "--data", data, "--a", a, "--b", "eps-identity",
-                    "--eps", eps, "--out", out]) == 2
+        assert run(["fit", "--data", data, "--a", a, "--eps", eps, "--out", out]) == 2
         assert f"--eps must be positive, got {float(eps)}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -144,9 +142,43 @@ class TestFit:
         data = tmp_path / "data.csv"
         write_worked_csv(data)
         out = tmp_path / "model.json"
-        assert run(["fit", "--data", data, "--a", "1", "--b", "zero", "--out", out]) == 2
-        assert "a > 0 requires --b eps-identity" in capsys.readouterr().err
+        assert run(["fit", "--data", data, "--a", "1", "--out", out]) == 2
+        assert "a > 0 requires --eps" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eps_alone_sets_the_prior_scale(self, tmp_path, worked_stats):
+        # --eps once counted only beside a second flag and fitted B = 0 without it.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--eps", "1e3", "--out", model_path]) == 0
+        expected = posterior(worked_stats, PriorHyper(1.0, 0.0, 1e3 * np.eye(1))).b_star
+        b_star = json.loads(model_path.read_text())["b_star"]
+        assert b_star == expected.tolist()
+        assert b_star == [[pytest.approx(1e3 + 20.0 / 3.0, rel=1e-15)]]
+
+    def test_b_flag_is_gone(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        out = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--data", data, "--b", "eps-identity", "--out", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --b" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a, eps", [(0.0, 1e-6), (0.0, 1.0), (5.0, 1e-3)])
+    def test_eps_writes_the_library_model_of_b_eps_identity(self, tmp_path, a, eps):
+        # The bytes of save_model on the posterior under B = eps I.
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1,label\n1,0.5,a\n3,-1,a\n2,2,b\n0,1,b\n4,0,c\n")
+        out, expected = tmp_path / "model.json", tmp_path / "expected.json"
+        assert run(["fit", "--data", data, "--a", a, "--eps", eps, "--out", out]) == 0
+        ds = LabeledDataset([[1, 0.5], [3, -1], [2, 2], [0, 1], [4, 0]], [0, 0, 1, 1, 2],
+                            ("a", "b", "c"))
+        post = posterior(accumulate(ds), PriorHyper(1.0, a, eps * np.eye(2)))
+        save_model(build_model(post, class_names=ds.class_names), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["fit", "--data", tmp_path / "nope.csv",

@@ -834,6 +834,15 @@ class TestBlockwiseReader:
             assert type(excinfo.value) is ParseError
         assert (excinfo.value.line, excinfo.value.column) == (282, "x0")
 
+    @pytest.mark.parametrize("n_lines", [1, 2, 3, 4, 5, 9])
+    def test_fallback_character_found_on_any_line(self, n_lines):
+        # The scan joins a quarter of the block at a time; no line may fall between.
+        lines = ["1,2,a\n"] * n_lines
+        assert not dataset._unsafe(lines)
+        for char in dataset._FALLBACK_CHARS:
+            for i in range(n_lines):
+                assert dataset._unsafe(lines[:i] + [f"1,2{char},a\n"] + lines[i + 1:])
+
     @staticmethod
     def long_line(length):
         """A two-feature row of ``length`` characters; both cells fit csv's limit."""

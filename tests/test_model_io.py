@@ -38,6 +38,13 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.chol_b_star.lower,
                                       model.chol_b_star.lower)
 
+    def test_non_string_class_names_survive(self, worked_posterior, tmp_path):
+        # Saved as JSON numbers, integer names once gave a file load_model refused.
+        path = tmp_path / "model.json"
+        save_model(build_model(worked_posterior, class_names=(0, 1)), path)
+        assert json.loads(path.read_text())["class_names"] == ["0", "1"]
+        assert load_model(path)[0].class_names == ("0", "1")
+
     def test_scoring_bit_identical_after_reload(self, worked_posterior, tmp_path):
         model = build_model(worked_posterior, class_names=("a", "b"))
         path = tmp_path / "model.json"

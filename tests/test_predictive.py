@@ -93,6 +93,7 @@ class TestBuildModel:
 
     def test_class_name_default_and_mismatch(self, worked_posterior):
         assert build_model(worked_posterior).class_names == ("class_0", "class_1")
+        assert build_model(worked_posterior, class_names=(0, 1.5)).class_names == ("0", "1.5")
         with pytest.raises(ShapeMismatch):
             build_model(worked_posterior, class_names=("only_one",))
 
@@ -131,6 +132,10 @@ class TestModelValidation:
         # Two columns named alike could not be told apart in classify's output.
         with pytest.raises(DomainError, match="field class_names repeats"):
             self.rebuild(worked_model, class_names=("a", "a"))
+
+    def test_class_names_repeating_as_strings(self, worked_model):
+        with pytest.raises(DomainError, match="field class_names repeats"):
+            self.rebuild(worked_model, class_names=(1, "1"))
 
     def test_asymmetric_b_star(self):
         # Named as a model field, not linalg's symmetrize() advice.
@@ -377,6 +382,16 @@ class TestClassPrior:
 
     def test_uniform(self):
         np.testing.assert_allclose(ClassPrior.uniform(4).probs, np.full(4, 0.25))
+
+    @pytest.mark.parametrize("term", [0, 1], ids=["mask", "log_probs"])
+    def test_cached_terms_are_read_only(self, worked_model, term):
+        # A write to the cached softmax terms once changed every later
+        # posterior with that prior.
+        prior = ClassPrior([0.0, 1.0]) if term == 0 else ClassPrior([0.3, 0.7])
+        before = class_posterior(worked_model, [0.5], prior)
+        with pytest.raises(ValueError, match="read-only"):
+            prior._log_terms[term][0] = 5.0
+        np.testing.assert_array_equal(class_posterior(worked_model, [0.5], prior), before)
 
 
 class TestDecide:
