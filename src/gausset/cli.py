@@ -45,9 +45,9 @@ def _build_prior(args, dim: int) -> PriorHyper:
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value}")
     if args.eps is None:
-        if args.a != 0.0:
+        if args.a > 0.0:
             raise DomainError("a > 0 requires --eps to stay proper")
-        return PriorHyper.noninformative(args.r)
+        return PriorHyper(args.r, args.a)   # PriorHyper rejects a < 0
     if not args.eps > 0.0:
         raise DomainError(f"--eps must be positive, got {args.eps}")
     return PriorHyper(r=args.r, a=args.a, b=args.eps * np.eye(dim))

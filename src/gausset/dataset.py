@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EmptyDimension, NonFiniteValue, ParseError, ShapeMismatch
-from .linalg import _freeze, symmetrize
+from .linalg import _freeze, _Frozen, symmetrize
 
 # Entries per chunk of rows that accumulate centres and the scorer
 # scores, so their working memory stays flat in T.
 _BLOCK_ENTRIES = 65536
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(_Frozen):
     """Patterns with class labels.
 
     ``patterns`` is a (T, N) float array, ``labels`` a (T,) int array of
@@ -35,16 +33,12 @@ class LabeledDataset:
     occurrences are allowed (that is how openset classes enter a fit).
     """
 
-    patterns: np.ndarray
-    labels: np.ndarray
-    class_names: tuple
-
-    def __post_init__(self):
-        patterns = np.asarray(self.patterns, dtype=np.float64)
+    def __init__(self, patterns: np.ndarray, labels: np.ndarray, class_names: tuple):
+        patterns = np.asarray(patterns, dtype=np.float64)
         # An empty vector is no patterns; T rows of zero features stay (T, 0).
         patterns = patterns.reshape(0, 0) if patterns.shape == (0,) else np.atleast_2d(patterns)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        names = tuple(str(n) for n in self.class_names)
+        labels = np.asarray(labels, dtype=np.int64)
+        names = tuple(str(n) for n in class_names)
         if len(names) < 1:
             raise ValueError("at least one class must be declared")
         if len(set(names)) != len(names):
@@ -74,24 +68,20 @@ class LabeledDataset:
         return self.patterns.shape[0]
 
 
-@dataclass(frozen=True)
-class SufficientStats:
+class SufficientStats(_Frozen):
     """Per-class counts and means, and the pooled within-class scatter.
 
     ``counts[k]`` is the number of patterns of class k, column k of
     ``means`` is their mean (zero for a class with no patterns), and
     ``within`` is the sum of (x - m_k)(x - m_k)^T over every pattern x,
-    each centred on the mean m_k of its own class.
+    each centred on the mean m_k of its own class. The shapes are (K,),
+    (N, K) and (N, N).
     """
 
-    counts: np.ndarray   # (K,) int64
-    means: np.ndarray    # (N, K)
-    within: np.ndarray   # (N, N), symmetric positive semi-definite
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        means = np.asarray(self.means, dtype=np.float64)
-        within = np.asarray(self.within, dtype=np.float64)
+    def __init__(self, counts: np.ndarray, means: np.ndarray, within: np.ndarray):
+        counts = np.asarray(counts, dtype=np.int64)
+        means = np.asarray(means, dtype=np.float64)
+        within = np.asarray(within, dtype=np.float64)
         if counts.ndim != 1 or means.ndim != 2 or means.shape[1] != counts.shape[0]:
             raise ShapeMismatch("counts and per-class means disagree in class count")
         if within.shape != (means.shape[0], means.shape[0]):

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,22 +278,16 @@ def tune_r(stats: SufficientStats, r_min: float, r_max: float,
     return best_r
 
 
-@dataclass(frozen=True)
-class EvidenceCurve:
+class EvidenceCurve(linalg._Frozen):
     """Pointwise evidence over a grid of r values.
 
     Degenerate grid points hold NaN and are excluded from the mode;
     ``mode`` is None when every point is degenerate.
     """
 
-    r_values: np.ndarray
-    log_evidence: np.ndarray
-    mode: float | None
-
-    def __post_init__(self):
-        r_values = np.asarray(self.r_values, dtype=np.float64)
-        log_ev = np.asarray(self.log_evidence, dtype=np.float64)
-        linalg._freeze(self, r_values=r_values, log_evidence=log_ev)
+    def __init__(self, r_values: np.ndarray, log_evidence: np.ndarray, mode: float | None):
+        linalg._freeze(self, r_values=np.asarray(r_values, dtype=np.float64),
+                       log_evidence=np.asarray(log_evidence, dtype=np.float64), mode=mode)
 
 
 def evidence_curve(stats: SufficientStats, r_grid) -> EvidenceCurve:

@@ -28,7 +28,6 @@ input ``a = 0, B = 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +36,7 @@ from .dataset import SufficientStats
 from .errors import DomainError, ShapeMismatch
 
 
-@dataclass(frozen=True)
-class PriorHyper:
+class PriorHyper(linalg._Frozen):
     """Prior hyperparameters (r, a, B).
 
     ``r`` is the shrinkage precision pulling class means toward the
@@ -48,18 +46,12 @@ class PriorHyper:
     finite evidence constant; ``log_evidence_proper`` checks that.
     """
 
-    r: float
-    a: float = 0.0
-    b: np.ndarray | None = None
-
-    def __post_init__(self):
-        r = float(self.r)
-        a = float(self.a)
+    def __init__(self, r: float, a: float = 0.0, b: np.ndarray | None = None):
+        r, a = float(r), float(a)
         if not 0.0 < r < math.inf:
             raise DomainError(f"shrinkage precision r must be finite and positive, got {r}")
         if not 0.0 <= a < math.inf:
             raise DomainError(f"degrees of freedom a must be finite and non-negative, got {a}")
-        b = self.b
         if b is not None:
             b = linalg.symmetrize(b)
             if not np.isfinite(b).all():
@@ -72,8 +64,7 @@ class PriorHyper:
         return cls(r=r, a=0.0, b=None)
 
 
-@dataclass(frozen=True)
-class PosteriorMNW:
+class PosteriorMNW(linalg._Frozen):
     """Matrix-normal-Wishart posterior parameters.
 
     ``m_star`` is N x K (column k is the posterior mean of mu_k),
@@ -87,16 +78,11 @@ class PosteriorMNW:
     score, and consumers check at model build time.
     """
 
-    m_star: np.ndarray
-    r_star_diag: np.ndarray
-    a_star: float
-    b_star: np.ndarray
-    source_r: float
-
-    def __post_init__(self):
-        m = np.asarray(self.m_star, dtype=np.float64)
-        rd = np.asarray(self.r_star_diag, dtype=np.float64)
-        b = np.asarray(self.b_star, dtype=np.float64)
+    def __init__(self, m_star: np.ndarray, r_star_diag: np.ndarray, a_star: float,
+                 b_star: np.ndarray, source_r: float):
+        m = np.asarray(m_star, dtype=np.float64)
+        rd = np.asarray(r_star_diag, dtype=np.float64)
+        b = np.asarray(b_star, dtype=np.float64)
         if m.ndim != 2 or rd.ndim != 1 or m.shape[1] != rd.shape[0]:
             raise ShapeMismatch("mean matrix and diagonal precision disagree in K")
         if b.shape != (m.shape[0], m.shape[0]):
@@ -104,7 +90,7 @@ class PosteriorMNW:
         if np.any(rd <= 0.0):
             raise ValueError("posterior column precisions must be positive")
         linalg._freeze(self, m_star=m, r_star_diag=rd, b_star=b,
-                       a_star=float(self.a_star), source_r=float(self.source_r))
+                       a_star=float(a_star), source_r=float(source_r))
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,6 @@ immutable :class:`CholeskyFactor` values. Solves are products with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,8 +23,19 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 PIVOT_RTOL = 1e-12
 
 
+class _Frozen:
+    """Base of the immutable value types: each sets its attributes once,
+    through :func:`_freeze`, and none can be set or deleted after."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+
 def _freeze(obj, **fields) -> None:
-    """Set ``fields`` on the frozen dataclass ``obj``.
+    """Set ``fields`` on ``obj``, an instance of a :class:`_Frozen` type.
 
     A writable array is stored as a read-only view of itself, so the
     caller's array stays writable; a read-only array is stored as it is.
@@ -37,8 +47,7 @@ def _freeze(obj, **fields) -> None:
         object.__setattr__(obj, name, value)
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
+class CholeskyFactor(_Frozen):
     """Lower-triangular factor L of an SPD matrix A, with L L^T = A.
 
     ``lower`` must be a non-empty square matrix (else
@@ -46,10 +55,8 @@ class CholeskyFactor:
     positive on it (else :class:`NotPositiveDefinite`).
     """
 
-    lower: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
+    def __init__(self, lower: np.ndarray):
+        lower = np.asarray(lower, dtype=np.float64)
         if lower.ndim != 2 or lower.shape[0] != lower.shape[1] or lower.shape[0] < 1:
             raise DimensionMismatch(f"expected a non-empty square factor, got shape {lower.shape}")
         diagonal = lower.diagonal()

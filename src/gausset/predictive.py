@@ -20,7 +20,6 @@ set sizes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,12 +35,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .inference import PosteriorMNW
-from .linalg import CholeskyFactor
 
 
-@dataclass(frozen=True)
-class PredictiveModel:
-    """Frozen per-class scoring parameters.
+class PredictiveModel(linalg._Frozen):
+    """Immutable per-class scoring parameters.
 
     Built from the six values a model file stores: the class names (each
     made a ``str``; ``None`` gives ``class_0`` ...), the per-class location
@@ -68,35 +65,19 @@ class PredictiveModel:
     would be non-positive).
     """
 
-    class_names: tuple | None
-    mu_star: np.ndarray
-    c_star: np.ndarray
-    a_star: float
-    r: float
-    b_star: np.ndarray
-    chol_b_star: CholeskyFactor = field(init=False)
-    logdet_b_star: float = field(init=False)
-    log_norm: np.ndarray = field(init=False)
-    centre: np.ndarray = field(init=False)
-    white_means: np.ndarray = field(init=False)
-    cp1: np.ndarray = field(init=False, repr=False)
-    class_term: np.ndarray = field(init=False, repr=False)
-    inverse_t: np.ndarray = field(init=False, repr=False)
-    block_rows: int = field(init=False, repr=False)
-    reach: float = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, class_names: tuple | None, mu_star: np.ndarray, c_star: np.ndarray,
+                 a_star: float, r: float, b_star: np.ndarray):
         # The layout a loaded model has (the file stores columns), so that BLAS
         # sums in one order and a reload scores bit for bit.
-        mu_star = np.asfortranarray(self.mu_star, dtype=np.float64)
-        c_star = np.asarray(self.c_star, dtype=np.float64)
-        b_star = np.asarray(self.b_star, dtype=np.float64)
-        a_star, r = float(self.a_star), float(self.r)
+        mu_star = np.asfortranarray(mu_star, dtype=np.float64)
+        c_star = np.asarray(c_star, dtype=np.float64)
+        b_star = np.asarray(b_star, dtype=np.float64)
+        a_star, r = float(a_star), float(r)
         if mu_star.ndim != 2 or mu_star.size == 0:
             raise ShapeMismatch(f"mu_star has shape {mu_star.shape}, not N x K with N, K >= 1")
         n, n_classes = mu_star.shape
-        class_names = (tuple(f"class_{k}" for k in range(n_classes)) if self.class_names is None
-                       else tuple(map(str, self.class_names)))
+        class_names = (tuple(f"class_{k}" for k in range(n_classes)) if class_names is None
+                       else tuple(map(str, class_names)))
         if len(class_names) != n_classes:
             raise ShapeMismatch("number of class names does not match K")
         if len(set(class_names)) != n_classes:
@@ -255,8 +236,7 @@ def _checked_probs(probs) -> np.ndarray:
     return probs
 
 
-@dataclass(frozen=True)
-class ClassPrior:
+class ClassPrior(linalg._Frozen):
     """Prior probabilities over the K classes; must sum to one.
 
     ``_log_terms`` holds what the softmax adds, computed once: the mask of
@@ -264,10 +244,8 @@ class ClassPrior:
     both read-only.
     """
 
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+    def __init__(self, probs: np.ndarray):
+        probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ShapeMismatch("class prior must be a vector")
         _checked_probs(probs)

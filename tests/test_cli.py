@@ -146,6 +146,26 @@ class TestFit:
         assert "a > 0 requires --eps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", [[], ["--eps", "1"]])
+    def test_negative_a_exits_2_naming_a(self, tmp_path, capsys, eps):
+        # Without --eps, -1 was blamed on the missing --eps.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        out = tmp_path / "model.json"
+        assert run(["fit", "--data", data, "--a", "-1", *eps, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "degrees of freedom a must be finite and non-negative, got -1.0" in err
+        assert "--eps" not in err
+        assert not out.exists()
+
+    def test_negative_zero_a_is_the_noninformative_prior(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        plain, signed = tmp_path / "plain.json", tmp_path / "signed.json"
+        assert run(["fit", "--data", data, "--out", plain]) == 0
+        assert run(["fit", "--data", data, "--a", "-0.0", "--out", signed]) == 0
+        assert signed.read_bytes() == plain.read_bytes()
+
     def test_eps_alone_sets_the_prior_scale(self, tmp_path, worked_stats):
         # --eps once counted only beside a second flag and fitted B = 0 without it.
         data = tmp_path / "data.csv"

@@ -152,9 +152,9 @@ class TestCholeskyFactorInput:
     def test_cholesky_runs_no_factor_check(self, monkeypatch):
         # LAPACK's factor passes cholesky's own checks, which imply these.
         calls = []
-        check = CholeskyFactor.__post_init__
-        monkeypatch.setattr(CholeskyFactor, "__post_init__",
-                            lambda self: calls.append(1) or check(self))
+        check = CholeskyFactor.__init__
+        monkeypatch.setattr(CholeskyFactor, "__init__",
+                            lambda self, lower: calls.append(1) or check(self, lower))
         factor = cholesky(symmetrize(random_spd(np.random.default_rng(46), 4)))
         assert calls == []
         assert not factor.lower.flags.writeable
@@ -202,9 +202,11 @@ def frozen_value(name):
     return gausset.EvidenceCurve(grid, b, None), [(grid, "r_values"), (b, "log_evidence")]
 
 
-@pytest.mark.parametrize("name", [
-    "LabeledDataset", "SufficientStats", "CholeskyFactor", "PriorHyper",
-    "PosteriorMNW", "PredictiveModel", "ClassPrior", "EvidenceCurve"])
+FROZEN_TYPES = ["LabeledDataset", "SufficientStats", "CholeskyFactor", "PriorHyper",
+                "PosteriorMNW", "PredictiveModel", "ClassPrior", "EvidenceCurve"]
+
+
+@pytest.mark.parametrize("name", FROZEN_TYPES)
 def test_frozen_values_leave_the_callers_arrays_writable(name):
     value, fields = frozen_value(name)
     assert type(value).__name__ == name
@@ -218,6 +220,20 @@ def test_frozen_values_leave_the_callers_arrays_writable(name):
         assert np.shares_memory(own, array) == (field != "b")
 
 
+@pytest.mark.parametrize("name", FROZEN_TYPES)
+def test_frozen_values_refuse_attribute_writes(name):
+    value, fields = frozen_value(name)
+    field = fields[0][1]
+    kept = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = 1.0
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is kept and not hasattr(value, "extra")
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, gausset, gausset.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -225,6 +241,14 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    code = "import sys, gausset; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gausset.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestLogdet:
