@@ -120,7 +120,7 @@ def cmd_tune_r(args) -> int:
     ds = load_csv(args.data, label_column=args.label_col,
                   extra_classes=args.declare_class)
     stats = accumulate(ds)
-    tuned = evidence.tune_r(stats, args.r_min, args.r_max, tol=args.tol)
+    tuned = evidence.tune_r(stats, args.r_min, args.r_max)
     print(f"tuned r = {tuned!r} "
           f"(log evidence {evidence.log_evidence_noninformative(stats, tuned)!r})")
     if args.grid:
@@ -234,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--r-min", type=float, default=1e-3)
     p.add_argument("--r-max", type=float, default=1e3)
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="bracket width tolerance in log r")
     p.add_argument("--grid", type=int, default=0,
                    help="also evaluate an N-point log grid")
     p.add_argument("--out", help="curve CSV path when --grid is given")

@@ -193,7 +193,7 @@ def _read_table(path, label_column=None):
     An error names the physical line its record starts on, or for a csv
     error (a cell over its field size limit, NUL before Python 3.11) its line.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
@@ -269,7 +269,7 @@ def _fast_table(path, label_column=None):
     """
     rows, names, filled = _count_rows(path), {}, 0
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             head = handle.readline()
             if head in ("", "\n") or _unsafe([head]):
                 return None

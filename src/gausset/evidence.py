@@ -177,7 +177,7 @@ def log_evidence_noninformative(stats: SufficientStats, r: float) -> float:
         If r is not finite and positive.
     DegenerateScatter
         If the scale matrix B*(r) is not positive definite (for example
-        when T <= N).
+        when T < N).
     """
     r = float(r)
     if not 0.0 < r < math.inf:

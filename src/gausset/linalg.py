@@ -1,4 +1,4 @@
-"""Dense symmetric-positive-definite kernels and log-gamma special functions.
+"""Dense symmetric-positive-definite kernels and the multivariate log-gamma.
 
 Everything downstream (posterior updates, predictive scoring, evidence,
 Monte-Carlo sampling) reduces to Cholesky factorizations, products with
@@ -170,14 +170,6 @@ def quadform(factor: CholeskyFactor, d) -> float:
     return float(y @ y)
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def log_multivariate_gamma(n: int, x: float) -> float:
     """Log of the n-variate gamma function at x.
 
@@ -195,5 +187,5 @@ def log_multivariate_gamma(n: int, x: float) -> float:
         )
     total = n * (n - 1) / 4.0 * np.log(np.pi)
     for i in range(1, n + 1):
-        total += log_gamma(x + (1 - i) / 2.0)
+        total += math.lgamma(x + (1 - i) / 2.0)
     return float(total)

@@ -19,6 +19,7 @@ set sizes.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -109,8 +110,8 @@ class PredictiveModel(linalg._Frozen):
             )
         ld = linalg.logdet(chol)
         cp1 = c_star + 1.0
-        log_norm = (linalg.log_gamma((a_star + 1.0) / 2.0)
-                    - linalg.log_gamma((a_star + 1.0 - n) / 2.0)
+        log_norm = (math.lgamma((a_star + 1.0) / 2.0)
+                    - math.lgamma((a_star + 1.0 - n) / 2.0)
                     - 0.5 * n * np.log(np.pi * cp1)
                     - 0.5 * ld)
         # mu*_k / c*_k is the class sum f_k and 1/c*_k - r the count T_k, so
@@ -229,32 +230,23 @@ def log_predictive_unnormalized(model: PredictiveModel, x, k: int) -> float:
     return float(_log_unnormalized(model, _one_row(model, x, k))[0, k])
 
 
-def _checked_probs(probs) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
-    if (probs < 0.0).any() or not np.isfinite(probs).all():
-        raise ValueError("class prior entries must be finite and non-negative")
-    return probs
-
-
 class ClassPrior(linalg._Frozen):
     """Prior probabilities over the K classes; must sum to one.
 
-    ``_log_terms`` holds what the softmax adds, computed once: the mask of
-    non-zero entries (``None`` if none is zero) and log(probs / probs.sum()),
-    both read-only.
+    Holds what the softmax adds, computed once and read-only: ``_active``,
+    the mask of non-zero entries (``None`` if none is zero), and
+    ``_log_probs``, log(probs / probs.sum()).
     """
 
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1:
             raise ShapeMismatch("class prior must be a vector")
-        _checked_probs(probs)
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"class prior sums to {probs.sum()!r}, expected 1")
         active, log_probs = _log_prior(probs, len(probs))
-        for term in (log_probs,) if active is None else (active, log_probs):
-            term.flags.writeable = False
-        linalg._freeze(self, probs=probs, _log_terms=(active, log_probs))
+        total = float(probs.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"class prior sums to {total}, expected 1")
+        linalg._freeze(self, probs=probs, _active=active, _log_probs=log_probs)
 
     @classmethod
     def uniform(cls, n_classes: int) -> "ClassPrior":
@@ -262,8 +254,15 @@ class ClassPrior(linalg._Frozen):
 
 
 def _log_prior(prior, n_classes: int):
-    """``prior``'s non-zero mask (or ``None``) and its normalized logs."""
-    probs = prior.probs if isinstance(prior, ClassPrior) else _checked_probs(prior)
+    """``prior``'s non-zero mask (or ``None``) and its normalized logs over
+    ``n_classes``: a :class:`ClassPrior`'s own, else checked and computed."""
+    if isinstance(prior, ClassPrior):
+        if prior.probs.shape == (n_classes,):
+            return prior._active, prior._log_probs
+        prior = prior.probs
+    probs = np.asarray(prior, dtype=np.float64)
+    if (probs < 0.0).any() or not np.isfinite(probs).all():
+        raise ValueError("class prior entries must be finite and non-negative")
     if probs.shape != (n_classes,):
         raise ShapeMismatch(
             f"class prior has length {probs.shape}, model has K={n_classes}"
@@ -291,9 +290,7 @@ def _posterior(log_scores, prior, every_row=False):
     """:func:`posterior_from_scores`, checking the rows only under a zero
     mask unless ``every_row``. The scorer's rows are finite or -inf, never
     all -inf, so only the mask can leave one without a finite score."""
-    n_classes = log_scores.shape[-1]
-    cached = isinstance(prior, ClassPrior) and prior.probs.shape == (n_classes,)
-    active, log_probs = prior._log_terms if cached else _log_prior(prior, n_classes)
+    active, log_probs = _log_prior(prior, log_scores.shape[-1])
     # Masking first keeps a zero-prior class's NaN or inf score out.
     if active is not None:
         log_scores = np.where(active, log_scores, -np.inf)

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,16 @@ from hypothesis import strategies as st
 
 from gausset import (LabeledDataset, PriorHyper, accumulate, build_model,
                      load_features, montecarlo, posterior, save_model, score_batch)
-from gausset.cli import _write_rows, main
+from gausset.cli import _write_rows, build_parser, main
 from gausset.errors import ParseError
 from gausset.model_io import load_model
 from gausset.montecarlo import sample_dataset, seeded_generator
 
 from conftest import separated_dataset
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SUBCOMMANDS = re.search(r"\{([\w,-]+)\}", build_parser().format_usage()).group(1).split(",")
 
 
 def write_worked_csv(path):
@@ -462,10 +468,13 @@ class TestTuneR:
         assert len(rows) == 25
         assert all(row["log_evidence"] for row in rows)
 
-    def test_non_positive_tol_exits_2(self, tmp_path, deadline):
+    def test_tol_flag_is_gone(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         write_worked_csv(data)
-        assert run(["tune-r", "--data", data, "--tol", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["tune-r", "--data", data, "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bound", [["--r-max", "inf"], ["--r-min", "inf"],
                                        ["--r-max", "nan"]])
@@ -836,3 +845,15 @@ class TestModelRoundTripThroughCli:
         for mem, disk in zip(score_batch(in_memory, queries, prior),
                              score_batch(loaded, queries, prior)):
             np.testing.assert_array_equal(mem, disk)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_readme_command_line_names_every_flag(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    assert flags
+    assert [flag for flag in sorted(flags)
+            if not re.search(rf"(?<![\w-]){flag}(?![\w-])", section)] == []

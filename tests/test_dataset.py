@@ -686,6 +686,27 @@ def _same_table(got, want):
                     for a, b in ((got[1], want[1]), (got[3], want[3]))))
 
 
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF. A quote in the
+    # header sends the file from the blockwise reader to the csv one.
+    @pytest.mark.parametrize("text, label_column, fast", [
+        ("label,x0,x1\na,1,2\nb,3,4\na,5,6\n", "label", True),
+        ('"label",x0,x1\na,1,2\n"b,c",3,4\na,5,6\n', "label", False),
+        ("x0,x1\n1,2\n3,4\n", None, True),
+        ('"x0",x1\n1,2\n3,4\n', None, False),
+    ], ids=["blockwise-labeled", "csv-labeled", "blockwise-features", "csv-features"])
+    def test_file_reads_as_its_twin_without_one(self, tmp_path, text, label_column, fast):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert (_fast_table(marked, label_column) is not None) == fast
+        # What load_csv and load_features read.
+        got, want = (_fast_table(path, label_column) or _read_table(path, label_column)
+                     for path in (marked, plain))
+        assert _same_table(got, want)
+
+
 class TestReaderProperties:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

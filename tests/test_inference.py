@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausset import (
     LabeledDataset,
@@ -144,6 +146,44 @@ class TestPosterior:
     def test_located_prior_of_wrong_shape_rejected(self, worked_stats, theta, r_diag, match):
         with pytest.raises(ShapeMismatch, match=match):
             _posterior_general(worked_stats, theta, r_diag, 0.0, None)
+
+
+@st.composite
+def split_datasets(draw):
+    """A labelled dataset with one declared class that has no rows, a
+    proper prior (a = N + 1, B = eps I) and a row to split it at."""
+    dim = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 30))
+    offset = draw(st.sampled_from([0.0, 1e2, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.integers(0, n_classes, size=n_rows)
+    patterns = (rng.normal(0.0, 3.0, size=(n_classes, dim))[labels]
+                + rng.normal(size=(n_rows, dim)) + offset)
+    names = tuple(f"c{k}" for k in range(n_classes + 1))
+    eps, r = (draw(st.floats(1e-2, 1e2)) for _ in range(2))
+    prior = PriorHyper(r=r, a=dim + 1.0, b=eps * np.eye(dim))
+    return LabeledDataset(patterns, labels, names), prior, draw(st.integers(0, n_rows))
+
+
+class TestSequentialUpdateProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(split_datasets())
+    def test_sequential_update_equals_batch(self, case):
+        ds, prior, cut = case
+
+        def stats(rows):
+            return accumulate(LabeledDataset(ds.patterns[rows], ds.labels[rows],
+                                             ds.class_names))
+
+        first = posterior(stats(slice(None, cut)), prior)
+        m2, r2, a2, b2 = _posterior_general(stats(slice(cut, None)), first.m_star,
+                                            first.r_star_diag, first.a_star, first.b_star)
+        batch = posterior(accumulate(ds), prior)
+        np.testing.assert_allclose(m2, batch.m_star, rtol=1e-10)
+        np.testing.assert_allclose(r2, batch.r_star_diag, rtol=1e-10)
+        assert a2 == batch.a_star
+        assert np.abs(b2 - batch.b_star).max() <= 1e-10 * np.abs(batch.b_star).max()
 
 
 class TestPosteriorMNW:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from gausset.errors import DimensionMismatch, DomainError, NotPositiveDefinite
 from gausset.linalg import (
     CholeskyFactor,
     cholesky,
-    log_gamma,
     log_multivariate_gamma,
     logdet,
     quadform,
@@ -319,29 +319,10 @@ class TestQuadform:
             assert quadform(factor, rng.normal(size=3)) >= 0.0
 
 
-class TestLogGamma:
-    def test_anchors(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(np.log(24.0), abs=1e-13)
-        assert log_gamma(0.5) == pytest.approx(0.5 * np.log(np.pi), abs=1e-14)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(DomainError):
-                log_gamma(bad)
-
-    def test_recurrence_on_grid(self):
-        # log Gamma(x + 1) = log x + log Gamma(x)
-        for x in np.geomspace(1e-3, 1e6, 40):
-            assert log_gamma(x + 1.0) == pytest.approx(
-                np.log(x) + log_gamma(x), rel=1e-12, abs=1e-12
-            )
-
-
 class TestLogMultivariateGamma:
     def test_reduces_to_log_gamma_in_1d(self):
         for x in (0.3, 1.0, 7.5):
-            assert log_multivariate_gamma(1, x) == log_gamma(x)
+            assert log_multivariate_gamma(1, x) == math.lgamma(x)
 
     def test_bivariate_at_three_halves(self):
         # sqrt(pi) * Gamma(3/2) * Gamma(1) = pi / 2.

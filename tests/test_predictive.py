@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -32,7 +33,6 @@ from gausset.errors import (
     InsufficientDof,
     ShapeMismatch,
 )
-from gausset.linalg import log_gamma
 from gausset.montecarlo import mc_predictive
 from gausset.predictive import _BLOCK_ENTRIES, PredictiveModel
 
@@ -48,7 +48,7 @@ class TestBuildModel:
     def test_worked_log_normalizers(self, worked_model):
         # a* = 3, N = 1: the gamma pair is log Gamma(2) - log Gamma(3/2).
         for k, c in enumerate((1.0 / 3.0, 1.0 / 2.0)):
-            expected = (log_gamma(2.0) - log_gamma(1.5)
+            expected = (math.lgamma(2.0) - math.lgamma(1.5)
                         - 0.5 * np.log(np.pi * (c + 1.0))
                         - 0.5 * np.log(20.0 / 3.0))
             assert worked_model.log_norm[k] == pytest.approx(expected, abs=1e-14)
@@ -349,7 +349,7 @@ class TestClassPosterior:
         raw = weights / weights.sum()
         prior = ClassPrior(raw)
         scores = rng.normal(0.0, 30.0, size=(50, 4))
-        assert prior._log_terms[0] is None
+        assert prior._active is None
         np.testing.assert_array_equal(posterior_from_scores(scores, prior),
                                       posterior_from_scores(scores, raw))
         for x in (-4.0, 0.3, 2.0, 9.5):
@@ -369,8 +369,10 @@ class TestClassPosterior:
 
 class TestClassPrior:
     def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"sums to 1\.1, expected 1"):
             ClassPrior(np.array([0.5, 0.6]))
+        with pytest.raises(AllZeroPrior):
+            ClassPrior([0.0, 0.0])
 
     def test_no_negative_entries(self):
         with pytest.raises(ValueError):
@@ -383,14 +385,14 @@ class TestClassPrior:
     def test_uniform(self):
         np.testing.assert_allclose(ClassPrior.uniform(4).probs, np.full(4, 0.25))
 
-    @pytest.mark.parametrize("term", [0, 1], ids=["mask", "log_probs"])
+    @pytest.mark.parametrize("term", ["_active", "_log_probs"], ids=["mask", "log_probs"])
     def test_cached_terms_are_read_only(self, worked_model, term):
         # A write to the cached softmax terms once changed every later
         # posterior with that prior.
-        prior = ClassPrior([0.0, 1.0]) if term == 0 else ClassPrior([0.3, 0.7])
+        prior = ClassPrior([0.0, 1.0]) if term == "_active" else ClassPrior([0.3, 0.7])
         before = class_posterior(worked_model, [0.5], prior)
         with pytest.raises(ValueError, match="read-only"):
-            prior._log_terms[term][0] = 5.0
+            getattr(prior, term)[0] = 5.0
         np.testing.assert_array_equal(class_posterior(worked_model, [0.5], prior), before)
 
 
