@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -261,6 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # This command owns the process: freeze the imported heap so the
+        # full collections at interpreter shutdown skip it (about 20 ms).
+        # An in-process main([...]) leaves its caller's GC alone.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

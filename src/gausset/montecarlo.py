@@ -310,7 +310,10 @@ def _wishart_mean_probe(rng: np.random.Generator, n_samples: int):
     samples = sample_wishart(rng, a, b, size=n_samples)
     expected = a * np.linalg.inv(b)
     mean = samples.mean(axis=0)
-    se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    if n_samples == 1:   # infinite, as in _mean_and_error, so the probe fails
+        se = np.full_like(mean, np.inf)
+    else:
+        se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
     worst = np.unravel_index(np.argmax(np.abs(mean - expected) / se), mean.shape)
     return _probe("wishart-mean", expected[worst], mean[worst], se[worst])
 

@@ -1,7 +1,11 @@
 import csv
+import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gausset
 from gausset import (LabeledDataset, PriorHyper, accumulate, build_model,
                      load_features, montecarlo, posterior, save_model, score_batch)
 from gausset.cli import _write_rows, build_parser, main
@@ -857,3 +862,67 @@ def test_readme_command_line_names_every_flag(command, capsys):
     assert flags
     assert [flag for flag in sorted(flags)
             if not re.search(rf"(?<![\w-]){flag}(?![\w-])", section)] == []
+
+
+def run_python(args, cwd):
+    """Run ``python args`` in a fresh interpreter that imports this
+    checkout's gausset."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gausset.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def write_entry_inputs(directory):
+    write_worked_csv(directory / "data.csv")
+    (directory / "header.csv").write_text("x0,label\n")
+    (directory / "query.csv").write_text("x0\n1.5\n")
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["fit", "--data", "data.csv", "--out", "model.json"]),
+    (1, ["verify", "--samples", "1"]),
+    (2, ["fit", "--data", "missing.csv", "--out", "model.json"]),
+    (3, ["fit", "--data", "header.csv", "--out", "model.json"]),
+])
+def test_program_exits_as_main_returns(code, argv, tmp_path, monkeypatch, capsys):
+    # The process runs cli.py's own `sys.exit(main())` guard.
+    write_entry_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    program = run_python(["-m", "gausset.cli", *argv], tmp_path)
+    assert program.returncode == code
+    assert program.stdout == captured.out
+    assert program.stderr.splitlines()[-1:] == captured.err.splitlines()[-1:]
+
+
+class TestGcFreeze:
+    """Only a process that the CLI owns freezes its heap, so that
+    interpreter shutdown skips the full collections over it."""
+
+    def test_in_process_main_freezes_nothing(self, tmp_path, monkeypatch):
+        write_entry_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = gc.get_freeze_count()
+        for argv in (["fit", "--data", "data.csv", "--out", "model.json"],
+                     ["classify", "--model", "model.json", "--data", "query.csv",
+                      "--out", "scored.csv"],
+                     ["tune-r", "--data", "data.csv"],
+                     ["verify", "--samples", "1"],
+                     ["gen-synth", "--out", "synth.csv", "--dim", "1", "--classes", "2"],
+                     ["fit", "--data", "header.csv", "--out", "model.json"]):
+            run(argv)
+            assert gc.get_freeze_count() == before, argv
+
+    def test_import_freezes_nothing(self, tmp_path):
+        code = "import gc, gausset, gausset.cli; print(gc.get_freeze_count())"
+        assert run_python(["-c", code], tmp_path).stdout.strip() == "0"
+
+    def test_main_as_the_program_freezes(self, tmp_path):
+        # What the `gausset` console script runs: main() reading sys.argv.
+        code = ("import gc, sys; from gausset.cli import main; "
+                "sys.argv = ['gausset', 'gen-synth', '--out', 'synth.csv', "
+                "'--dim', '1', '--classes', '2']; "
+                "code = main(); print(code, gc.get_freeze_count() > 0)")
+        out = run_python(["-c", code], tmp_path).stdout
+        assert out.splitlines()[-1] == "0 True"

@@ -550,6 +550,17 @@ class TestRunVerification:
         assert not any(p["pass"] for p in report["probes"]
                        if p["probe"].startswith("model-predictive"))
 
+    def test_single_sample_fails_every_default_probe_without_warning(self):
+        # One draw has no sample spread, so the Wishart probe's standard
+        # error is infinite like every other Monte-Carlo probe's; numpy's
+        # ddof warning would be an error under this suite's settings.
+        report = run_verification(3, 1)
+        verdicts = {p["probe"]: p["pass"] for p in report["probes"]}
+        assert verdicts.pop("evidence-chain-rule")
+        assert "wishart-mean" in verdicts and not any(verdicts.values())
+        assert all(p["std_error"] == math.inf for p in report["probes"]
+                   if p["probe"] != "evidence-chain-rule")
+
     def test_model_run_factors_b_star_once(self, monkeypatch):
         # B* is factored once, when the model is built; the Monte-Carlo
         # probes read the model's own factor and log-determinant.
