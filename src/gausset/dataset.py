@@ -316,7 +316,10 @@ def load_csv(path, label_column: str = "label", extra_classes=()) -> LabeledData
     of first appearance, with any ``extra_classes`` not present in the
     file appended after (their counts are zero). Labels become codes in
     the ``np.loadtxt`` pass that parses the features and checks row widths.
+    ``label_column=None`` is a ``DomainError``; see :func:`load_features`.
     """
+    if label_column is None:
+        raise DomainError("load_csv needs a label_column; read unlabeled files with load_features")
     _, codes, names, patterns = (_fast_table(path, label_column)
                                  or _read_table(path, label_column))
     names = list(dict.fromkeys([*names, *map(str, extra_classes)])) or ["unlabeled"]

@@ -133,24 +133,27 @@ def _bartlett_log_det(rng: np.random.Generator, a: float, dim: int, n: int) -> n
     return total
 
 
-def _mean_and_error(log_weights: np.ndarray):
-    """Mean of exp(log_weights) and its jackknife standard error, which for
-    a mean is ``sqrt(sum (w_i - mean)^2 / (n (n - 1)))`` and infinite at
-    n = 1. Shifted by the largest log weight; ``log_weights`` is overwritten.
+def _mean_and_error(samples: np.ndarray, scale: float = 1.0):
+    """Mean of ``scale * samples`` along axis 0 and its standard error,
+    ``scale * sqrt(sum (x_i - mean)^2 / (n (n - 1)))``, infinite at n = 1
+    even where ``scale`` is 0. Every Monte-Carlo probe takes its figures
+    from here; ``samples`` is overwritten.
     """
-    n_samples = log_weights.size
-    shift = float(np.max(log_weights))
-    scaled = log_weights
-    scaled -= shift
-    np.exp(scaled, out=scaled)
-    mean_scaled = float(np.mean(scaled))
-    estimate = float(np.exp(shift) * mean_scaled)
-    if n_samples == 1:
-        return estimate, float("inf")
-    scaled -= mean_scaled
-    scaled *= scaled
-    jack_var = float(np.sum(scaled) / (n_samples * (n_samples - 1)))
-    return estimate, float(np.exp(shift) * np.sqrt(jack_var))
+    n = len(samples)
+    mean = np.mean(samples, axis=0)
+    if n == 1:
+        return scale * mean, np.full(np.shape(mean), np.inf)
+    samples -= mean
+    samples *= samples
+    return scale * mean, scale * np.sqrt(np.sum(samples, axis=0) / (n * (n - 1)))
+
+
+def _weight_mean_and_error(log_weights: np.ndarray):
+    """:func:`_mean_and_error` of exp(log_weights) as two floats; overwrites ``log_weights``."""
+    shift = float(np.max(log_weights))  # the largest weight is 1 after the shift
+    log_weights -= shift
+    mean, error = _mean_and_error(np.exp(log_weights, out=log_weights), np.exp(shift))
+    return float(mean), float(error)
 
 
 def _effective_size(log_det: np.ndarray) -> float:
@@ -177,8 +180,7 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     A_s the Bartlett factor of the draw. The weight reads only the Bartlett
     diagonal, whose law depends on a* and N alone: no normal is drawn and
     nothing is factored, as log|B*| and L^{-1} are the model's own. It
-    returns the estimate and its jackknife standard error, infinite when
-    ``n_samples = 1``.
+    returns the estimate and its standard error from :func:`_mean_and_error`.
 
     ``log_det`` is an (S,) draw of sum_j log A_jj from
     ``_bartlett_log_det(rng, a*, N, S)``; without it the call draws its
@@ -225,7 +227,7 @@ def mc_predictive(rng: np.random.Generator, model: PredictiveModel, x, k: int,
     log1p_q = np.log1p(q)
     offset = -0.5 * (model.dim * np.log(2.0 * np.pi * (1.0 + c_k))
                      + model.a_star * log1p_q + model.logdet_b_star + log1p_q)
-    return _mean_and_error(log_det + offset)
+    return _weight_mean_and_error(log_det + offset)
 
 
 def _mc_plain(rng: np.random.Generator, model: PredictiveModel, x: np.ndarray, k: int,
@@ -256,7 +258,7 @@ def _mc_plain(rng: np.random.Generator, model: PredictiveModel, x: np.ndarray, k
     if not np.isfinite(np.max(log_weights)):
         raise DomainError(f"pattern is too far from class {k}'s mean to sample: "
                           f"every sample's Gaussian exponent overflows")
-    return _mean_and_error(log_weights)
+    return _weight_mean_and_error(log_weights)
 
 
 def sample_dataset(rng: np.random.Generator, dim: int, counts, r_true: float,
@@ -307,18 +309,13 @@ def _probe(name, reference, estimate, std_error):
 def _wishart_mean_probe(rng: np.random.Generator, n_samples: int):
     a = 5.0
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
-    samples = sample_wishart(rng, a, b, size=n_samples)
     expected = a * np.linalg.inv(b)
-    mean = samples.mean(axis=0)
-    if n_samples == 1:   # infinite, as in _mean_and_error, so the probe fails
-        se = np.full_like(mean, np.inf)
-    else:
-        se = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    mean, se = _mean_and_error(sample_wishart(rng, a, b, size=n_samples))
     worst = np.unravel_index(np.argmax(np.abs(mean - expected) / se), mean.shape)
     return _probe("wishart-mean", expected[worst], mean[worst], se[worst])
 
 
-def _chain_rule_probe(rng: np.random.Generator, tol: float = 1e-8):
+def _chain_rule_probe(rng: np.random.Generator):
     dim = 2
     ds, _ = sample_dataset(rng, dim=dim, counts=[5, 5], r_true=1.0)
     prior = PriorHyper(r=0.8, a=dim + 2.0, b=np.eye(dim))
@@ -330,7 +327,7 @@ def _chain_rule_probe(rng: np.random.Generator, tol: float = 1e-8):
         one = LabeledDataset(x[None, :], np.array([label]), ds.class_names)
         running = merge(running, accumulate(one))
     reference = log_evidence_proper(accumulate(ds), prior)
-    return _probe("evidence-chain-rule", reference, total, tol / 3.0)
+    return _probe("evidence-chain-rule", reference, total, 1e-8 / 3.0)
 
 
 def _predictive_probes(rng: np.random.Generator, n_samples: int):
@@ -377,11 +374,10 @@ def run_verification(seed: int, n_samples: int = 20000, model=None):
     of :func:`mc_predictive`, without factoring anything. Its probes (one
     per class, at most three) share one (S,) Bartlett log-determinant,
     drawn once right after the first probe's pattern: the estimates are
-    correlated, but each is unbiased with its own jackknife standard
-    error, and each reports the effective sample size ``ess`` of the
-    shared weights. Every stochastic probe uses the same
-    three-standard-error rule and needs a finite standard error, so
-    ``n_samples = 1`` fails every Monte-Carlo probe.
+    correlated, but each is unbiased with its own standard error, and
+    each reports the effective sample size ``ess`` of the shared weights.
+    Every Monte-Carlo probe passes within three of the finite standard
+    errors of :func:`_mean_and_error`, so ``n_samples = 1`` fails them all.
     An ``n_samples`` that is not an integer of at least 1, or a seed that
     is not a non-negative integer, raises :class:`DomainError` before
     anything is drawn.

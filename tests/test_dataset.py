@@ -433,6 +433,15 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path)
 
+    def test_no_label_column_points_to_load_features(self, tmp_path):
+        # Refused before the file is read, not as "2 patterns but 0 labels".
+        path = tmp_path / "data.csv"
+        path.write_text("x0,x1\n1,2\n3,4\n")
+        with pytest.raises(DomainError, match="label_column.*load_features"):
+            load_csv(path, label_column=None)
+        with pytest.raises(DomainError, match="label_column"):
+            load_csv(tmp_path / "absent.csv", label_column=None)
+
     def test_declared_classes_appended_after_seen(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x0,label\n1,b\n2,a\n")

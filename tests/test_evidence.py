@@ -19,11 +19,12 @@ from gausset import (
     log_predictive,
     merge,
     posterior,
+    score_batch,
     tune_r,
     write_curve_csv,
 )
 from gausset import evidence, inference, linalg
-from gausset.errors import DegenerateScatter, DomainError, ImproperPrior
+from gausset.errors import DegenerateScatter, DomainError, ImproperPrior, NotPositiveDefinite
 from gausset.montecarlo import sample_dataset
 
 from conftest import offset_dataset, separated_dataset
@@ -393,17 +394,22 @@ def exact_log_evidence_noninformative(ds, r):
     return 0.5 * ds.dim * bracket - 0.5 * sum(counts) * exact_log_det(b_star)
 
 
-def exact_log_evidence_of_stats(stats, r):
-    """The non-informative log evidence of ``stats`` as given, exactly:
-    B*(r) = W + sum_k w_k m_k m_k^T in Fractions of their float entries."""
+def exact_b_star_of_stats(stats, r):
+    """B*(r) = W + sum_k w_k m_k m_k^T of ``stats`` as given, in Fractions
+    of their float entries."""
     r, n = Fraction(r), stats.dim
     w = [r * int(t) / (r + int(t)) for t in stats.counts]
     means = [[Fraction(v) for v in row] for row in stats.means]
-    b_star = [[Fraction(stats.within[i, j])
-               + sum(wk * means[i][k] * means[j][k] for k, wk in enumerate(w))
-               for j in range(n)] for i in range(n)]
+    return [[Fraction(stats.within[i, j])
+             + sum(wk * means[i][k] * means[j][k] for k, wk in enumerate(w))
+             for j in range(n)] for i in range(n)]
+
+
+def exact_log_evidence_of_stats(stats, r):
+    """The non-informative log evidence of ``stats`` as given, exactly."""
     bracket = stats.n_classes * math.log(r) - sum(math.log(r + int(t)) for t in stats.counts)
-    return 0.5 * n * bracket - 0.5 * stats.total * exact_log_det(b_star)
+    return (0.5 * stats.dim * bracket
+            - 0.5 * stats.total * exact_log_det(exact_b_star_of_stats(stats, r)))
 
 
 def mean_rounding_bound(ds, stats):
@@ -777,6 +783,51 @@ class TestPerROffset:
         assert got == pytest.approx(centred_log_evidence(ds, tuned), rel=1e-10, abs=0)
         grid = np.geomspace(1e-3, 1e3, 64)
         assert got >= max(centred_log_evidence(ds, r) for r in grid) - 1e-10 * abs(got)
+
+
+def affine_hyperplane_dataset():
+    """N = 3 features that sum to 1: three classes of 12 Dirichlet rows."""
+    rng = np.random.default_rng(0)
+    patterns = np.concatenate([rng.dirichlet(alpha, 12)
+                               for alpha in ((8, 2, 2), (2, 8, 2), (2, 2, 8))])
+    return LabeledDataset(patterns, np.repeat(np.arange(3), 12), ("a", "b", "c"))
+
+
+class TestAffineHyperplane:
+    # On the hyperplane W and the spread about mbar are singular, so C(r)
+    # fails the pivot rule; B*(r) = C(r) + s mbar mbar^T does not.
+    GRID = (1e-3, 1.0, 1e3)
+
+    def test_log_det_factors_b_star_where_c_fails(self, monkeypatch):
+        stats = accumulate(affine_hyperplane_dataset())
+        factor, outcomes = linalg.cholesky, []
+
+        def spy(matrix):
+            try:
+                chol = factor(matrix)
+            except NotPositiveDefinite:
+                outcomes.append("C fails")
+                raise
+            outcomes.append("factored")
+            return chol
+
+        monkeypatch.setattr(linalg, "cholesky", spy)
+        for r in self.GRID:
+            outcomes.clear()
+            got = evidence._log_det(stats, r, None)
+            assert outcomes == ["C fails", "factored"]
+            assert got == pytest.approx(exact_log_det(exact_b_star_of_stats(stats, r)),
+                                        rel=1e-13, abs=0)
+
+    def test_curve_and_scores_are_finite(self):
+        ds = affine_hyperplane_dataset()
+        stats = accumulate(ds)
+        curve = evidence_curve(stats, np.geomspace(1e-3, 1e3, 25))
+        assert np.isfinite(curve.log_evidence).all()
+        for r in self.GRID:
+            model = build_model(posterior(stats, PriorHyper(r=r)))
+            _, posteriors, _ = score_batch(model, ds.patterns, np.full(3, 1.0 / 3.0))
+            assert np.isfinite(posteriors).all()
 
 
 class TestTuneRProperty:

@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gausset import (
     PriorHyper,
@@ -245,6 +248,13 @@ class TestMcPredictive:
             estimate, se = mc_predictive(np.random.default_rng(200 + i), model, x, k, 40000)
             assert abs(estimate - closed) <= 3.0 * se
 
+    def test_single_sample_error_stays_infinite_when_its_weight_underflows(self):
+        # log w is about -4800 here, so exp(shift) is 0; 0 * inf must not
+        # turn the one-sample error into NaN.
+        model = small_model(2)
+        x = model.mu_star[:, 0] + 1e150
+        assert mc_predictive(np.random.default_rng(37), model, x, 0, 1) == (0.0, math.inf)
+
     def test_single_sample_is_finite_density(self):
         post = make_posterior(30, 2, [4, 4])
         estimate, se = mc_predictive(np.random.default_rng(31), build_model(post), np.zeros(2), 0, 1)
@@ -468,6 +478,26 @@ class TestMcPredictive:
         model, x = small_model(2), np.zeros(2)
         assert (mc_predictive(np.random.default_rng(36), model, x, 0, np.int64(50))
                 == mc_predictive(np.random.default_rng(36), model, x, 0, 50))
+
+
+class TestMeanAndError:
+    # Every Monte-Carlo probe takes its mean and standard error from here.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 50), st.sampled_from([(), (2, 2)]), st.data())
+    def test_matches_numpy(self, n_samples, tail, data):
+        # Multiples of 1/1024: no squared deviation is a subnormal float,
+        # where the two ways of rounding the error part by more than 1e-15.
+        samples = data.draw(hnp.arrays(np.float64, (n_samples,) + tail,
+                                       elements=st.integers(-10**9, 10**9).map(lambda i: i / 1024)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, error = montecarlo._mean_and_error(samples.copy())
+        assert np.array_equal(mean, samples.mean(axis=0))
+        if n_samples == 1:
+            assert np.all(error == math.inf) and np.shape(error) == tail
+        else:
+            np.testing.assert_allclose(
+                error, samples.std(axis=0, ddof=1) / np.sqrt(n_samples), rtol=1e-15, atol=0)
 
 
 class TestSampleDataset:
