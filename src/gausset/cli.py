@@ -86,10 +86,11 @@ def _write_rows(path, header, values, names, codes) -> None:
 def cmd_fit(args) -> int:
     ds = load_csv(args.data, label_column=args.label_col,
                   extra_classes=args.declare_class)
-    stats = accumulate(ds)
+    stats, class_names = accumulate(ds), ds.class_names
+    del ds  # the patterns are reduced to statistics, and fit never scores
     prior = _build_prior(args, stats.dim)
     post = posterior(stats, prior)
-    model = build_model(post, class_names=ds.class_names)
+    model = build_model(post, class_names=class_names)
     # By keyword: the bench's save_model span reads the path from it.
     model_io.save_model(model, path=args.out)
     print(f"fit: N={stats.dim} K={stats.n_classes} T={stats.total} "
@@ -118,9 +119,9 @@ def cmd_tune_r(args) -> int:
         raise DomainError(f"--grid must be >= 0, got {args.grid}")
     if args.out and not args.grid:
         raise DomainError("--out writes the evidence curve and needs --grid N >= 1")
-    ds = load_csv(args.data, label_column=args.label_col,
-                  extra_classes=args.declare_class)
-    stats = accumulate(ds)
+    # The dataset goes as soon as it is reduced to statistics.
+    stats = accumulate(load_csv(args.data, label_column=args.label_col,
+                                extra_classes=args.declare_class))
     tuned = evidence.tune_r(stats, args.r_min, args.r_max)
     print(f"tuned r = {tuned!r} "
           f"(log evidence {evidence.log_evidence_noninformative(stats, tuned)!r})")
@@ -160,6 +161,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    for flag, value in (("--dim", args.dim), ("--classes", args.classes)):
+        if value < 1:
+            raise DomainError(f"{flag} must be >= 1, got {value}")
     counts = [int(c) for c in args.per_class.split(",")]
     if len(counts) == 1:
         counts = counts * args.classes
@@ -228,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="unlabeled feature CSV")
     p.add_argument("--out", required=True, help="output scored CSV")
     p.add_argument("--prior", default="uniform",
-                   help="class prior: 'uniform' or comma list (default uniform)")
+                   help="class prior: 'uniform' or a comma list of non-negative "
+                        "weights, scaled to sum to 1 (default uniform)")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("tune-r", help="maximize the evidence over r")

@@ -38,6 +38,19 @@ from .errors import (
 from .inference import PosteriorMNW
 
 
+class _Whitening:
+    """A :class:`PredictiveModel` scoring field derived on first read."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return self
+        model._whiten()
+        return getattr(model, self.name)
+
+
 class PredictiveModel(linalg._Frozen):
     """Immutable per-class scoring parameters.
 
@@ -46,15 +59,18 @@ class PredictiveModel(linalg._Frozen):
     ``mu_star`` (N x K), the per-class scale inflation ``c_star`` (c*_k =
     1/(r + T_k)), the shared degrees of freedom ``a_star``, the shrinkage
     ``r`` and the shared scale matrix ``b_star``. Everything else is derived
-    from those once per model, so no model can disagree with itself: the
-    Cholesky factor L of B* and its log-determinant, the per-class log
-    normalization constants, the count-weighted training mean ``centre``
-    (N,), the whitened centred means ``white_means`` (K x N), row k
-    L^{-1}(mu*_k - centre), and for the kernel ``cp1`` (c* + 1),
-    ``class_term`` (-(N/2) log(c* + 1)), ``inverse_t`` ((L^{-1})^T),
-    ``block_rows``, the rows per kernel block, whose (rows x K, N)
-    difference block holds about ``_BLOCK_ENTRIES`` entries, and ``reach``:
-    no q_tk overflows while every entry of x - centre is within it.
+    from those once per model, so no model can disagree with itself. At
+    construction: the Cholesky factor L of B* and its log-determinant, the
+    per-class log normalization constants, the count-weighted training mean
+    ``centre`` (N,), and for the kernel ``cp1`` (c* + 1), ``class_term``
+    (-(N/2) log(c* + 1)) and ``block_rows``, the rows per kernel block,
+    whose (rows x K, N) difference block holds about ``_BLOCK_ENTRIES``
+    entries. On first scoring use (the first read of any of them), the
+    whitening: ``inverse_t`` ((L^{-1})^T), the whitened centred means
+    ``white_means`` (K x N), row k L^{-1}(mu*_k - centre), and ``reach``:
+    no q_tk overflows while every entry of x - centre is within it. After
+    that they are plain fields, and a model that is only saved, as ``fit``
+    saves it, never forms the N x N inverse.
 
     Checked in this order: ``ShapeMismatch`` if ``mu_star`` is not a
     non-empty N x K matrix, there are not K class names, ``c_star`` is not
@@ -119,17 +135,23 @@ class PredictiveModel(linalg._Frozen):
         # number, below 1/2 only when there are no patterns.
         total = float(np.sum(1.0 / c_star - r))
         centre = mu_star @ (1.0 / c_star) / total if total >= 0.5 else np.zeros(n)
-        inverse_t = chol.inverse.T
-        white_means = (mu_star.T - centre) @ inverse_t
-        # |c_j| <= reach bounds q_tk by N (reach max_i sum_j |L^-1_ij| + max|w|)^2 <= max/4.
-        reach = ((np.sqrt(sys.float_info.max / (4.0 * n)) - np.abs(white_means).max())
-                 / np.add.reduce(np.abs(inverse_t), axis=0).max())
         linalg._freeze(
             self, class_names=class_names, mu_star=mu_star, c_star=c_star,
             a_star=a_star, r=r, b_star=b_star, chol_b_star=chol, logdet_b_star=ld,
-            log_norm=log_norm, centre=centre, white_means=white_means,
-            cp1=cp1, class_term=-0.5 * n * np.log(cp1), inverse_t=inverse_t,
-            block_rows=max(1, _BLOCK_ENTRIES // mu_star.size), reach=float(reach))
+            log_norm=log_norm, centre=centre, cp1=cp1, class_term=-0.5 * n * np.log(cp1),
+            block_rows=max(1, _BLOCK_ENTRIES // mu_star.size))
+
+    # The first read stores all three through _freeze, as fields that shadow
+    # these descriptors (cached_property's __dict__ write slows every read).
+    inverse_t, white_means, reach = _Whitening(), _Whitening(), _Whitening()
+
+    def _whiten(self) -> None:
+        inverse_t = self.chol_b_star.inverse.T
+        white_means = (self.mu_star.T - self.centre) @ inverse_t
+        # |c_j| <= reach bounds q_tk by N (reach max_i sum_j |L^-1_ij| + max|w|)^2 <= max/4.
+        reach = ((np.sqrt(sys.float_info.max / (4.0 * self.dim)) - np.abs(white_means).max())
+                 / np.add.reduce(np.abs(inverse_t), axis=0).max())
+        linalg._freeze(self, inverse_t=inverse_t, white_means=white_means, reach=float(reach))
 
     @property
     def dim(self) -> int:

@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +213,32 @@ class TestFit:
         save_model(build_model(post, class_names=ds.class_names), expected)
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("command, module, name", [("fit", "cli", "build_model"),
+                                                       ("tune-r", "evidence", "tune_r")])
+    def test_patterns_released_once_reduced(self, tmp_path, monkeypatch, command, module, name):
+        # Only the statistics are needed past accumulate, so the dataset is
+        # gone by the time the model is built or r is tuned.
+        data = tmp_path / "data.csv"
+        write_worked_csv(data)
+        datasets = []
+
+        def load_csv(*args, **kwargs):
+            ds = gausset.dataset.load_csv(*args, **kwargs)
+            datasets.append(weakref.ref(ds))
+            return ds
+
+        owner = getattr(gausset, module)
+        reduced = getattr(owner, name)
+
+        def after_reduction(*args, **kwargs):
+            assert datasets and datasets[0]() is None
+            return reduced(*args, **kwargs)
+
+        monkeypatch.setattr(gausset.cli, "load_csv", load_csv)
+        monkeypatch.setattr(owner, name, after_reduction)
+        argv = ["--out", tmp_path / "model.json"] if command == "fit" else []
+        assert run([command, "--data", data, *argv]) == 0
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert run(["fit", "--data", tmp_path / "nope.csv",
                     "--out", tmp_path / "m.json"]) == 2
@@ -319,6 +347,19 @@ class TestClassify:
             row = next(csv.DictReader(handle))
         assert float(row["posterior_a"]) == 1.0
         assert row["action"] == "a"
+
+    def test_prior_weights_are_scaled_to_sum_to_one(self, tmp_path):
+        # Unlike a library ClassPrior, the comma list need not sum to 1.
+        model_path = self.fit_worked(tmp_path)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("x0\n0.5\n2.0\n4.0\n")
+        written = {}
+        for spec in ("3,1", "0.75,0.25", "uniform"):
+            scored = tmp_path / f"{spec}.csv"
+            assert run(["classify", "--model", model_path, "--data", queries,
+                        "--out", scored, "--prior", spec]) == 0
+            written[spec] = scored.read_bytes()
+        assert written["3,1"] == written["0.75,0.25"] != written["uniform"]
 
     def test_unparsable_class_prior_exits_2(self, tmp_path, capsys):
         model_path = self.fit_worked(tmp_path)
@@ -796,6 +837,15 @@ class TestGenSynth:
         err = capsys.readouterr().err
         assert "seed must be a non-negative integer, got -1" in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--dim", "-1"), ("--dim", "0"),
+                                             ("--classes", "0"), ("--classes", "-2")])
+    def test_size_below_one_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        sizes = {"--dim": "2", "--classes": "2", flag: value}
+        assert run(["gen-synth", "--out", out, *chain.from_iterable(sizes.items())]) == 2
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_count_spec(self, tmp_path):
         assert run(["gen-synth", "--out", tmp_path / "x.csv", "--dim", "2",

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from gausset import (
     log_predictive_unnormalized,
     posterior,
     posterior_from_scores,
+    save_model,
     score_batch,
     zero_one_costs,
 )
@@ -90,6 +92,32 @@ class TestBuildModel:
         for derived in ({"chol_b_star": worked_model.chol_b_star}, {"cp1": [1.0, 1.0]}):
             with pytest.raises(TypeError):
                 PredictiveModel(*(getattr(worked_model, name) for name in fields), **derived)
+
+    def test_saving_forms_no_inverse(self, worked_posterior, tmp_path):
+        # fit builds and saves a model without scoring, so L^{-1} and the
+        # whitening it feeds are never formed.
+        model = build_model(worked_posterior)
+        save_model(model, tmp_path / "model.json")
+        assert "inverse" not in vars(model.chol_b_star)
+        assert not {"inverse_t", "white_means", "reach"} & set(vars(model))
+
+    def test_whitening_derived_on_first_score(self):
+        rng = np.random.default_rng(7)
+        n = 4
+        model = build_model(PosteriorMNW(rng.normal(size=(n, 3)), [2.0, 3.0, 5.0], 10.0,
+                                         random_spd(rng, n), source_r=1.0))
+        assert not {"inverse_t", "white_means", "reach"} & set(vars(model))
+        score_batch(model, rng.normal(size=(5, n)), ClassPrior.uniform(3))
+        inverse_t = np.tril(np.linalg.solve(model.chol_b_star.lower, np.eye(n))).T
+        white_means = (model.mu_star.T - model.centre) @ inverse_t
+        reach = ((np.sqrt(sys.float_info.max / (4.0 * n)) - np.abs(white_means).max())
+                 / np.abs(inverse_t).sum(axis=0).max())
+        fields = vars(model)   # plain fields from now on
+        for name, eager in (("inverse_t", inverse_t), ("white_means", white_means)):
+            np.testing.assert_array_equal(fields[name], eager)
+            assert not fields[name].flags.writeable
+        assert type(fields["reach"]) is float and fields["reach"] == reach
+        assert model.inverse_t is fields["inverse_t"]   # read, not derived again
 
     def test_class_name_default_and_mismatch(self, worked_posterior):
         assert build_model(worked_posterior).class_names == ("class_0", "class_1")
